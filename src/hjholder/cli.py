@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -436,12 +435,7 @@ def _cmd_sweep(args) -> int:
     if not inst_list:
         raise DomainError("sweep config needs a nonempty 'instances' list")
     osc_cfg = cfg.get("oscillate", {})
-    threads = int(os.environ.get("HJ_HOLDER_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: _run_sweep_instance(base, i, osc_cfg), inst_list))
-    else:
-        results = [_run_sweep_instance(base, inst, osc_cfg) for inst in inst_list]
+    results = [_run_sweep_instance(base, inst, osc_cfg) for inst in inst_list]
     cols = ["p", "A", "k", "omega", "gamma", "m", "alpha", "theta", "passed",
             "alpha_hat", "fit_residual"]
     rows = [tuple(r[c] for c in cols) for r in results]
@@ -564,3 +558,7 @@ def run(argv) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

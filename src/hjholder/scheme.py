@@ -167,20 +167,71 @@ def _boundary_mask(shape: tuple) -> np.ndarray:
     return mask
 
 
-def _second_diffs(u: np.ndarray, dx: list) -> dict:
-    """Centered second differences; valid on interior nodes only."""
-    d = u.ndim
-    out = {}
-    for i in range(d):
-        out[(i, i)] = (np.roll(u, -1, axis=i) - 2.0 * u + np.roll(u, 1, axis=i)) / dx[i] ** 2
-    for i in range(d):
-        for j in range(i + 1, d):
-            upp = np.roll(np.roll(u, -1, axis=i), -1, axis=j)
-            upm = np.roll(np.roll(u, -1, axis=i), 1, axis=j)
-            ump = np.roll(np.roll(u, 1, axis=i), -1, axis=j)
-            umm = np.roll(np.roll(u, 1, axis=i), 1, axis=j)
-            out[(i, j)] = (upp - upm - ump + umm) / (4.0 * dx[i] * dx[j])
-    return out
+class _Stencil:
+    """Finite differences on the interior nodes of a uniform grid.
+
+    Each difference is a slice expression over shifted views of u, built
+    once per grid.  The float operations and their order are those of the
+    np.roll / np.gradient formulas on the same nodes, so results agree bit
+    for bit; the boundary nodes, where those formulas wrap or go one-sided,
+    are simply not computed.
+    """
+
+    def __init__(self, shape: tuple, dx: list):
+        d = len(shape)
+        self.d = d
+        self.shape = tuple(shape)
+        self.dx = list(dx)
+        self.mid = (slice(1, -1),) * d
+
+        def view(shifts: dict, rest=slice(1, -1)) -> tuple:
+            """Index taking shifts[k] on axis k and `rest` on the other axes."""
+            return tuple(shifts.get(k, rest) for k in range(d))
+
+        up, down = slice(2, None), slice(None, -2)
+        # face differences along axis i span every node of the other axes
+        self.face_hi = [view({i: slice(1, None)}, slice(None)) for i in range(d)]
+        self.face_lo = [view({i: slice(None, -1)}, slice(None)) for i in range(d)]
+        # the faces on either side of each interior node
+        self.face_fwd = [view({i: slice(1, None)}) for i in range(d)]
+        self.face_bwd = [view({i: slice(None, -1)}) for i in range(d)]
+        self.plus = [view({i: up}) for i in range(d)]
+        self.minus = [view({i: down}) for i in range(d)]
+        self.cross = {
+            (i, j): tuple(view({i: si, j: sj}) for si, sj in
+                          ((up, up), (up, down), (down, up), (down, down)))
+            for i in range(d) for j in range(i + 1, d)
+        }
+
+    def interior(self, field):
+        """Interior values of a field sampled on the grid; scalars pass through."""
+        if np.ndim(field) == 0:
+            return field
+        if field.shape != self.shape:
+            field = np.broadcast_to(field, self.shape)
+        return field[self.mid]
+
+    def face_diffs(self, u: np.ndarray) -> list:
+        """One-sided differences (u[k+1] - u[k]) / dx along each axis, on every face."""
+        return [(u[self.face_hi[i]] - u[self.face_lo[i]]) / self.dx[i] for i in range(self.d)]
+
+    def face_jump(self, faces: list, i: int) -> np.ndarray:
+        """Forward minus backward one-sided difference along axis i."""
+        return faces[i][self.face_fwd[i]] - faces[i][self.face_bwd[i]]
+
+    def centred(self, u: np.ndarray) -> list:
+        """Centred first differences, the interior formula of np.gradient."""
+        return [(u[self.plus[i]] - u[self.minus[i]]) / (2. * self.dx[i]) for i in range(self.d)]
+
+    def second_diffs(self, u: np.ndarray) -> dict:
+        """Centred second differences keyed (i, j) with i <= j."""
+        dx = self.dx
+        out = {}
+        for i in range(self.d):
+            out[(i, i)] = (u[self.plus[i]] - 2.0 * u[self.mid] + u[self.minus[i]]) / dx[i] ** 2
+        for (i, j), (pp, pm, mp, mm) in self.cross.items():
+            out[(i, j)] = (u[pp] - u[pm] - u[mp] + u[mm]) / (4.0 * dx[i] * dx[j])
+        return out
 
 
 def m_plus_field(hess: dict, d: int) -> np.ndarray:
@@ -201,20 +252,27 @@ def m_minus_field(hess: dict, d: int) -> np.ndarray:
     return np.minimum(mid - rad, 0.0)
 
 
-def _diffusion_field(spec: HamiltonianSpec, u, coords, t, dx, d):
+def _hamiltonian(a, grads: list, p: float):
+    """a |Du|^p from the centred gradient; shared by solver and residual."""
+    return a * sum(g**2 for g in grads) ** (p / 2.0)
+
+
+def _diffusion_field(spec: HamiltonianSpec, st: _Stencil, u, coords, t):
+    """Interior diffusion term and its ellipticity bound Lambda."""
     diff = spec.diffusion
     if diff is None:
         return 0.0, 0.0
-    hess = _second_diffs(u, dx)
+    d = st.d
+    hess = st.second_diffs(u)
     if isinstance(diff, ExtremalDiffusion):
         fld = m_plus_field(hess, d) if diff.sign > 0 else m_minus_field(hess, d)
         return diff.coeff * fld, abs(diff.coeff)
     if isinstance(diff, TraceDiffusion):
         b = diff.matrix_at(coords, t, d)
-        total = np.zeros(u.shape)
+        total = np.zeros(hess[(0, 0)].shape)
         for i in range(d):
             for j in range(d):
-                bij = b[i, j]
+                bij = st.interior(b[i, j])
                 total = total + bij * hess[(min(i, j), max(i, j))]
         lam = float(np.max(np.abs(b))) * d
         return total, lam
@@ -233,16 +291,15 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
         raise DomainError(f"solver supports d in {{1, 2}}, got {d}")
     if d != spec.params.d:
         raise DomainError(f"config dim {d} != params dim {spec.params.d}")
-    axes = cfg.axes()
     dx = cfg.spacings()
     dx_min = min(dx)
     coords = cfg.coords()
     p, A = spec.params.p, spec.params.A
 
     if callable(init):
-        u = np.array(np.broadcast_to(init(*coords), tuple(cfg.nx)), dtype=float)
+        u = np.array(np.broadcast_to(init(*coords), tuple(cfg.nx)), dtype=float, order="C")
     else:
-        u = np.array(init, dtype=float)
+        u = np.array(init, dtype=float, order="C")
         if u.shape != tuple(cfg.nx):
             raise DomainError(f"init shape {u.shape} != grid shape {tuple(cfg.nx)}")
 
@@ -265,8 +322,11 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
             raise DomainError(f"trace diffusion matrix not nonnegative definite "
                               f"(min eigenvalue {float(lam_min):g} at t0)")
 
-    bmask = _boundary_mask(tuple(cfg.nx))
-    bcoords = [c[bmask] for c in coords]
+    st = _Stencil(u.shape, dx)
+    # Dirichlet nodes as flat indices into u, which is updated in place
+    bidx = np.flatnonzero(_boundary_mask(u.shape))
+    bcoords = [c.reshape(-1)[bidx] for c in coords]
+    u_flat = u.reshape(-1)
     data_bound = float(np.max(np.abs(u)))
     out = np.empty(tuple(cfg.nx) + (cfg.nt,))
     out[..., 0] = u
@@ -278,18 +338,11 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
         t_target = times_out[n]
         while t < t_target - 1e-14 * (1.0 + abs(t_target)):
             a = spec.coeff_at(coords, t)
-            q_center = [np.gradient(u, dx[i], axis=i) for i in range(d)]
-            qf = [(np.roll(u, -1, axis=i) - u) / dx[i] for i in range(d)]
-            qb = [(u - np.roll(u, 1, axis=i)) / dx[i] for i in range(d)]
+            faces = st.face_diffs(u)
             qmax = 0.0
-            for i in range(d):
-                # rolled arrays wrap at the faces; drop the wrapped slice
-                sl = [slice(None)] * d
-                sl[i] = slice(None, -1)
-                qmax = max(qmax, float(np.max(np.abs(qf[i][tuple(sl)]))))
-                sl[i] = slice(1, None)
-                qmax = max(qmax, float(np.max(np.abs(qb[i][tuple(sl)]))))
-            alpha = p * float(np.max(a)) * qmax ** (p - 1.0) if qmax > 0 else 0.0
+            for q in faces:
+                qmax = max(qmax, float(np.abs(q).max()))
+            alpha = p * float(a.max()) * qmax ** (p - 1.0) if qmax > 0 else 0.0
             alpha = max(alpha, cfg.lf_alpha_floor)
             if cfg.lf_alpha_cap is not None and alpha > cfg.lf_alpha_cap:
                 alpha = cfg.lf_alpha_cap
@@ -300,12 +353,11 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
                     )
                     warned_cap = True
 
-            gnorm2 = sum(qc**2 for qc in q_center)
-            hamil = a * gnorm2 ** (p / 2.0)
+            hamil = _hamiltonian(st.interior(a), st.centred(u), p)
             for i in range(d):
-                hamil = hamil - 0.5 * alpha * (qf[i] - qb[i])
-            diff_term, lam = _diffusion_field(spec, u, coords, t, dx, d)
-            rhs = spec.forcing_at(coords, t) - spec.shift - hamil + diff_term
+                hamil = hamil - 0.5 * alpha * st.face_jump(faces, i)
+            diff_term, lam = _diffusion_field(spec, st, u, coords, t)
+            rhs = st.interior(spec.forcing_at(coords, t)) - spec.shift - hamil + diff_term
 
             dt_stab = math.inf
             if alpha > 0:
@@ -319,12 +371,12 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
                 )
             dt = min(dt_stab, t_target - t)
 
-            u = u + dt * rhs
+            u[st.mid] += dt * rhs
             t_new = min(t + dt, t_target)
             bvals = np.asarray(bc(*bcoords, t_new), dtype=float)
-            u[bmask] = np.broadcast_to(bvals, u[bmask].shape)
-            data_bound = max(data_bound, float(np.max(np.abs(bvals))))
-            if float(np.max(np.abs(u))) > cfg.blowup_factor * (1.0 + data_bound):
+            u_flat[bidx] = bvals
+            data_bound = max(data_bound, float(np.abs(bvals).max()))
+            if float(np.abs(u).max()) > cfg.blowup_factor * (1.0 + data_bound):
                 raise Blowup(f"values exceeded {cfg.blowup_factor:g}*(1+data bound) at t={t_new:g}")
             t = t_new
         t = t_target
@@ -367,33 +419,31 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
         raise GridTooSmall("need >= 3 nodes per space axis and >= 2 time slices")
     axes = [u.axis_coords(i) for i in range(d)]
     coords = list(np.meshgrid(*axes, indexing="ij"))
-    dx = list(u.spacing_x)
     ts = u.times()
-    interior = ~_boundary_mask(u.n_space)
+    st = _Stencil(u.n_space, list(u.spacing_x))
+    inner = st.mid
 
     worst = -math.inf if side == "sub" else math.inf
     worst_idx = None
     for n in range(1, u.n_time):
         un = u.values[..., n]
-        ut = (un - u.values[..., n - 1]) / u.spacing_t
-        a = spec.coeff_at(coords, ts[n])
-        grads = [np.gradient(un, dx[i], axis=i) for i in range(d)]
-        gnorm2 = sum(g**2 for g in grads)
-        diff_term, _ = _diffusion_field(spec, un, coords, ts[n], dx, d)
-        res = ut + a * gnorm2 ** (spec.params.p / 2.0) - diff_term
-        res = res - spec.forcing_at(coords, ts[n]) + spec.shift
-        res_int = np.where(interior, res, -math.inf if side == "sub" else math.inf)
+        ut = (un[inner] - u.values[inner + (n - 1,)]) / u.spacing_t
+        a = st.interior(spec.coeff_at(coords, ts[n]))
+        diff_term, _ = _diffusion_field(spec, st, un, coords, ts[n])
+        res = ut + _hamiltonian(a, st.centred(un), spec.params.p) - diff_term
+        res = res - st.interior(spec.forcing_at(coords, ts[n])) + spec.shift
         if side == "sub":
-            k = int(np.argmax(res_int))
-            val = float(res_int.ravel()[k])
+            k = int(np.argmax(res))
+            val = float(res.ravel()[k])
             better = val > worst
         else:
-            k = int(np.argmin(res_int))
-            val = float(res_int.ravel()[k])
+            k = int(np.argmin(res))
+            val = float(res.ravel()[k])
             better = val < worst
         if better:
             worst = val
-            worst_idx = np.unravel_index(k, u.n_space) + (n,)
+            # interior index -> grid index: one boundary layer per axis
+            worst_idx = tuple(i + 1 for i in np.unravel_index(k, res.shape)) + (n,)
 
     violation = max(0.0, worst) if side == "sub" else max(0.0, -worst)
     xc = tuple(float(axes[i][worst_idx[i]]) for i in range(d))

@@ -1,0 +1,283 @@
+"""The interior-slice stencil against the np.roll / np.gradient formulas.
+
+The reference below is a frozen, test-local copy of the roll/gradient
+substep loop and residual check that the interior stencil replaced.  The
+stencil performs the same float operations in the same order, so every
+solution value and every residual report must agree bit for bit, and every
+callable must be sampled at the same times in the same order.
+"""
+
+import logging
+import math
+
+import numpy as np
+import pytest
+
+from hjholder import instances
+from hjholder.core import EquationParams
+from hjholder.scheme import (
+    ExtremalDiffusion,
+    HamiltonianSpec,
+    ResidualReport,
+    SolveConfig,
+    TraceDiffusion,
+    discrete_residual,
+    solve_hj,
+)
+
+# ---------------------------------------------------------------------------
+# Reference: the roll/gradient implementation
+# ---------------------------------------------------------------------------
+
+
+def _ref_boundary_mask(shape):
+    mask = np.zeros(shape, dtype=bool)
+    for axis in range(len(shape)):
+        sl = [slice(None)] * len(shape)
+        sl[axis] = 0
+        mask[tuple(sl)] = True
+        sl[axis] = -1
+        mask[tuple(sl)] = True
+    return mask
+
+
+def _ref_second_diffs(u, dx):
+    d = u.ndim
+    out = {}
+    for i in range(d):
+        out[(i, i)] = (np.roll(u, -1, axis=i) - 2.0 * u + np.roll(u, 1, axis=i)) / dx[i] ** 2
+    for i in range(d):
+        for j in range(i + 1, d):
+            upp = np.roll(np.roll(u, -1, axis=i), -1, axis=j)
+            upm = np.roll(np.roll(u, -1, axis=i), 1, axis=j)
+            ump = np.roll(np.roll(u, 1, axis=i), -1, axis=j)
+            umm = np.roll(np.roll(u, 1, axis=i), 1, axis=j)
+            out[(i, j)] = (upp - upm - ump + umm) / (4.0 * dx[i] * dx[j])
+    return out
+
+
+def _ref_m_field(hess, d, sign):
+    if d == 1:
+        h = hess[(0, 0)]
+        return np.maximum(h, 0.0) if sign > 0 else np.minimum(h, 0.0)
+    mid = 0.5 * (hess[(0, 0)] + hess[(1, 1)])
+    rad = np.hypot(0.5 * (hess[(0, 0)] - hess[(1, 1)]), hess[(0, 1)])
+    return np.maximum(mid + rad, 0.0) if sign > 0 else np.minimum(mid - rad, 0.0)
+
+
+def _ref_diffusion_field(spec, u, coords, t, dx, d):
+    diff = spec.diffusion
+    if diff is None:
+        return 0.0, 0.0
+    hess = _ref_second_diffs(u, dx)
+    if isinstance(diff, ExtremalDiffusion):
+        return diff.coeff * _ref_m_field(hess, d, diff.sign), abs(diff.coeff)
+    b = diff.matrix_at(coords, t, d)
+    total = np.zeros(u.shape)
+    for i in range(d):
+        for j in range(d):
+            total = total + b[i, j] * hess[(min(i, j), max(i, j))]
+    return total, float(np.max(np.abs(b))) * d
+
+
+def _ref_solve(spec, init, bc, cfg):
+    d = cfg.dim
+    dx = cfg.spacings()
+    dx_min = min(dx)
+    coords = cfg.coords()
+    p = spec.params.p
+    u = np.array(np.broadcast_to(init(*coords), tuple(cfg.nx)), dtype=float)
+    bmask = _ref_boundary_mask(tuple(cfg.nx))
+    bcoords = [c[bmask] for c in coords]
+    data_bound = float(np.max(np.abs(u)))
+    out = np.empty(tuple(cfg.nx) + (cfg.nt,))
+    out[..., 0] = u
+    times_out = cfg.out_times()
+    t = cfg.t0
+    for n in range(1, cfg.nt):
+        t_target = times_out[n]
+        while t < t_target - 1e-14 * (1.0 + abs(t_target)):
+            a = spec.coeff_at(coords, t)
+            q_center = [np.gradient(u, dx[i], axis=i) for i in range(d)]
+            qf = [(np.roll(u, -1, axis=i) - u) / dx[i] for i in range(d)]
+            qb = [(u - np.roll(u, 1, axis=i)) / dx[i] for i in range(d)]
+            qmax = 0.0
+            for i in range(d):
+                sl = [slice(None)] * d
+                sl[i] = slice(None, -1)
+                qmax = max(qmax, float(np.max(np.abs(qf[i][tuple(sl)]))))
+                sl[i] = slice(1, None)
+                qmax = max(qmax, float(np.max(np.abs(qb[i][tuple(sl)]))))
+            alpha = p * float(np.max(a)) * qmax ** (p - 1.0) if qmax > 0 else 0.0
+            alpha = max(alpha, cfg.lf_alpha_floor)
+            if cfg.lf_alpha_cap is not None and alpha > cfg.lf_alpha_cap:
+                alpha = cfg.lf_alpha_cap
+            gnorm2 = sum(qc**2 for qc in q_center)
+            hamil = a * gnorm2 ** (p / 2.0)
+            for i in range(d):
+                hamil = hamil - 0.5 * alpha * (qf[i] - qb[i])
+            diff_term, lam = _ref_diffusion_field(spec, u, coords, t, dx, d)
+            rhs = spec.forcing_at(coords, t) - spec.shift - hamil + diff_term
+            dt_stab = math.inf
+            if alpha > 0:
+                dt_stab = dx_min / (2.0 * alpha * d)
+            if lam > 0:
+                dt_stab = min(dt_stab, dx_min**2 / (2.0 * d * lam))
+            dt_stab *= cfg.cfl
+            dt = min(dt_stab, t_target - t)
+            u = u + dt * rhs
+            t_new = min(t + dt, t_target)
+            bvals = np.asarray(bc(*bcoords, t_new), dtype=float)
+            u[bmask] = np.broadcast_to(bvals, u[bmask].shape)
+            data_bound = max(data_bound, float(np.max(np.abs(bvals))))
+            assert float(np.max(np.abs(u))) <= cfg.blowup_factor * (1.0 + data_bound)
+            t = t_new
+        t = t_target
+        out[..., n] = u
+    return out
+
+
+def _ref_residual(u, spec, side):
+    d = u.dim
+    axes = [u.axis_coords(i) for i in range(d)]
+    coords = list(np.meshgrid(*axes, indexing="ij"))
+    dx = list(u.spacing_x)
+    ts = u.times()
+    interior = ~_ref_boundary_mask(u.n_space)
+    worst = -math.inf if side == "sub" else math.inf
+    worst_idx = None
+    for n in range(1, u.n_time):
+        un = u.values[..., n]
+        ut = (un - u.values[..., n - 1]) / u.spacing_t
+        a = spec.coeff_at(coords, ts[n])
+        grads = [np.gradient(un, dx[i], axis=i) for i in range(d)]
+        gnorm2 = sum(g**2 for g in grads)
+        diff_term, _ = _ref_diffusion_field(spec, un, coords, ts[n], dx, d)
+        res = ut + a * gnorm2 ** (spec.params.p / 2.0) - diff_term
+        res = res - spec.forcing_at(coords, ts[n]) + spec.shift
+        res_int = np.where(interior, res, -math.inf if side == "sub" else math.inf)
+        k = int(np.argmax(res_int) if side == "sub" else np.argmin(res_int))
+        val = float(res_int.ravel()[k])
+        if (val > worst) if side == "sub" else (val < worst):
+            worst = val
+            worst_idx = np.unravel_index(k, u.n_space) + (n,)
+    return ResidualReport(
+        side=side,
+        worst_value=worst,
+        violation=max(0.0, worst) if side == "sub" else max(0.0, -worst),
+        node_index=tuple(int(i) for i in worst_idx),
+        coords=tuple(float(axes[i][worst_idx[i]]) for i in range(d)),
+        time=float(ts[worst_idx[-1]]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Problem matrix
+# ---------------------------------------------------------------------------
+
+
+class _Log:
+    """Wraps the callables of one problem and records every sample time."""
+
+    def __init__(self):
+        self.calls = []
+
+    def wrap(self, name, fn):
+        def logged(*args):
+            self.calls.append((name, float(args[-1]), np.shape(args[0])))
+            return fn(*args)
+
+        return logged
+
+
+def _cfg(d, **kw):
+    if d == 1:
+        return SolveConfig(xmin=(-1.0,), xmax=(1.2,), nx=(65,), t0=0.0, t1=0.3, nt=7, **kw)
+    return SolveConfig(xmin=(-1.0, -0.8), xmax=(1.0, 1.1), nx=(25, 21), t0=0.0, t1=0.2,
+                       nt=5, **kw)
+
+
+def _init(*c):
+    v = 0.5 + 0.3 * np.sin(2.0 * c[0] + 0.3)
+    if len(c) == 2:
+        v = v + 0.2 * np.cos(1.5 * c[1]) * c[0]
+    return v
+
+
+def _trace_entries(d):
+    if d == 1:
+        return lambda x, t: np.array([[0.02 + 0.01 * np.sin(x) ** 2 * (1.0 + t)]])
+
+    def b(x, y, t):
+        b11 = 0.03 + 0.01 * np.sin(x) ** 2
+        b22 = 0.02 + 0.01 * np.cos(y) ** 2
+        b12 = 0.008 * np.sin(x + y + t)
+        # unequal off-diagonals: the order of the trace sum shows in the bits
+        return np.array([[b11, b12], [0.6 * b12, b22]])
+
+    return b
+
+
+def _spec(d, diffusion, coefficient, forcing, log):
+    if diffusion == "none":
+        diff = None
+    elif diffusion == "m+":
+        diff = ExtremalDiffusion(sign=1, coeff=0.04)
+    elif diffusion == "m-":
+        diff = ExtremalDiffusion(sign=-1, coeff=0.04)
+    elif diffusion == "trace":
+        diff = TraceDiffusion(np.array([[0.03]]) if d == 1
+                              else np.array([[0.03, 0.01], [0.01, 0.02]]))
+    else:
+        diff = TraceDiffusion(log.wrap("B", _trace_entries(d)))
+    coeff = 1.0 if coefficient == "constant" else log.wrap(
+        "a", instances.rough_coefficient(7.0, 5.0))
+    if forcing == "none":
+        force = None
+    elif forcing == "constant":
+        force = 0.7
+    else:
+        force = log.wrap("f", instances.inverse_power_forcing(
+            0.3, 0.4, (0.3, -0.2)[:d], cap_radius=0.05))
+    return HamiltonianSpec(params=EquationParams(p=3.0, A=2.0, d=d), coefficient=coeff,
+                           diffusion=diff, forcing=force, shift=0.1)
+
+
+def _bc(log):
+    return log.wrap("bc", lambda *args: _init(*args[:-1]) + 0.1 * args[-1])
+
+
+def _check(d, diffusion, coefficient, forcing, **cfg_kw):
+    cfg = _cfg(d, **cfg_kw)
+    new_log, ref_log = _Log(), _Log()
+    got = solve_hj(_spec(d, diffusion, coefficient, forcing, new_log), _init,
+                   _bc(new_log), cfg)
+    want = _ref_solve(_spec(d, diffusion, coefficient, forcing, ref_log), _init,
+                      _bc(ref_log), cfg)
+    assert np.array_equal(got.values, want)
+    assert got.values.tobytes() == want.tobytes()  # also the sign of every zero
+    # the solver samples at t0 for its checks before the loop starts
+    assert new_log.calls[len(new_log.calls) - len(ref_log.calls):] == ref_log.calls
+    assert sum(name == "bc" for name, _, _ in ref_log.calls) >= 2 * (cfg.nt - 1)
+
+    spec = _spec(d, diffusion, coefficient, forcing, _Log())
+    for side in ("sub", "super"):
+        rep = discrete_residual(got, spec, side)
+        ref = _ref_residual(got, spec, side)
+        assert rep == ref
+        assert np.float64(rep.worst_value).tobytes() == np.float64(ref.worst_value).tobytes()
+
+
+@pytest.mark.parametrize("forcing", ["none", "constant", "inverse_power"])
+@pytest.mark.parametrize("coefficient", ["constant", "rough"])
+@pytest.mark.parametrize("diffusion", ["none", "m+", "m-", "trace", "trace_callable"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_stencil_matches_roll_reference(d, diffusion, coefficient, forcing):
+    _check(d, diffusion, coefficient, forcing)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_stencil_matches_reference_under_lf_cap(d, caplog):
+    with caplog.at_level(logging.WARNING, logger="hjholder.scheme"):
+        _check(d, "m+", "rough", "inverse_power", lf_alpha_cap=0.3)
+    assert any("LF dissipation capped" in r.getMessage() for r in caplog.records)
