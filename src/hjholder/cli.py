@@ -52,12 +52,18 @@ def _write_csv(path, header_rows, columns, rows):
 
 def _equation_from_config(cfg: dict, dx_min: float):
     eq = cfg.get("equation", {})
+    m = eq.get("m")
+    if m is not None:
+        try:
+            m = float(m)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"equation.m must be a number, got {m!r}") from exc
     params = EquationParams(
         p=float(eq.get("p", 3.0)),
         A=float(eq.get("A", 1.0)),
         eps=float(eq.get("eps", 0.0)),
         d=int(eq.get("d", 1)),
-        m=eq.get("m"),
+        m=m,
     )
     coeff_cfg = eq.get("coefficient", {"kind": "constant", "value": 1.0})
     kind = coeff_cfg.get("kind", "constant")
@@ -117,6 +123,9 @@ def _grid_from_config(cfg: dict) -> scheme.SolveConfig:
     g = cfg.get("grid")
     if g is None:
         raise DomainError("config needs a 'grid' block")
+    missing = [key for key in ("xmin", "xmax", "nx") if key not in g]
+    if missing:
+        raise DomainError(f"grid block needs {', '.join(map(repr, missing))}")
     return scheme.SolveConfig(
         xmin=g["xmin"],
         xmax=g["xmax"],
@@ -548,7 +557,7 @@ def run(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HJHolderError as exc:

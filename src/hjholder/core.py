@@ -9,6 +9,7 @@ grid nodes only, with no interpolation.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 
@@ -256,15 +257,32 @@ def _save_binary(u: GridFunction, path: str) -> None:
 
 def _load_binary(path: str) -> GridFunction:
     with open(path, "rb") as fh:
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise DomainError(f"{path} is not a grid file")
-        (d,) = struct.unpack("<q", fh.read(8))
-        origin = np.frombuffer(fh.read(8 * d), dtype="<f8")
-        spacing = np.frombuffer(fh.read(8 * d), dtype="<f8")
-        t0, dt = struct.unpack("<dd", fh.read(16))
-        extent = np.frombuffer(fh.read(8 * (d + 1)), dtype="<i8")
-        count = int(np.prod(extent))
-        vals = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(extent)
+        data = fh.read()
+    if not data.startswith(_MAGIC):
+        raise DomainError(f"{path} is not a grid file")
+    pos = len(_MAGIC)
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if len(data) - pos < n:
+            raise DomainError(f"{path}: grid file ends {n - (len(data) - pos)} bytes "
+                              "short of what its header promises")
+        pos += n
+        return data[pos - n:pos]
+
+    (d,) = struct.unpack("<q", take(8))
+    if d < 1:
+        raise DomainError(f"{path}: grid dimension must be >= 1, got {d}")
+    origin = np.frombuffer(take(8 * d), dtype="<f8")
+    spacing = np.frombuffer(take(8 * d), dtype="<f8")
+    t0, dt = struct.unpack("<dd", take(16))
+    extent = np.frombuffer(take(8 * (d + 1)), dtype="<i8")
+    if np.any(extent < 1):
+        raise DomainError(f"{path}: grid extent must be positive, got {tuple(extent)}")
+    count = math.prod(int(n) for n in extent)
+    vals = np.frombuffer(take(8 * count), dtype="<f8").reshape(tuple(extent))
+    if pos != len(data):
+        raise DomainError(f"{path}: {len(data) - pos} bytes after the grid values")
     return GridFunction(tuple(origin), tuple(spacing), t0, dt, vals.copy())
 
 

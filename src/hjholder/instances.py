@@ -9,19 +9,43 @@ L^inf whenever gamma*m < d.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .errors import DomainError
 
 
+@dataclass(frozen=True)
+class SeparableField:
+    """g(*coords, t) = base + space(*coords) * time(t), with the split declared.
+
+    time=None declares a time-independent field, g(*coords, t) = space(*coords),
+    and base is then unused.  Calling the field evaluates that expression
+    every time; the solver instead evaluates space once per solve and only
+    time(t) each substep, which gives the same bits because it performs the
+    same float operations in the same order.
+    """
+
+    space: Callable
+    time: Callable | None = None
+    base: float = 0.0
+
+    def __call__(self, *args):
+        value = self.space(*args[:-1])
+        if self.time is None:
+            return value
+        return self.base + value * self.time(args[-1])
+
+
 def rough_coefficient(k: float, omega: float, base: float = 1.0, amplitude: float = 0.5):
     """a(x, t) = base + amplitude * sin(k x) * sin(omega t) (first axis only)."""
-
-    def a(*args):
-        x, t = args[0], args[-1]
-        return base + amplitude * np.sin(k * x) * np.sin(omega * t)
-
-    return a
+    return SeparableField(
+        space=lambda *coords: amplitude * np.sin(k * coords[0]),
+        time=lambda t: np.sin(omega * t),
+        base=base,
+    )
 
 
 def inverse_power_forcing(strength: float, gamma: float, center, cap_radius: float):
@@ -30,13 +54,12 @@ def inverse_power_forcing(strength: float, gamma: float, center, cap_radius: flo
         raise DomainError("need gamma > 0 and cap_radius > 0")
     c = np.atleast_1d(np.asarray(center, dtype=float))
 
-    def f(*args):
-        coords, _t = args[:-1], args[-1]
+    def f(*coords):
         dist2 = sum((coords[i] - c[i]) ** 2 for i in range(len(coords)))
         dist = np.maximum(np.sqrt(dist2), cap_radius)
         return strength * dist ** (-gamma)
 
-    return f
+    return SeparableField(space=f)
 
 
 def initial_profile(kind: str, **kw):
@@ -80,7 +103,8 @@ def initial_profile(kind: str, **kw):
 
         def windowed(*coords):
             x = coords[0]
-            win = np.clip(1.0 - (x / half) ** 2, 0.0, None) ** 2
+            # np.maximum, not np.clip: same bits (1.0 - s is never -0.0), less dispatch
+            win = np.maximum(1.0 - (x / half) ** 2, 0.0) ** 2
             return level + amp * np.sin(k * x + phase) * win
 
         return windowed

@@ -30,6 +30,7 @@ from .errors import (
     EmptyIntersection,
     GridTooSmall,
 )
+from .instances import SeparableField
 
 logger = logging.getLogger(__name__)
 
@@ -70,7 +71,9 @@ class TraceDiffusion:
 class HamiltonianSpec:
     """Right-hand structure of the equation; coefficient may be a constant or
     a(x, t) callable sampled in [1/A, A] (violations are logged, since the
-    solver is also used for oracle problems outside the theorem hypotheses)."""
+    solver is also used for oracle problems outside the theorem hypotheses).
+    A coefficient or forcing given as an instances.SeparableField has its
+    space factor evaluated once per solve instead of every substep."""
 
     params: EquationParams
     coefficient: object = 1.0
@@ -252,6 +255,36 @@ def m_minus_field(hess: dict, d: int) -> np.ndarray:
     return np.minimum(mid - rad, 0.0)
 
 
+def _sampler(field, sample, coords, st: _Stencil, t0):
+    """A coefficient or forcing of a spec as t -> (grid values, interior values).
+
+    sample is the spec's coeff_at or forcing_at for this field.  A number or
+    a time-independent SeparableField is sampled once, at t0; a separable
+    field with a time factor costs base + space * time(t) per call, with
+    space evaluated once; any other callable goes through sample(coords, t)
+    on every call.  Each path gives the bits that sample(coords, t) would.
+    """
+    declared = isinstance(field, SeparableField)
+    if declared and field.time is not None:
+        space = field.space(*coords)
+
+        def separable(t):
+            full = np.asarray(field.base + space * field.time(t), dtype=float)
+            return full, st.interior(full)
+
+        return separable
+    if callable(field) and not declared:
+
+        def opaque(t):
+            full = sample(coords, t)
+            return full, st.interior(full)
+
+        return opaque
+    full = sample(coords, t0)
+    fixed = (full, st.interior(full))
+    return lambda t: fixed
+
+
 def _hamiltonian(a, grads: list, p: float):
     """a |Du|^p from the centred gradient; shared by solver and residual."""
     return a * sum(g**2 for g in grads) ** (p / 2.0)
@@ -303,7 +336,10 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
         if u.shape != tuple(cfg.nx):
             raise DomainError(f"init shape {u.shape} != grid shape {tuple(cfg.nx)}")
 
-    a0 = spec.coeff_at(coords, cfg.t0)
+    st = _Stencil(u.shape, dx)
+    coeff = _sampler(spec.coefficient, spec.coeff_at, coords, st, cfg.t0)
+    forcing = _sampler(spec.forcing, spec.forcing_at, coords, st, cfg.t0)
+    a0, _ = coeff(cfg.t0)
     if np.any(a0 < 1.0 / A - 1e-12) or np.any(a0 > A + 1e-12):
         logger.warning(
             "coefficient leaves [1/A, A] = [%g, %g] (range [%g, %g]); "
@@ -322,7 +358,6 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
             raise DomainError(f"trace diffusion matrix not nonnegative definite "
                               f"(min eigenvalue {float(lam_min):g} at t0)")
 
-    st = _Stencil(u.shape, dx)
     # Dirichlet nodes as flat indices into u, which is updated in place
     bidx = np.flatnonzero(_boundary_mask(u.shape))
     bcoords = [c.reshape(-1)[bidx] for c in coords]
@@ -337,7 +372,7 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
     for n in range(1, cfg.nt):
         t_target = times_out[n]
         while t < t_target - 1e-14 * (1.0 + abs(t_target)):
-            a = spec.coeff_at(coords, t)
+            a, a_mid = coeff(t)
             faces = st.face_diffs(u)
             qmax = 0.0
             for q in faces:
@@ -353,11 +388,11 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
                     )
                     warned_cap = True
 
-            hamil = _hamiltonian(st.interior(a), st.centred(u), p)
+            hamil = _hamiltonian(a_mid, st.centred(u), p)
             for i in range(d):
                 hamil = hamil - 0.5 * alpha * st.face_jump(faces, i)
             diff_term, lam = _diffusion_field(spec, st, u, coords, t)
-            rhs = st.interior(spec.forcing_at(coords, t)) - spec.shift - hamil + diff_term
+            rhs = forcing(t)[1] - spec.shift - hamil + diff_term
 
             dt_stab = math.inf
             if alpha > 0:
@@ -422,16 +457,18 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
     ts = u.times()
     st = _Stencil(u.n_space, list(u.spacing_x))
     inner = st.mid
+    coeff = _sampler(spec.coefficient, spec.coeff_at, coords, st, ts[0])
+    forcing = _sampler(spec.forcing, spec.forcing_at, coords, st, ts[0])
 
     worst = -math.inf if side == "sub" else math.inf
     worst_idx = None
     for n in range(1, u.n_time):
         un = u.values[..., n]
         ut = (un[inner] - u.values[inner + (n - 1,)]) / u.spacing_t
-        a = st.interior(spec.coeff_at(coords, ts[n]))
+        a = coeff(ts[n])[1]
         diff_term, _ = _diffusion_field(spec, st, un, coords, ts[n])
         res = ut + _hamiltonian(a, st.centred(un), spec.params.p) - diff_term
-        res = res - st.interior(spec.forcing_at(coords, ts[n])) + spec.shift
+        res = res - forcing(ts[n])[1] + spec.shift
         if side == "sub":
             k = int(np.argmax(res))
             val = float(res.ravel()[k])

@@ -3,10 +3,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from hjholder.cli import run
-from hjholder.core import load_grid
+from hjholder.core import GridFunction, load_grid, save_grid
 
 
 def write_json(path, obj):
@@ -80,6 +81,67 @@ class TestExitCodes:
     def test_missing_grid_block_exit_2(self, tmp_path):
         path = write_json(tmp_path / "nogrid.json", {"equation": {"p": 3.0}})
         assert run(["solve", "--config", path, "--out", str(tmp_path / "u.hjg")]) == 2
+
+
+class TestBadInputExit2:
+    """Missing or corrupt inputs exit 2 with one error line and no traceback."""
+
+    def _expect_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        return err
+
+    def _grid_file(self, tmp_path):
+        path = str(tmp_path / "u.hjg")
+        vals = np.linspace(0.0, 1.0, 9 * 5).reshape(9, 5)
+        save_grid(GridFunction((-1.0,), (0.25,), 0.0, 0.25, vals), path)
+        return path
+
+    def test_missing_grid_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "nonexistent.hjg")
+        err = self._expect_exit_2(["oscillate", "--in", missing], capsys)
+        assert "nonexistent.hjg" in err
+
+    def test_truncated_grid_file(self, tmp_path, capsys):
+        path = self._grid_file(tmp_path)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(data[:-8])
+        err = self._expect_exit_2(["oscillate", "--in", path], capsys)
+        assert "8 bytes short" in err
+
+    def test_grid_file_with_trailing_byte(self, tmp_path, capsys):
+        path = self._grid_file(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\0")
+        err = self._expect_exit_2(["modulus", "--in", path, "--alpha", "0.5",
+                                   "--C", "1", "--p", "3"], capsys)
+        assert "1 bytes after the grid values" in err
+
+    def test_grid_block_without_xmax(self, tmp_path, capsys):
+        cfg = solve_config(tmp_path, grid={"xmin": [-1.0], "nx": [33], "nt": 5})
+        err = self._expect_exit_2(["solve", "--config", cfg,
+                                   "--out", str(tmp_path / "u.hjg")], capsys)
+        assert "'xmax'" in err
+
+    def test_m_that_is_not_a_number(self, tmp_path, capsys):
+        cfg = solve_config(tmp_path, equation={"p": 3.0, "A": 2.0, "m": "two"})
+        err = self._expect_exit_2(["solve", "--config", cfg,
+                                   "--out", str(tmp_path / "u.hjg")], capsys)
+        assert "'two'" in err
+
+    def test_m_given_as_numeric_string(self, tmp_path):
+        grid = {"xmin": [-1.0], "xmax": [1.0], "nx": [33], "t0": 0.0, "t1": 0.1, "nt": 5}
+        outs = []
+        for m in ("2", 2):
+            cfg = solve_config(tmp_path, equation={"p": 3.0, "A": 2.0, "m": m}, grid=grid)
+            out = tmp_path / f"u_{type(m).__name__}.hjg"
+            assert run(["solve", "--config", cfg, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
 
 class TestBarrierCommand:

@@ -281,3 +281,78 @@ def test_stencil_matches_reference_under_lf_cap(d, caplog):
     with caplog.at_level(logging.WARNING, logger="hjholder.scheme"):
         _check(d, "m+", "rough", "inverse_power", lf_alpha_cap=0.3)
     assert any("LF dissipation capped" in r.getMessage() for r in caplog.records)
+
+
+# ---------------------------------------------------------------------------
+# Declared time structure against opaque callables
+# ---------------------------------------------------------------------------
+
+
+def _factory_spec(d, coefficient, forcing, opaque):
+    """The factory callables, or each hidden behind a plain lambda."""
+    coeff = 1.0 if coefficient == "constant" else instances.rough_coefficient(7.0, 5.0)
+    force = {"none": None, "constant": 0.7}.get(forcing)
+    if forcing == "inverse_power":
+        force = instances.inverse_power_forcing(0.3, 0.4, (0.3, -0.2)[:d], cap_radius=0.05)
+    if opaque:
+        coeff, force = ((lambda *a, fn=fn: fn(*a)) if callable(fn) else fn
+                        for fn in (coeff, force))
+    return HamiltonianSpec(params=EquationParams(p=3.0, A=2.0, d=d), coefficient=coeff,
+                           diffusion=ExtremalDiffusion(sign=1, coeff=0.04), forcing=force,
+                           shift=0.1)
+
+
+@pytest.mark.parametrize("forcing", ["none", "constant", "inverse_power"])
+@pytest.mark.parametrize("coefficient", ["constant", "rough"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_declared_structure_matches_opaque_callables(d, coefficient, forcing):
+    cfg = _cfg(d)
+    fast_log, opaque_log, ref_log = _Log(), _Log(), _Log()
+    fast_spec = _factory_spec(d, coefficient, forcing, opaque=False)
+    opaque_spec = _factory_spec(d, coefficient, forcing, opaque=True)
+    fast = solve_hj(fast_spec, _init, _bc(fast_log), cfg)
+    opaque = solve_hj(opaque_spec, _init, _bc(opaque_log), cfg)
+    assert np.array_equal(fast.values, opaque.values)
+    assert fast.values.tobytes() == opaque.values.tobytes()
+    # bc is still sampled once per substep, at the same times: the reference
+    # loop calls it exactly once per substep
+    want = _ref_solve(fast_spec, _init, _bc(ref_log), cfg)
+    assert fast.values.tobytes() == want.tobytes()
+    assert fast_log.calls == opaque_log.calls == ref_log.calls
+
+    for side in ("sub", "super"):
+        rep = discrete_residual(fast, fast_spec, side)
+        assert rep == discrete_residual(fast, opaque_spec, side)
+        assert rep == _ref_residual(fast, fast_spec, side)
+
+
+def test_separable_space_factor_evaluated_once_per_solve():
+    counts = {"a.space": 0, "a.time": 0, "f.space": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return call
+
+    rough = instances.rough_coefficient(7.0, 5.0)
+    forcing = instances.inverse_power_forcing(0.3, 0.4, 0.3, cap_radius=0.05)
+    coeff = instances.SeparableField(counted("a.space", rough.space),
+                                     counted("a.time", rough.time), rough.base)
+    force = instances.SeparableField(counted("f.space", forcing.space))
+    spec = HamiltonianSpec(params=EquationParams(p=3.0, A=2.0, d=1), coefficient=coeff,
+                           forcing=force, shift=0.1)
+    log = _Log()
+    cfg = _cfg(1)
+    u = solve_hj(spec, _init, _bc(log), cfg)
+    substeps = len(log.calls)
+    # one time factor per substep, plus the coefficient range check at t0
+    assert counts == {"a.space": 1, "a.time": substeps + 1, "f.space": 1}
+
+    counts.update(dict.fromkeys(counts, 0))
+    discrete_residual(u, spec, "sub")
+    assert counts == {"a.space": 1, "a.time": cfg.nt - 1, "f.space": 1}
+
+    plain = HamiltonianSpec(params=spec.params, coefficient=rough, forcing=forcing, shift=0.1)
+    assert u.values.tobytes() == solve_hj(plain, _init, _bc(_Log()), cfg).values.tobytes()
