@@ -161,27 +161,50 @@ def supersolution_residual(bar: SupersolutionBarrier, x, t: float, eps: float) -
     return dt + gnorm ** bar.params.p / bar.params.A - eps * extremal.m_plus(hess)
 
 
-def _super_residual_radial(bar: SupersolutionBarrier, rho, t, eps: float, d: int):
-    """Vectorized residual over radii/times; identical to the pointwise form
-    because the barrier is radial (eigenvalues: radial 2g' + 4g''rho^2 and
-    tangential 2g', both times tau)."""
+def _super_terms(params: EquationParams, eta: float, rho, t):
+    """The terms of the supersolution residual that do not depend on C or eps.
+
+    With s = rho^2 + eta t and g(s) = s^{p'/2}: t^{-1/(p-1)}, g', the bracket
+    -g/((p-1) t) + eta g' of U_t and the radial bracket 2g' + 4g'' rho^2.
+    `_super_residual` turns them into the residual of one candidate (C, eps).
+    """
     rho = np.asarray(rho, dtype=float)
     t = np.asarray(t, dtype=float)
-    p, pp, A = bar.params.p, bar.params.p_prime, bar.params.A
-    s = rho**2 + bar.eta * t
-    tau = bar.C * t ** (-1.0 / (p - 1.0))
+    p, pp = params.p, params.p_prime
+    s = rho**2 + eta * t
     g = s ** (pp / 2.0)
     dg = (pp / 2.0) * s ** (pp / 2.0 - 1.0)
     d2g = (pp / 2.0) * (pp / 2.0 - 1.0) * s ** (pp / 2.0 - 2.0)
-    dt_term = tau * (-g / ((p - 1.0) * t) + bar.eta * dg)
-    gnorm = 2.0 * tau * dg * rho
-    eig_rad = tau * (2.0 * dg + 4.0 * d2g * rho**2)
-    if d >= 2:
-        eig_max = np.maximum(eig_rad, tau * 2.0 * dg)
-    else:
-        eig_max = eig_rad
+    return (
+        rho,
+        t ** (-1.0 / (p - 1.0)),
+        dg,
+        -g / ((p - 1.0) * t) + eta * dg,
+        2.0 * dg + 4.0 * d2g * rho**2,
+    )
+
+
+def _super_residual(terms, C: float, eps: float, params: EquationParams, d: int):
+    """U_t + (1/A)|DU|^p - eps*m+(D^2 U) from `_super_terms`, with tau = C t^{-1/(p-1)}.
+
+    The barrier is radial, so the Hessian eigenvalues are tau (2g' + 4g''rho^2)
+    (radial) and 2 tau g' (tangential, d >= 2), and |DU| = 2 tau g' rho.
+    """
+    rho, t_pow, dg, dt_bracket, rad_bracket = terms
+    tau = C * t_pow
+    tau_dg = 2.0 * tau * dg  # the tangential eigenvalue tau * 2g'
+    gnorm = tau_dg * rho
+    eig_rad = tau * rad_bracket
+    eig_max = np.maximum(eig_rad, tau_dg) if d >= 2 else eig_rad
     mp = np.maximum(eig_max, 0.0)
-    return dt_term + gnorm**p / A - eps * mp
+    return tau * dt_bracket + gnorm**params.p / params.A - eps * mp
+
+
+def _super_residual_radial(bar: SupersolutionBarrier, rho, t, eps: float, d: int):
+    """Vectorized residual over radii/times; identical to the pointwise form
+    because the barrier is radial."""
+    terms = _super_terms(bar.params, bar.eta, rho, t)
+    return _super_residual(terms, bar.C, eps, bar.params, d)
 
 
 def find_supersolution_constants(
@@ -196,18 +219,23 @@ def find_supersolution_constants(
     residual is nonincreasing in eps, so the check at eps = eta*eps0 covers
     all smaller eps.  Raises SearchFailed when no pair passes within budget
     (p too close to 2 for the grid resolution).
+
+    Everything in the residual that does not depend on C or eps (g and its
+    derivatives in s = |x|^2 + eta t, t^{-1/(p-1)} and the brackets of U_t and
+    of the radial eigenvalue) is computed once per search; each candidate
+    costs only the terms in tau = C t^{-1/(p-1)} and eps.
     """
     params.require_superquadratic("find_supersolution_constants")
     if not eta > 0:
         raise DomainError(f"eta must be > 0, got {eta}")
     grid = grid or VerificationGrid()
     rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
+    terms = _super_terms(params, eta, rho, t)
     eps0 = 1.0
     for _ in range(_EPS0_MAX_HALVINGS):
         c = 1.0
         for _ in range(_C_MAX_DOUBLINGS):
-            bar = SupersolutionBarrier(c, eta, params)
-            res = _super_residual_radial(bar, rho, t, eta * eps0, params.d)
+            res = _super_residual(terms, c, eta * eps0, params, params.d)
             if res.min() >= -RESIDUAL_TOL:
                 return c, eps0
             c *= 2.0
@@ -287,15 +315,16 @@ def subsolution_residual(
     return dt + params.A * gnorm ** params.p - bar.eps * extremal.m_minus(hess) + bar.eps
 
 
-def _sub_residual_radial(bar: SubsolutionBarrier, params: EquationParams, rho, t, d: int):
-    """Vectorized residual over radii/times (eigenvalues: radial b''/R^2 and
-    tangential b'/(R rho), both times theta)."""
+def _sub_terms(theta: float, R: float, bump: BumpFunction, params: EquationParams,
+               rho, t, d: int):
+    """The terms of the subsolution residual that do not depend on eps:
+    (theta/4) b', A|DL|^p and the clamp min(m-(D^2 L), 0), where w = |x|/R + t/4
+    and the Hessian eigenvalues are theta b''/R^2 (radial) and theta b'/(R rho)
+    (tangential, d >= 2).  `_sub_residual` adds the eps terms of one candidate."""
     rho = np.asarray(rho, dtype=float)
     t = np.asarray(t, dtype=float)
-    theta, R, eps = bar.theta, bar.R, bar.eps
     w = rho / R + t / 4.0
-    _, db, d2b = bar.bump.eval(w)
-    dt_term = (theta / 4.0) * db - bar.drift
+    _, db, d2b = bump.eval(w)
     gnorm = (theta / R) * np.abs(db)
     eig_rad = theta * d2b / R**2
     if d >= 2:
@@ -304,8 +333,19 @@ def _sub_residual_radial(bar: SubsolutionBarrier, params: EquationParams, rho, t
         eig_min = np.minimum(eig_rad, eig_tan)
     else:
         eig_min = eig_rad
-    mm = np.minimum(eig_min, 0.0)
-    return dt_term + params.A * gnorm ** params.p - eps * mm + eps
+    return (theta / 4.0) * db, params.A * gnorm**params.p, np.minimum(eig_min, 0.0)
+
+
+def _sub_residual(terms, drift: float, eps: float):
+    """L_t + A|DL|^p - eps*m-(D^2 L) + eps from `_sub_terms`, with L_t = (theta/4) b' - drift."""
+    dt_bump, hamiltonian, mm = terms
+    return dt_bump - drift + hamiltonian - eps * mm + eps
+
+
+def _sub_residual_radial(bar: SubsolutionBarrier, params: EquationParams, rho, t, d: int):
+    """Vectorized residual over radii/times."""
+    terms = _sub_terms(bar.theta, bar.R, bar.bump, params, rho, t, d)
+    return _sub_residual(terms, bar.drift, bar.eps)
 
 
 def find_subsolution_constants(
@@ -335,7 +375,11 @@ def make_subsolution_barrier(
 
     eps starts at min(theta/2, 1/(2 C_b)) and halves until the grid residual
     is <= 1e-10 everywhere (the admissible eps shrinks with the gluing-edge
-    curvature of the bump, so a scan is simpler than a closed form)."""
+    curvature of the bump, so a scan is simpler than a closed form).
+
+    The bump and its derivatives on the grid, A|DL|^p and the eigenvalue clamp
+    do not depend on eps and are computed once per search; each candidate
+    costs only its drift and eps terms."""
     if not R > 0:
         raise DomainError(f"R must be > 0, got {R}")
     grid = grid or VerificationGrid()
@@ -348,10 +392,11 @@ def make_subsolution_barrier(
     if theta <= 0:
         raise SearchFailed(f"no admissible theta for R={R}, p={params.p}, A={params.A}")
     rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
+    terms = _sub_terms(theta, R, bump, params, rho, t, params.d)
     eps = min(theta / 2.0, 0.5 / C_b)
     for _ in range(eps_halvings):
         bar = SubsolutionBarrier(theta, R, eps, C_b, bump)
-        res = _sub_residual_radial(bar, params, rho, t, params.d)
+        res = _sub_residual(terms, bar.drift, eps)
         if res.max() <= RESIDUAL_TOL:
             return bar
         eps *= 0.5

@@ -314,7 +314,10 @@ def _load_csv(path: str) -> GridFunction:
                 parts = line[1:].split(",")
                 header[parts[0].strip()] = [s.strip() for s in parts[1:]]
             else:
-                body.append(float(line))
+                try:
+                    body.append(float(line))
+                except ValueError:
+                    raise DomainError(f"{path}: grid value {line!r} is not a number") from None
     try:
         origin = tuple(float(s) for s in header["origin"])
         spacing = tuple(float(s) for s in header["spacing_x"])
@@ -323,5 +326,12 @@ def _load_csv(path: str) -> GridFunction:
         extent = tuple(int(s) for s in header["extent"])
     except KeyError as exc:
         raise DomainError(f"{path}: missing grid header row {exc}") from exc
+    except (ValueError, IndexError) as exc:
+        raise DomainError(f"{path}: bad grid header: {exc}") from exc
+    if any(n < 1 for n in extent):
+        raise DomainError(f"{path}: grid extent must be positive, got {extent}")
+    if len(body) != math.prod(extent):
+        raise DomainError(f"{path}: {len(body)} grid values, but the extent {extent} "
+                          f"needs {math.prod(extent)}")
     vals = np.asarray(body, dtype=float).reshape(extent)
     return GridFunction(origin, spacing, t0, dt, vals)

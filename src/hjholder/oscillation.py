@@ -162,56 +162,82 @@ def holder_modulus_check(
     seed: int = 0,
 ) -> ModulusReport:
     """Verify |u(x,t) - u(y,s)| <= C [ |x-y|^alpha + |t-s|^{alpha/(p-alpha(p-1))} ]
-    over random node pairs plus all nearest-neighbour pairs."""
+    over random node pairs plus all nearest-neighbour pairs.
+
+    The pairs are n_random_pairs random node pairs (a node drawn against
+    itself is dropped), then every node and its next neighbour along space
+    axis 0, ..., d-1, then in time; n_pairs counts them all.  The reported
+    pair is the first largest ratio in that order, a NaN ratio counting as
+    largest.  Needs p > 1, C finite and > 0, alpha in (0, 1] and
+    n_random_pairs >= 0.
+    """
+    if not p > 1.0:
+        raise DomainError(f"p must be > 1, got {p}")
+    if not (math.isfinite(C) and C > 0.0):
+        raise DomainError(f"C must be finite and > 0, got {C}")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    if n_random_pairs < 0:
+        raise DomainError(f"n_random_pairs must be >= 0, got {n_random_pairs}")
     texp = time_exponent(p, alpha)
-    pts = u.space_points().reshape(-1, u.dim)
+    space = u.space_points()
+    pts = space.reshape(-1, u.dim)
     ts = u.times()
     n_sp = pts.shape[0]
     nt = len(ts)
     vals = u.values.reshape(n_sp, nt)
+
+    def ratio(du, dxs, dts):
+        return du / (C * (dxs**alpha + dts**texp))
 
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, n_sp, n_random_pairs)
     na = rng.integers(0, nt, n_random_pairs)
     ib = rng.integers(0, n_sp, n_random_pairs)
     nb = rng.integers(0, nt, n_random_pairs)
+    keep = (ia != ib) | (na != nb)
+    ia, na, ib, nb = ia[keep], na[keep], ib[keep], nb[keep]
+    ratios = [ratio(np.abs(vals[ia, na] - vals[ib, nb]),
+                    np.linalg.norm(pts[ia] - pts[ib], axis=-1),
+                    np.abs(ts[na] - ts[nb]))]
 
-    # nearest neighbours along each space axis and in time
-    nbr_a, nbr_b = [], []
-    idx = np.arange(n_sp * nt)
-    sp_idx, t_idx = idx // nt, idx % nt
-    shape = u.n_space
-    multi = np.unravel_index(sp_idx, shape)
-    for axis in range(u.dim):
-        ok = multi[axis] < shape[axis] - 1
-        shifted = list(multi)
-        shifted[axis] = multi[axis] + 1
-        nbr_sp = np.ravel_multi_index(tuple(np.clip(m, 0, s - 1) for m, s in zip(shifted, shape)), shape)
-        nbr_a.append(np.stack([sp_idx[ok], t_idx[ok]], axis=1))
-        nbr_b.append(np.stack([nbr_sp[ok], t_idx[ok]], axis=1))
-    ok = t_idx < nt - 1
-    nbr_a.append(np.stack([sp_idx[ok], t_idx[ok]], axis=1))
-    nbr_b.append(np.stack([sp_idx[ok], t_idx[ok] + 1], axis=1))
+    # nearest neighbours along each space axis and in time, as shifted slices;
+    # a neighbour pair is 0 apart in time or in space, and 0**alpha = 0**texp = 0
+    for axis in range(u.dim + 1):
+        lo = [slice(None)] * (u.dim + 1)
+        hi = list(lo)
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        du = np.abs(u.values[tuple(lo)] - u.values[tuple(hi)])
+        if axis < u.dim:
+            dxs = np.linalg.norm(space[tuple(lo[:-1])] - space[tuple(hi[:-1])], axis=-1)
+            ratios.append(ratio(du, dxs[..., None], 0.0))
+        else:
+            ratios.append(ratio(du, 0.0, np.abs(ts[:-1] - ts[1:])))
 
-    pair_a = np.concatenate([np.stack([ia, na], axis=1)] + nbr_a, axis=0)
-    pair_b = np.concatenate([np.stack([ib, nb], axis=1)] + nbr_b, axis=0)
-    same = (pair_a[:, 0] == pair_b[:, 0]) & (pair_a[:, 1] == pair_b[:, 1])
-    pair_a, pair_b = pair_a[~same], pair_b[~same]
-
-    du = np.abs(vals[pair_a[:, 0], pair_a[:, 1]] - vals[pair_b[:, 0], pair_b[:, 1]])
-    dxs = np.linalg.norm(pts[pair_a[:, 0]] - pts[pair_b[:, 0]], axis=-1)
-    dts = np.abs(ts[pair_a[:, 1]] - ts[pair_b[:, 1]])
-    bound = C * (dxs**alpha + dts**texp)
-    ratio = du / bound
-    k = int(np.argmax(ratio))
+    n_pairs = sum(r.size for r in ratios)
+    if n_pairs == 0:
+        raise DomainError("the grid has no two distinct nodes to compare")
+    # np.argmax over the concatenated blocks: the first block holding the
+    # largest (or a NaN) ratio, at that block's first occurrence of it
+    firsts = [int(np.argmax(r)) if r.size else -1 for r in ratios]
+    tops = [r.flat[k] if r.size else -np.inf for r, k in zip(ratios, firsts)]
+    block = int(np.argmax(tops))
+    k = firsts[block]
+    if block == 0:
+        a, b = (pts[ia[k]], ts[na[k]]), (pts[ib[k]], ts[nb[k]])
+    else:
+        ma = np.unravel_index(k, ratios[block].shape)
+        mb = list(ma)
+        mb[block - 1] += 1
+        a, b = [(space[tuple(m[:-1])], ts[m[-1]]) for m in (ma, mb)]
     return ModulusReport(
-        max_ratio=float(ratio[k]),
-        argmax_a=(tuple(float(v) for v in pts[pair_a[k, 0]]), float(ts[pair_a[k, 1]])),
-        argmax_b=(tuple(float(v) for v in pts[pair_b[k, 0]]), float(ts[pair_b[k, 1]])),
+        max_ratio=float(tops[block]),
+        argmax_a=(tuple(float(v) for v in a[0]), float(a[1])),
+        argmax_b=(tuple(float(v) for v in b[0]), float(b[1])),
         alpha=alpha,
         time_exp=texp,
         C=C,
-        n_pairs=int(len(ratio)),
+        n_pairs=n_pairs,
     )
 
 

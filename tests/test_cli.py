@@ -133,6 +133,44 @@ class TestBadInputExit2:
                                    "--out", str(tmp_path / "u.hjg")], capsys)
         assert "'two'" in err
 
+    def _csv_grid_file(self, tmp_path, edit):
+        path = str(tmp_path / "u.csv")
+        vals = np.linspace(0.0, 1.0, 3 * 2).reshape(3, 2)
+        save_grid(GridFunction((-1.0,), (0.5,), 0.0, 0.5, vals), path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(edit(lines)) + "\n")
+        return path
+
+    def test_csv_grid_value_not_a_number(self, tmp_path, capsys):
+        path = self._csv_grid_file(tmp_path, lambda lines: lines[:-1] + ["abc"])
+        err = self._expect_exit_2(["oscillate", "--in", path], capsys)
+        assert "'abc' is not a number" in err
+
+    def test_csv_grid_value_count_differs_from_extent(self, tmp_path, capsys):
+        path = self._csv_grid_file(tmp_path, lambda lines: lines[:-3])
+        err = self._expect_exit_2(["oscillate", "--in", path], capsys)
+        assert "3 grid values, but the extent (3, 2) needs 6" in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--C", "-1", "C must be finite and > 0"),
+        ("--C", "0", "C must be finite and > 0"),
+        ("--C", "nan", "C must be finite and > 0"),
+        ("--alpha", "0", "alpha must lie in (0, 1]"),
+        ("--pairs", "-1", "n_random_pairs must be >= 0"),
+        ("--p", "1", "p must be > 1"),
+        ("--p", "nan", "p must be > 1"),
+    ])
+    def test_modulus_bad_constants(self, tmp_path, capsys, flag, value, message):
+        args = {"--alpha": "0.5", "--C": "1", "--p": "3", "--pairs": "100"}
+        args[flag] = value
+        argv = ["modulus", "--in", self._grid_file(tmp_path)]
+        for key, val in args.items():
+            argv += [key, val]
+        err = self._expect_exit_2(argv, capsys)
+        assert message in err
+
     def test_m_given_as_numeric_string(self, tmp_path):
         grid = {"xmin": [-1.0], "xmax": [1.0], "nx": [33], "t0": 0.0, "t1": 0.1, "nt": 5}
         outs = []
