@@ -1,23 +1,33 @@
 """One-sided extremal operators m+/m- on symmetric matrices.
 
 m+(X) is the maximum positive eigenvalue of X (zero if none) and m-(X) the
-minimum negative eigenvalue (zero if none).  Eigenvalues of matrices up to
-3x3 come from the characteristic polynomial in closed form; larger matrices
-use cyclic Jacobi rotations.  No linear-algebra dependency is needed, which
-keeps the operators deterministic and easy to audit.
+minimum negative eigenvalue (zero if none).  Every operator takes one d x d
+matrix or a stack (..., d, d) of them.  1x1 and 2x2 eigenvalues come in
+closed form (the 2x2 one from _mid_rad, which the solver's m+/- fields and
+its definiteness check share); d >= 3 uses LAPACK through
+numpy.linalg.eigvalsh.  The tests check all of them against an independent
+cyclic-Jacobi / trigonometric-cubic oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
-_JACOBI_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 64
+
+def _symmetrized(x) -> np.ndarray:
+    """0.5 (a + a^T) of a finite (..., d, d) array with d >= 1; a scalar is 1x1."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim == 0:
+        a = a.reshape(1, 1)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise DomainError(f"expected square matrices, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries must be finite")
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 @dataclass(frozen=True)
@@ -27,104 +37,48 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim == 0:
-            a = a.reshape(1, 1)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        a = _symmetrized(self.entries)
+        if a.ndim != 2:
             raise DomainError(f"expected a square matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError("matrix entries must be finite")
-        object.__setattr__(self, "entries", 0.5 * (a + a.T))
+        object.__setattr__(self, "entries", a)
 
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
 
-def _as_sym(x) -> SymMatrix:
-    return x if isinstance(x, SymMatrix) else SymMatrix(np.asarray(x))
+def _mid_rad(h00, h11, h01):
+    """Centre and radius of the eigenvalues of [[h00, h01], [h01, h11]], elementwise.
+
+    The eigenvalues are mid - rad and mid + rad.
+    """
+    return 0.5 * (h00 + h11), np.hypot(0.5 * (h00 - h11), h01)
 
 
 def sym_eigs(x) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix in nondecreasing order."""
-    a = _as_sym(x).entries
-    d = a.shape[0]
+    """Eigenvalues in nondecreasing order along the last axis: (..., d, d) -> (..., d)."""
+    a = x.entries if isinstance(x, SymMatrix) else _symmetrized(x)
+    d = a.shape[-1]
     if d == 1:
-        return a[0, :1].copy()
+        return a[..., 0, :1].copy()
     if d == 2:
-        return _eigs2(a)
-    if d == 3:
-        return _eigs3(a)
-    return _eigs_jacobi(a)
+        mid, rad = _mid_rad(a[..., 0, 0], a[..., 1, 1], a[..., 0, 1])
+        ev = np.empty(a.shape[:-1])
+        ev[..., 0] = mid - rad
+        ev[..., 1] = mid + rad
+        return ev
+    return np.linalg.eigvalsh(a)
 
 
-def m_plus(x) -> float:
-    """Maximum positive eigenvalue, zero if none."""
-    return float(max(sym_eigs(x)[-1], 0.0))
+def _scalar_or_array(v):
+    return float(v) if v.ndim == 0 else v
 
 
-def m_minus(x) -> float:
-    """Minimum negative eigenvalue, zero if none."""
-    return float(min(sym_eigs(x)[0], 0.0))
+def m_plus(x):
+    """Maximum positive eigenvalue, zero if none: a float, or an array of shape (...,)."""
+    return _scalar_or_array(np.maximum(sym_eigs(x)[..., -1], 0.0))
 
 
-def _eigs2(a: np.ndarray) -> np.ndarray:
-    mid = 0.5 * (a[0, 0] + a[1, 1])
-    rad = math.hypot(0.5 * (a[0, 0] - a[1, 1]), a[0, 1])
-    return np.array([mid - rad, mid + rad])
-
-
-def _eigs3(a: np.ndarray) -> np.ndarray:
-    # Trigonometric solution of the characteristic cubic of a shifted,
-    # normalized copy of the matrix.
-    q = np.trace(a) / 3.0
-    b = a - q * np.eye(3)
-    p2 = np.sum(b * b) / 6.0
-    if p2 == 0.0:
-        return np.array([q, q, q])
-    p = math.sqrt(p2)
-    r = min(1.0, max(-1.0, _det3(b / p) / 2.0))
-    phi = math.acos(r) / 3.0
-    e0 = q + 2.0 * p * math.cos(phi)
-    e2 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    e1 = 3.0 * q - e0 - e2
-    return np.array(sorted([e0, e1, e2]))
-
-
-def _det3(b: np.ndarray) -> float:
-    return float(
-        b[0, 0] * (b[1, 1] * b[2, 2] - b[1, 2] * b[2, 1])
-        - b[0, 1] * (b[1, 0] * b[2, 2] - b[1, 2] * b[2, 0])
-        + b[0, 2] * (b[1, 0] * b[2, 1] - b[1, 1] * b[2, 0])
-    )
-
-
-def _eigs_jacobi(a: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi iteration; converges to tolerance 1e-12 relative."""
-    m = a.copy()
-    d = m.shape[0]
-    scale = 1.0 + math.sqrt(float(np.sum(a * a)))
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(0.0, float(np.sum(m * m) - np.sum(np.diag(m) ** 2))))
-        if off <= _JACOBI_TOL * scale:
-            break
-        for i in range(d - 1):
-            for j in range(i + 1, d):
-                if abs(m[i, j]) <= 1e-13 * scale:
-                    continue
-                theta = 0.5 * (m[j, j] - m[i, i]) / m[i, j]
-                if abs(theta) > 1e150:  # rotation angle ~ 1/(2 theta)
-                    t = 0.5 / theta
-                else:
-                    t = math.copysign(1.0, theta) / (
-                        abs(theta) + math.sqrt(theta * theta + 1.0)
-                    )
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(d)
-                rot[i, i] = rot[j, j] = c
-                rot[i, j] = s
-                rot[j, i] = -s
-                m = rot.T @ m @ rot
-                m = 0.5 * (m + m.T)
-    return np.sort(np.diag(m))
+def m_minus(x):
+    """Minimum negative eigenvalue, zero if none: a float, or an array of shape (...,)."""
+    return _scalar_or_array(np.minimum(sym_eigs(x)[..., 0], 0.0))

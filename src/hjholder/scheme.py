@@ -30,6 +30,7 @@ from .errors import (
     EmptyIntersection,
     GridTooSmall,
 )
+from .extremal import _mid_rad
 from .instances import SeparableField
 
 logger = logging.getLogger(__name__)
@@ -237,22 +238,13 @@ class _Stencil:
         return out
 
 
-def m_plus_field(hess: dict, d: int) -> np.ndarray:
-    """Vectorized m+ of the discrete Hessian for d in {1, 2}."""
+def _extremal_field(hess: dict, d: int, sign: int) -> np.ndarray:
+    """m+ (sign > 0) or m- of the discrete Hessian at every node, for d in {1, 2}."""
     if d == 1:
-        return np.maximum(hess[(0, 0)], 0.0)
-    mid = 0.5 * (hess[(0, 0)] + hess[(1, 1)])
-    rad = np.hypot(0.5 * (hess[(0, 0)] - hess[(1, 1)]), hess[(0, 1)])
-    return np.maximum(mid + rad, 0.0)
-
-
-def m_minus_field(hess: dict, d: int) -> np.ndarray:
-    """Vectorized m- of the discrete Hessian for d in {1, 2}."""
-    if d == 1:
-        return np.minimum(hess[(0, 0)], 0.0)
-    mid = 0.5 * (hess[(0, 0)] + hess[(1, 1)])
-    rad = np.hypot(0.5 * (hess[(0, 0)] - hess[(1, 1)]), hess[(0, 1)])
-    return np.minimum(mid - rad, 0.0)
+        h = hess[(0, 0)]
+        return np.maximum(h, 0.0) if sign > 0 else np.minimum(h, 0.0)
+    mid, rad = _mid_rad(hess[(0, 0)], hess[(1, 1)], hess[(0, 1)])
+    return np.maximum(mid + rad, 0.0) if sign > 0 else np.minimum(mid - rad, 0.0)
 
 
 def _sampler(field, sample, coords, st: _Stencil, t0):
@@ -298,8 +290,7 @@ def _diffusion_field(spec: HamiltonianSpec, st: _Stencil, u, coords, t):
     d = st.d
     hess = st.second_diffs(u)
     if isinstance(diff, ExtremalDiffusion):
-        fld = m_plus_field(hess, d) if diff.sign > 0 else m_minus_field(hess, d)
-        return diff.coeff * fld, abs(diff.coeff)
+        return diff.coeff * _extremal_field(hess, d, diff.sign), abs(diff.coeff)
     if isinstance(diff, TraceDiffusion):
         b = diff.matrix_at(coords, t, d)
         total = np.zeros(hess[(0, 0)].shape)
@@ -351,8 +342,7 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
         if d == 1:
             lam_min = np.min(b0[0, 0])
         else:
-            mid = 0.5 * (b0[0, 0] + b0[1, 1])
-            rad = np.hypot(0.5 * (b0[0, 0] - b0[1, 1]), 0.5 * (b0[0, 1] + b0[1, 0]))
+            mid, rad = _mid_rad(b0[0, 0], b0[1, 1], 0.5 * (b0[0, 1] + b0[1, 0]))
             lam_min = np.min(mid - rad)
         if lam_min < -1e-12:
             raise DomainError(f"trace diffusion matrix not nonnegative definite "

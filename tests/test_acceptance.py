@@ -524,18 +524,24 @@ def test_criterion_12_extremal_properties():
     ok = True
     tol = 1e-9
     for d in (1, 2, 3, 5):
+        # one loop iteration of draws per matrix pair, then m+/m- on the stacks
         rng = np.random.default_rng(900 + d)
+        xs, ys, cs, psds = [], [], [], []
         for _ in range(1000):
             a = rng.normal(size=(d, d))
-            x = 0.5 * (a + a.T)
+            xs.append(0.5 * (a + a.T))
             a = rng.normal(size=(d, d))
-            y = 0.5 * (a + a.T)
-            ok &= abs(extremal.m_plus(x) + extremal.m_minus(-x)) <= tol
-            ok &= extremal.m_plus(x + y) <= extremal.m_plus(x) + extremal.m_plus(y) + tol
-            c = float(rng.uniform(0.0, 2.0))
-            ok &= abs(extremal.m_plus(c * x) - c * extremal.m_plus(x)) <= tol * (1 + c)
+            ys.append(0.5 * (a + a.T))
+            cs.append(float(rng.uniform(0.0, 2.0)))
             b = rng.normal(size=(d, d))
-            ok &= extremal.m_plus(x) <= extremal.m_plus(x + b @ b.T) + tol
+            psds.append(b @ b.T)
+        x, y, c, psd = np.array(xs), np.array(ys), np.array(cs), np.array(psds)
+        mp_x = extremal.m_plus(x)
+        ok &= bool(np.all(np.abs(mp_x + extremal.m_minus(-x)) <= tol))
+        ok &= bool(np.all(extremal.m_plus(x + y) <= mp_x + extremal.m_plus(y) + tol))
+        cx = c[:, None, None] * x
+        ok &= bool(np.all(np.abs(extremal.m_plus(cx) - c * mp_x) <= tol * (1 + c)))
+        ok &= bool(np.all(mp_x <= extremal.m_plus(x + psd) + tol))
     report(
         12,
         ok,

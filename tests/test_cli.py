@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from hjholder import cli, variational
 from hjholder.cli import run
 from hjholder.core import GridFunction, load_grid, save_grid
 
@@ -42,15 +43,9 @@ class TestExitCodes:
         assert "PASS" in out
 
     def test_module_entry_point(self):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "hjholder.cli", "legendre", "--p", "2", "--A", "1"],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "PASS" in proc.stdout
+        rc, out = fresh_process(["legendre", "--p", "2", "--A", "1"], os.environ)
+        assert rc == 0
+        assert "PASS" in out
 
     def test_constants_pass(self, capsys):
         assert run(["constants", "first-order", "--p", "2", "--A", "1"]) == 0
@@ -81,6 +76,67 @@ class TestExitCodes:
     def test_missing_grid_block_exit_2(self, tmp_path):
         path = write_json(tmp_path / "nogrid.json", {"equation": {"p": 3.0}})
         assert run(["solve", "--config", path, "--out", str(tmp_path / "u.hjg")]) == 2
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_process(argv, env):
+    """Exit code and stdout of `python -m hjholder.cli argv` in a new process."""
+    env = dict(env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hjholder.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_parser_reused_within_a_process(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "100")
+    argvs = [
+        ["legendre", "--p"],
+        ["--help"],
+        ["legendre", "--p", "3", "--A", "2"],
+        ["barrier", "verify", "--kind", "sub", "--p", "3", "--A", "2", "--nx", "33", "--nt", "33"],
+    ]
+    in_process = []
+    for argv in argvs:
+        rc = run(argv)
+        in_process.append((rc, capsys.readouterr().out))
+    assert [rc for rc, _ in in_process] == [2, 0, 0, 0]
+    assert cli._build_parser() is cli._build_parser()
+    for argv, got in zip(argvs, in_process):
+        assert got == fresh_process(argv, os.environ), argv
+
+
+def _legendre_stdout_all_q(p, A, shift=0.0):
+    """The `legendre` report with the brute-force oracle run at each of the 41 q."""
+    lag = variational.legendre_closed(p, A, shift)
+    qs = np.linspace(-10.0, 10.0, 41)
+    dev = 0.0
+    for q in qs:
+        radius = 2.0 * (max(abs(q), 1e-3) / (p * A)) ** (1.0 / (p - 1.0))
+        brute = variational.legendre_brute(p, A, shift, q, radius, 200_001)
+        dev = max(dev, abs(lag(q) - brute))
+    ok = dev <= 1e-6
+    return (f"c_p = {lag.c_p:.12g}\np_prime = {lag.p_prime:.12g}\n"
+            f"oracle_deviation = {dev:.3e} over {len(qs)} values |q| <= 10\n"
+            + ("PASS" if ok else "FAIL") + "\n")
+
+
+@pytest.mark.parametrize("p, A", [(2.0, 1.0), (3.0, 2.0), (1.5, 0.5), (4.0, 3.0)])
+def test_legendre_oracle_once_per_abs_q(p, A, monkeypatch, capsys):
+    expected = _legendre_stdout_all_q(p, A)
+    brute = variational.legendre_brute
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(abs(args[3]))
+        return brute(*args, **kwargs)
+
+    monkeypatch.setattr(variational, "legendre_brute", counted)
+    assert run(["legendre", "--p", str(p), "--A", str(A)]) == 0
+    assert capsys.readouterr().out == expected
+    assert len(seen) == len(set(seen)) == 21
 
 
 class TestBadInputExit2:

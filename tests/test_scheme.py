@@ -15,13 +15,12 @@ from hjholder.scheme import (
     HamiltonianSpec,
     SolveConfig,
     TraceDiffusion,
+    _extremal_field,
     _Stencil,
     comparison_check,
     discrete_residual,
     grid_from_callable,
     lm_norm,
-    m_minus_field,
-    m_plus_field,
     solve_hj,
 )
 
@@ -336,8 +335,8 @@ class TestVectorizedExtremal:
             if d == 2:
                 hess[(1, 1)] = rng.normal(size=shape)
                 hess[(0, 1)] = rng.normal(size=shape)
-            mp = m_plus_field(hess, d)
-            mm = m_minus_field(hess, d)
+            mp = _extremal_field(hess, d, 1)
+            mm = _extremal_field(hess, d, -1)
             for idx in np.ndindex(*shape):
                 if d == 1:
                     mat = np.array([[hess[(0, 0)][idx]]])
