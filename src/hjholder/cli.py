@@ -19,7 +19,8 @@ import numpy as np
 
 from . import barriers, instances, oscillation, scaling, scheme, variational
 from ._svg import line_plot_svg
-from .core import EquationParams, load_grid, save_grid, shift_normalize, ParabolicCylinder
+from .core import (EquationParams, ParabolicCylinder, as_number, load_grid, save_grid,
+                   shift_normalize)
 from .errors import DomainError, HJHolderError, Infeasible
 
 _F = "%.12g"
@@ -51,36 +52,39 @@ def _write_csv(path, header_rows, columns, rows):
 # ---------------------------------------------------------------------------
 
 
+def _section(cfg: dict, key: str, default=None) -> dict:
+    """A JSON object inside a config; DomainError when it is something else."""
+    value = cfg.get(key, {} if default is None else default)
+    if not isinstance(value, dict):
+        raise DomainError(f"config entry {key!r} must be a JSON object, got {value!r}")
+    return value
+
+
 def _equation_from_config(cfg: dict, dx_min: float):
-    eq = cfg.get("equation", {})
+    eq = _section(cfg, "equation")
     m = eq.get("m")
-    if m is not None:
-        try:
-            m = float(m)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"equation.m must be a number, got {m!r}") from exc
     params = EquationParams(
-        p=float(eq.get("p", 3.0)),
-        A=float(eq.get("A", 1.0)),
-        eps=float(eq.get("eps", 0.0)),
-        d=int(eq.get("d", 1)),
-        m=m,
+        p=as_number(eq.get("p", 3.0), "equation.p"),
+        A=as_number(eq.get("A", 1.0), "equation.A"),
+        eps=as_number(eq.get("eps", 0.0), "equation.eps"),
+        d=as_number(eq.get("d", 1), "equation.d", integral=True),
+        m=None if m is None else as_number(m, "equation.m"),
     )
-    coeff_cfg = eq.get("coefficient", {"kind": "constant", "value": 1.0})
+    coeff_cfg = _section(eq, "coefficient", {"kind": "constant", "value": 1.0})
     kind = coeff_cfg.get("kind", "constant")
     if kind == "constant":
-        coefficient = float(coeff_cfg.get("value", 1.0))
+        coefficient = as_number(coeff_cfg.get("value", 1.0), "coefficient.value")
     elif kind == "rough":
         coefficient = instances.rough_coefficient(
-            k=float(coeff_cfg.get("k", 10.0)),
-            omega=float(coeff_cfg.get("omega", 7.0)),
-            base=float(coeff_cfg.get("base", 1.0)),
-            amplitude=float(coeff_cfg.get("amplitude", 0.5)),
+            k=as_number(coeff_cfg.get("k", 10.0), "coefficient.k"),
+            omega=as_number(coeff_cfg.get("omega", 7.0), "coefficient.omega"),
+            base=as_number(coeff_cfg.get("base", 1.0), "coefficient.base"),
+            amplitude=as_number(coeff_cfg.get("amplitude", 0.5), "coefficient.amplitude"),
         )
     else:
         raise DomainError(f"unknown coefficient kind {kind!r}")
 
-    diff_cfg = eq.get("diffusion", {"kind": "none"})
+    diff_cfg = _section(eq, "diffusion", {"kind": "none"})
     kind = diff_cfg.get("kind", "none")
     if kind == "none":
         diffusion = None
@@ -88,25 +92,27 @@ def _equation_from_config(cfg: dict, dx_min: float):
         sign = {"plus": 1, "minus": -1, "+": 1, "-": -1}.get(diff_cfg.get("sign", "plus"))
         if sign is None:
             raise DomainError(f"bad extremal sign {diff_cfg.get('sign')!r}")
-        diffusion = scheme.ExtremalDiffusion(sign, float(diff_cfg.get("coeff", 0.0)))
+        diffusion = scheme.ExtremalDiffusion(
+            sign, as_number(diff_cfg.get("coeff", 0.0), "diffusion.coeff"))
     elif kind == "trace":
-        scale = float(diff_cfg.get("scale", 1.0))
+        scale = as_number(diff_cfg.get("scale", 1.0), "diffusion.scale")
         diffusion = scheme.TraceDiffusion(scale * np.eye(params.d))
     else:
         raise DomainError(f"unknown diffusion kind {kind!r}")
 
-    f_cfg = eq.get("forcing", {"kind": "none"})
+    f_cfg = _section(eq, "forcing", {"kind": "none"})
     kind = f_cfg.get("kind", "none")
     if kind == "none":
         forcing = None
     elif kind == "constant":
-        forcing = float(f_cfg.get("value", 0.0))
+        forcing = as_number(f_cfg.get("value", 0.0), "forcing.value")
     elif kind == "inverse_power":
         forcing = instances.inverse_power_forcing(
-            strength=float(f_cfg.get("strength", 0.5)),
-            gamma=float(f_cfg.get("gamma", 0.4)),
-            center=f_cfg.get("center", 0.0),
-            cap_radius=float(f_cfg.get("cap_radius", dx_min)),
+            strength=as_number(f_cfg.get("strength", 0.5), "forcing.strength"),
+            gamma=as_number(f_cfg.get("gamma", 0.4), "forcing.gamma"),
+            center=[as_number(c, "forcing.center")
+                    for c in np.atleast_1d(f_cfg.get("center", 0.0)).tolist()],
+            cap_radius=as_number(f_cfg.get("cap_radius", dx_min), "forcing.cap_radius"),
         )
     else:
         raise DomainError(f"unknown forcing kind {kind!r}")
@@ -116,14 +122,14 @@ def _equation_from_config(cfg: dict, dx_min: float):
         coefficient=coefficient,
         diffusion=diffusion,
         forcing=forcing,
-        shift=float(eq.get("shift", 0.0)),
+        shift=as_number(eq.get("shift", 0.0), "equation.shift"),
     )
 
 
 def _grid_from_config(cfg: dict) -> scheme.SolveConfig:
-    g = cfg.get("grid")
-    if g is None:
+    if "grid" not in cfg:
         raise DomainError("config needs a 'grid' block")
+    g = _section(cfg, "grid")
     missing = [key for key in ("xmin", "xmax", "nx") if key not in g]
     if missing:
         raise DomainError(f"grid block needs {', '.join(map(repr, missing))}")
@@ -131,33 +137,41 @@ def _grid_from_config(cfg: dict) -> scheme.SolveConfig:
         xmin=g["xmin"],
         xmax=g["xmax"],
         nx=g["nx"],
-        t0=float(g.get("t0", 0.0)),
-        t1=float(g.get("t1", 1.0)),
-        nt=int(g.get("nt", 65)),
-        cfl=float(g.get("cfl", 0.8)),
+        t0=g.get("t0", 0.0),
+        t1=g.get("t1", 1.0),
+        nt=g.get("nt", 65),
+        cfl=g.get("cfl", 0.8),
         lf_alpha_cap=g.get("lf_alpha_cap"),
-        lf_alpha_floor=float(g.get("lf_alpha_floor", 0.0)),
+        lf_alpha_floor=g.get("lf_alpha_floor", 0.0),
     )
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise DomainError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise DomainError(f"config {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg
+
+
+def _problem_from_config(cfg: dict):
+    """(spec, init, bc, solve_cfg) of a solve described by a JSON config."""
+    solve_cfg = _grid_from_config(cfg)
+    spec = _equation_from_config(cfg, min(solve_cfg.spacings()))
+    init_cfg = dict(_section(cfg, "initial", {"kind": "constant", "value": 0.5}))
+    init = instances.initial_profile(init_cfg.pop("kind", None), **init_cfg)
+    bc_cfg = dict(_section(cfg, "boundary", {"kind": "frozen_initial"}))
+    bc = instances.boundary_profile(bc_cfg.pop("kind", None), init=init, **bc_cfg)
+    return spec, init, bc, solve_cfg
 
 
 def solve_from_config(cfg: dict):
     """Build and run a solve described by a JSON config; returns (u, spec, solve_cfg)."""
-    solve_cfg = _grid_from_config(cfg)
-    spec = _equation_from_config(cfg, min(solve_cfg.spacings()))
-    init_cfg = dict(cfg.get("initial", {"kind": "constant", "value": 0.5}))
-    init = instances.initial_profile(init_cfg.pop("kind"), **init_cfg)
-    bc_cfg = dict(cfg.get("boundary", {"kind": "frozen_initial"}))
-    bc = instances.boundary_profile(bc_cfg.pop("kind"), init=init, **bc_cfg)
-    u = scheme.solve_hj(spec, init, bc, solve_cfg)
-    return u, spec, solve_cfg
+    spec, init, bc, solve_cfg = _problem_from_config(cfg)
+    return scheme.solve_hj(spec, init, bc, solve_cfg), spec, solve_cfg
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +406,12 @@ def _cmd_demo(args) -> int:
     return 0 if ok else 1
 
 
-def _run_sweep_instance(base_cfg: dict, inst: dict, osc_cfg: dict):
+def _sweep_instance_config(base_cfg: dict, inst: dict) -> dict:
+    """The solve config of one sweep instance: base with its equation overrides."""
+    if not isinstance(inst, dict):
+        raise DomainError(f"sweep instances must be JSON objects, got {inst!r}")
     cfg = json.loads(json.dumps(base_cfg))  # deep copy
-    eq = cfg.setdefault("equation", {})
+    eq = cfg["equation"] = _section(cfg, "equation")
     eq["p"] = inst.get("p", eq.get("p", 3.0))
     eq["A"] = inst.get("A", eq.get("A", 2.0))
     if "k" in inst or "omega" in inst:
@@ -412,21 +429,29 @@ def _run_sweep_instance(base_cfg: dict, inst: dict, osc_cfg: dict):
         }
     if inst.get("m") is not None:
         eq["m"] = inst["m"]
-    u, spec, _ = solve_from_config(cfg)
-    lam = float(osc_cfg.get("lambda", 0.5))
-    R = float(osc_cfg.get("R", 0.25))
+    return cfg
+
+
+def _sweep_row(inst: dict, spec, u, osc_cfg: dict) -> dict:
+    """One sweep CSV row; u is the solution, or the error that stopped the solve,
+    which leaves passed = 0 and nan in the columns that need the solution."""
+    lam = as_number(osc_cfg.get("lambda", 0.5), "oscillate.lambda")
+    R = as_number(osc_cfg.get("R", 0.25), "oscillate.R")
     bar = barriers.make_subsolution_barrier(spec.params, R)
     adm = scaling.admissible_alpha(spec.params.p, spec.params.m, spec.params.d, lam, bar.theta)
-    report = oscillation.iterate_scales(u, spec.params, lam, bar.theta, adm.alpha)
-    samples = oscillation.measure_oscillations(
-        u, report.centers[0].center, lam, report.beta,
-        len(report.centers[0].levels) - 1,
-    )
-    try:
-        est = oscillation.fit_holder(samples, min_radius=4 * max(u.spacing_x))
-        alpha_hat, resid = est.alpha_hat, est.max_fit_residual
-    except HJHolderError:
-        alpha_hat, resid = float("nan"), float("nan")
+    passed, alpha_hat, resid = False, float("nan"), float("nan")
+    if not isinstance(u, HJHolderError):
+        report = oscillation.iterate_scales(u, spec.params, lam, bar.theta, adm.alpha)
+        samples = oscillation.measure_oscillations(
+            u, report.centers[0].center, lam, report.beta,
+            len(report.centers[0].levels) - 1,
+        )
+        passed = report.passed
+        try:
+            est = oscillation.fit_holder(samples, min_radius=4 * max(u.spacing_x))
+            alpha_hat, resid = est.alpha_hat, est.max_fit_residual
+        except HJHolderError:
+            pass
     return {
         "p": spec.params.p,
         "A": spec.params.A,
@@ -436,7 +461,7 @@ def _run_sweep_instance(base_cfg: dict, inst: dict, osc_cfg: dict):
         "m": inst.get("m", float("nan")) or float("nan"),
         "alpha": adm.alpha,
         "theta": bar.theta,
-        "passed": report.passed,
+        "passed": passed,
         "alpha_hat": alpha_hat,
         "fit_residual": resid,
     }
@@ -444,12 +469,21 @@ def _run_sweep_instance(base_cfg: dict, inst: dict, osc_cfg: dict):
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
-    base = cfg.get("base", {})
+    base = _section(cfg, "base")
     inst_list = cfg.get("instances", [])
-    if not inst_list:
+    if not isinstance(inst_list, list) or not inst_list:
         raise DomainError("sweep config needs a nonempty 'instances' list")
-    osc_cfg = cfg.get("oscillate", {})
-    results = [_run_sweep_instance(base, inst, osc_cfg) for inst in inst_list]
+    osc_cfg = _section(cfg, "oscillate")
+    # instances override equation fields only, so they share the base grid,
+    # initial and boundary profiles, diffusion and shift: one batched solve
+    problems = [_problem_from_config(_sweep_instance_config(base, inst)) for inst in inst_list]
+    specs, inits, bcs, solve_cfgs = zip(*problems)
+    solutions = scheme.solve_hj(specs, inits, bcs, solve_cfgs[0])
+    for i, u in enumerate(solutions):
+        if isinstance(u, HJHolderError):
+            print(f"verification failed: instance {i}: {u}", file=sys.stderr)
+    results = [_sweep_row(inst, spec, u, osc_cfg)
+               for inst, spec, u in zip(inst_list, specs, solutions)]
     cols = ["p", "A", "k", "omega", "gamma", "m", "alpha", "theta", "passed",
             "alpha_hat", "fit_residual"]
     rows = [tuple(r[c] for c in cols) for r in results]

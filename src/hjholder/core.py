@@ -20,6 +20,22 @@ from .errors import DomainError, EmptyIntersection
 _TIME_TOL = 1e-12
 
 
+def as_number(value, what: str, integral: bool = False):
+    """value as a float, or as an int when integral; DomainError naming `what` otherwise.
+
+    Integral floats such as 33.0 and numpy integers count as whole numbers.
+    """
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{what} must be a number, got {value!r}") from exc
+    if not integral:
+        return x
+    if not x.is_integer():
+        raise DomainError(f"{what} must be a whole number, got {value!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class EquationParams:
     """Exponents and coefficients (p, A, eps, d, m) of the model inequalities.

@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import as_number
 from .errors import DomainError
 
 
@@ -62,28 +63,32 @@ def inverse_power_forcing(strength: float, gamma: float, center, cap_radius: flo
     return SeparableField(space=f)
 
 
+def _number(kw: dict, key: str, default: float) -> float:
+    return as_number(kw.get(key, default), key)
+
+
 def initial_profile(kind: str, **kw):
     """Named initial data u(x, 0); all profiles map the first axis only."""
     if kind == "constant":
-        value = float(kw.get("value", 0.5))
+        value = _number(kw, "value", 0.5)
         return lambda *coords: np.full(np.shape(coords[0]), value)
     if kind == "sinusoid":
-        level = float(kw.get("level", 0.5))
-        amp = float(kw.get("amplitude", 0.4))
-        k = float(kw.get("k", 2.0))
-        phase = float(kw.get("phase", 0.0))
+        level = _number(kw, "level", 0.5)
+        amp = _number(kw, "amplitude", 0.4)
+        k = _number(kw, "k", 2.0)
+        phase = _number(kw, "phase", 0.0)
         return lambda *coords: level + amp * np.sin(k * coords[0] + phase)
     if kind == "quadratic":
-        scale = float(kw.get("scale", 1.0))
+        scale = _number(kw, "scale", 1.0)
         return lambda *coords: scale * sum(c**2 for c in coords)
     if kind == "abs":
-        scale = float(kw.get("scale", 1.0))
+        scale = _number(kw, "scale", 1.0)
         return lambda *coords: scale * np.sqrt(sum(c**2 for c in coords))
     if kind == "dip":
-        level = float(kw.get("level", 1.0))
-        depth = float(kw.get("depth", 0.9))
-        center = float(kw.get("center", 0.0))
-        width = float(kw.get("width", 0.2))
+        level = _number(kw, "level", 1.0)
+        depth = _number(kw, "depth", 0.9)
+        center = _number(kw, "center", 0.0)
+        width = _number(kw, "width", 0.2)
 
         def dip(*coords):
             dist2 = (coords[0] - center) ** 2
@@ -95,11 +100,11 @@ def initial_profile(kind: str, **kw):
     if kind == "windowed":
         # sinusoid damped by (1 - (x/half_width)^2)^2: flat at the box faces,
         # so frozen Dirichlet data raises no boundary layer
-        level = float(kw.get("level", 0.5))
-        amp = float(kw.get("amplitude", 0.4))
-        k = float(kw.get("k", 2.0))
-        phase = float(kw.get("phase", 0.0))
-        half = float(kw.get("half_width", 2.0))
+        level = _number(kw, "level", 0.5)
+        amp = _number(kw, "amplitude", 0.4)
+        k = _number(kw, "k", 2.0)
+        phase = _number(kw, "phase", 0.0)
+        half = _number(kw, "half_width", 2.0)
 
         def windowed(*coords):
             x = coords[0]
@@ -118,6 +123,6 @@ def boundary_profile(kind: str, init=None, **kw):
             raise DomainError("frozen_initial boundary needs the initial profile")
         return lambda *args: init(*args[:-1])
     if kind == "constant":
-        value = float(kw.get("value", 0.0))
+        value = _number(kw, "value", 0.0)
         return lambda *args: np.full(np.shape(args[0]), value)
     raise DomainError(f"unknown boundary profile {kind!r}")

@@ -5,7 +5,9 @@ dissipation computed from the largest observed one-sided gradient each step;
 the diffusion D is either eps*m+/-(D^2 u) (extremal operators on the full
 discrete Hessian) or tr(B(x,t) D^2 u), both by centered second differences.
 Time stepping is explicit with a per-step stable dt; solutions land on a
-uniform output grid.
+uniform output grid.  Several problems on one grid can be solved together,
+stacked on a leading array axis of the same loop, each with its own clock
+and dt and with the bits it would get alone.
 
 The discrete residual check evaluates the same differential inequality with
 one-sided time differences at the grid nodes.  For merely continuous
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquationParams, GridFunction, ParabolicCylinder
+from .core import EquationParams, GridFunction, ParabolicCylinder, as_number
 from .errors import (
     Blowup,
     BoundaryOrderingFailed,
@@ -29,6 +31,7 @@ from .errors import (
     DomainError,
     EmptyIntersection,
     GridTooSmall,
+    HJHolderError,
 )
 from .extremal import _mid_rad
 from .instances import SeparableField
@@ -112,9 +115,15 @@ class SolveConfig:
     blowup_factor: float = 1e3
 
     def __post_init__(self):
-        object.__setattr__(self, "xmin", tuple(float(v) for v in np.atleast_1d(self.xmin)))
-        object.__setattr__(self, "xmax", tuple(float(v) for v in np.atleast_1d(self.xmax)))
-        object.__setattr__(self, "nx", tuple(int(v) for v in np.atleast_1d(self.nx)))
+        for name in ("xmin", "xmax", "nx"):
+            values = np.atleast_1d(getattr(self, name)).tolist()
+            object.__setattr__(self, name, tuple(
+                as_number(v, f"grid {name}", integral=name == "nx") for v in values))
+        object.__setattr__(self, "nt", as_number(self.nt, "grid nt", integral=True))
+        for name in ("t0", "t1", "cfl", "lf_alpha_cap", "lf_alpha_floor", "dt_floor",
+                     "blowup_factor"):
+            if name != "lf_alpha_cap" or self.lf_alpha_cap is not None:
+                object.__setattr__(self, name, as_number(getattr(self, name), f"grid {name}"))
         if not (len(self.xmin) == len(self.xmax) == len(self.nx)):
             raise DomainError("xmin, xmax, nx must have one entry per axis")
         if any(b <= a for a, b in zip(self.xmin, self.xmax)):
@@ -175,23 +184,25 @@ class _Stencil:
     """Finite differences on the interior nodes of a uniform grid.
 
     Each difference is a slice expression over shifted views of u, built
-    once per grid.  The float operations and their order are those of the
-    np.roll / np.gradient formulas on the same nodes, so results agree bit
-    for bit; the boundary nodes, where those formulas wrap or go one-sided,
-    are simply not computed.
+    once per grid.  With rows=True, u carries a leading row axis (one
+    problem per row), which every difference keeps.  The float operations
+    and their order are those of the np.roll / np.gradient formulas on the
+    same nodes, so results agree bit for bit; the boundary nodes, where
+    those formulas wrap or go one-sided, are simply not computed.
     """
 
-    def __init__(self, shape: tuple, dx: list):
+    def __init__(self, shape: tuple, dx: list, rows: bool = False):
         d = len(shape)
         self.d = d
         self.shape = tuple(shape)
         self.dx = list(dx)
-        self.mid = (slice(1, -1),) * d
+        lead = (slice(None),) if rows else ()
 
         def view(shifts: dict, rest=slice(1, -1)) -> tuple:
-            """Index taking shifts[k] on axis k and `rest` on the other axes."""
-            return tuple(shifts.get(k, rest) for k in range(d))
+            """Index taking shifts[k] on space axis k and `rest` on the other space axes."""
+            return lead + tuple(shifts.get(k, rest) for k in range(d))
 
+        self.mid = view({})
         up, down = slice(2, None), slice(None, -2)
         # face differences along axis i span every node of the other axes
         self.face_hi = [view({i: slice(1, None)}, slice(None)) for i in range(d)]
@@ -211,7 +222,7 @@ class _Stencil:
         """Interior values of a field sampled on the grid; scalars pass through."""
         if np.ndim(field) == 0:
             return field
-        if field.shape != self.shape:
+        if field.shape[-self.d:] != self.shape:
             field = np.broadcast_to(field, self.shape)
         return field[self.mid]
 
@@ -247,98 +258,264 @@ def _extremal_field(hess: dict, d: int, sign: int) -> np.ndarray:
     return np.maximum(mid + rad, 0.0) if sign > 0 else np.minimum(mid - rad, 0.0)
 
 
-def _sampler(field, sample, coords, st: _Stencil, t0):
-    """A coefficient or forcing of a spec as t -> (grid values, interior values).
+# ---------------------------------------------------------------------------
+# Rows: several problems on one grid, stacked on a leading axis
+# ---------------------------------------------------------------------------
+
+
+def _column(values: list, d: int):
+    """Per-row numbers as a column that broadcasts over rows of d-axis fields.
+
+    A single row's number is returned as it is.
+    """
+    if len(values) == 1:
+        return values[0]
+    return np.array(values).reshape((len(values),) + (1,) * d)
+
+
+def _stack_rows(values: list, st: _Stencil) -> tuple:
+    """Per-row numbers or grid fields as one block: (grid values, interior values).
+
+    A single row's value is returned as it is; several are broadcast to the
+    grid and stacked on a leading row axis.  Either way each row holds the
+    values it would hold alone.
+    """
+    if len(values) == 1:
+        return values[0], st.interior(values[0])
+    full = np.stack([np.broadcast_to(v, st.shape) for v in values])
+    return full, st.interior(full)
+
+
+def _row_max(x, n_rows: int) -> list:
+    """max of each leading row of x (x itself for one row) as Python floats."""
+    if n_rows == 1:
+        return [float(x.max())]
+    return x.reshape(n_rows, -1).max(axis=1).tolist()
+
+
+# ndarray ** number sends these exponents to square, sqrt, reciprocal, ...
+# instead of power, and the bits can differ from power's
+_POWER_FAST_PATHS = frozenset({-1.0, 0.0, 0.5, 1.0, 2.0})
+
+
+class _RowExponent:
+    """One exponent per leading row, applied as x[r] ** e[r] would be, bit for bit.
+
+    The exponents stay a broadcast column.  numpy's power with a column gives
+    the bits of power with a number, but ndarray ** number special-cases a
+    few exponents (_POWER_FAST_PATHS); the rows with those are redone with
+    the number.
+    """
+
+    def __init__(self, exponents: list, d: int):
+        self.column = _column(exponents, d)
+        self.redo = [(r, e) for r, e in enumerate(exponents) if e in _POWER_FAST_PATHS]
+
+    def power(self, x: np.ndarray) -> np.ndarray:
+        y = x ** self.column
+        for r, e in self.redo:
+            y[r] = x[r] ** e
+        return y
+
+
+def _row_exponent(exponents: list, d: int):
+    """The rows' exponents: one number when they all agree, else a _RowExponent."""
+    if all(e == exponents[0] for e in exponents):
+        return exponents[0]
+    return _RowExponent(exponents, d)
+
+
+class _Field:
+    """A coefficient or forcing of one spec, as the solver samples it.
 
     sample is the spec's coeff_at or forcing_at for this field.  A number or
-    a time-independent SeparableField is sampled once, at t0; a separable
-    field with a time factor costs base + space * time(t) per call, with
-    space evaluated once; any other callable goes through sample(coords, t)
-    on every call.  Each path gives the bits that sample(coords, t) would.
+    a time-independent SeparableField is sampled once, at t0 (`fixed`); a
+    separable field with a time factor keeps its space factor (`space`),
+    evaluated once, and costs base + space * time(t) per call; any other
+    callable goes through sample(coords, t) on every call.  Each path gives
+    the bits that sample(coords, t) would.
     """
-    declared = isinstance(field, SeparableField)
-    if declared and field.time is not None:
-        space = field.space(*coords)
 
-        def separable(t):
-            full = np.asarray(field.base + space * field.time(t), dtype=float)
+    def __init__(self, field, sample, coords, t0):
+        self.field, self.sample, self.coords = field, sample, coords
+        self.fixed = self.space = None
+        declared = isinstance(field, SeparableField)
+        if declared and field.time is not None:
+            self.space = field.space(*coords)
+        elif not callable(field) or declared:
+            self.fixed = sample(coords, t0)
+
+    def at(self, t):
+        """Values on the grid at time t."""
+        if self.space is not None:
+            return np.asarray(self.field.base + self.space * self.field.time(t), dtype=float)
+        if self.fixed is not None:
+            return self.fixed
+        return self.sample(self.coords, t)
+
+
+def _block_sampler(fields: list, st: _Stencil):
+    """The fields of a block's rows as ts -> (grid values, interior values), one time per row.
+
+    Fixed fields are stacked once.  Separable fields with a time factor cost
+    base + space * time for all rows at once, with a column of bases, the
+    stacked space factors and a column of time factors.  Any other mix is
+    sampled row by row and stacked.
+    """
+    if all(f.fixed is not None for f in fields):
+        fixed = _stack_rows([f.fixed for f in fields], st)
+        return lambda ts: fixed
+    if all(f.space is not None for f in fields):
+        base = _column([f.field.base for f in fields], st.d)
+        space = _stack_rows([f.space for f in fields], st)[0]
+        times = [f.field.time for f in fields]
+
+        def separable(ts):
+            factor = _column([time(t) for time, t in zip(times, ts)], st.d)
+            full = np.asarray(base + space * factor, dtype=float)
             return full, st.interior(full)
 
         return separable
-    if callable(field) and not declared:
-
-        def opaque(t):
-            full = sample(coords, t)
-            return full, st.interior(full)
-
-        return opaque
-    full = sample(coords, t0)
-    fixed = (full, st.interior(full))
-    return lambda t: fixed
+    return lambda ts: _stack_rows([f.at(t) for f, t in zip(fields, ts)], st)
 
 
-def _hamiltonian(a, grads: list, p: float):
-    """a |Du|^p from the centred gradient; shared by solver and residual."""
-    return a * sum(g**2 for g in grads) ** (p / 2.0)
+def _hamiltonian(a, grads: list, half):
+    """a |Du|^p from the centred gradient, with half = p/2 a number or a
+    _RowExponent; shared by solver and residual."""
+    g2 = sum(g**2 for g in grads)
+    return a * (half.power(g2) if isinstance(half, _RowExponent) else g2 ** half)
 
 
-def _diffusion_field(spec: HamiltonianSpec, st: _Stencil, u, coords, t):
-    """Interior diffusion term and its ellipticity bound Lambda."""
-    diff = spec.diffusion
+def _diffusion_bounds(diff, coords, ts: list, d: int) -> tuple:
+    """The matrices B of a trace diffusion at each time in ts (None for the
+    other kinds) and each row's ellipticity bound Lambda."""
     if diff is None:
-        return 0.0, 0.0
-    d = st.d
-    hess = st.second_diffs(u)
+        return None, [0.0] * len(ts)
     if isinstance(diff, ExtremalDiffusion):
-        return diff.coeff * _extremal_field(hess, d, diff.sign), abs(diff.coeff)
+        return None, [abs(diff.coeff)] * len(ts)
     if isinstance(diff, TraceDiffusion):
-        b = diff.matrix_at(coords, t, d)
-        total = np.zeros(hess[(0, 0)].shape)
-        for i in range(d):
-            for j in range(d):
-                bij = st.interior(b[i, j])
-                total = total + bij * hess[(min(i, j), max(i, j))]
-        lam = float(np.max(np.abs(b))) * d
-        return total, lam
+        bs = [diff.matrix_at(coords, t, d) for t in ts]
+        return bs, [float(np.max(np.abs(b))) * d for b in bs]
     raise DomainError(f"unknown diffusion spec {type(diff)!r}")
 
 
-def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
+def _diffusion_term(diff, st: _Stencil, u, bs):
+    """Interior diffusion term of u, with bs from _diffusion_bounds.
+
+    u holds one row per matrix in bs on a leading axis, or is a single grid
+    function.
+    """
+    if diff is None:
+        return 0.0
+    hess = st.second_diffs(u)
+    if bs is None:
+        return diff.coeff * _extremal_field(hess, st.d, diff.sign)
+    total = np.zeros(hess[(0, 0)].shape)
+    for i in range(st.d):
+        for j in range(st.d):
+            bij = _stack_rows([b[i, j] for b in bs], st)[1]
+            total = total + bij * hess[(min(i, j), max(i, j))]
+    return total
+
+
+def _same_diffusion(a, b) -> bool:
+    """Whether two diffusion specs are one term; matrix entries compare by their bits."""
+    if isinstance(a, TraceDiffusion) and isinstance(b, TraceDiffusion):
+        if a.entries is b.entries:
+            return True
+        if callable(a.entries) or callable(b.entries):
+            return False
+        x, y = np.asarray(a.entries, dtype=float), np.asarray(b.entries, dtype=float)
+        return x.shape == y.shape and x.tobytes() == y.tobytes()
+    return a == b
+
+
+def _row_block(u_all: np.ndarray, rows: list) -> tuple:
+    """Rows of u_all as one array, and whether it is a copy to write back.
+
+    One row is a view of that row's grid; consecutive rows are a view of
+    the slab; other sets are gathered into a copy.
+    """
+    if len(rows) == 1:
+        return u_all[rows[0]], False
+    if rows[-1] - rows[0] == len(rows) - 1:
+        return u_all[rows[0]:rows[-1] + 1], False
+    return u_all[rows], True
+
+
+def solve_hj(spec, init, bc, cfg: SolveConfig):
     """Explicit Lax-Friedrichs solve; returns the solution on the output grid.
 
     init is a callable init(*coords) or an array on the spatial grid; bc is a
     Dirichlet callable bc(*coords, t) applied on the box faces every substep.
     The step satisfies dt <= cfl * min(dx/(2 d alpha), dx^2/(2 d Lambda)).
+
+    Given sequences of specs, inits and bcs (one row each), the rows are
+    solved together, on a leading array axis of the same loop, and a list
+    comes back with one entry per row: its GridFunction, or the Blowup or
+    CflViolation that stopped that row while the others went on.  The rows
+    share cfg and the specs' diffusion and shift (DomainError otherwise);
+    each row keeps its own clock, dt, LF alpha, checks and warnings, and
+    gets the bits it would get alone.
+    """
+    if isinstance(spec, HamiltonianSpec):
+        (u,) = _solve_rows([spec], [init], [bc], cfg)
+        if isinstance(u, HJHolderError):
+            raise u
+        return u
+    return _solve_rows(list(spec), list(init), list(bc), cfg)
+
+
+def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
+    """The one solver loop behind solve_hj, over a list of rows.
+
+    Within each output interval every row steps with its own dt until it
+    reaches the output time, then waits for the others.  The rows still
+    stepping form the active block, which is rebuilt only when that set
+    changes: a row reaches the output time or fails.
     """
     d = cfg.dim
     if d not in (1, 2):
         raise DomainError(f"solver supports d in {{1, 2}}, got {d}")
-    if d != spec.params.d:
-        raise DomainError(f"config dim {d} != params dim {spec.params.d}")
+    if not specs or not len(specs) == len(inits) == len(bcs):
+        raise DomainError(f"need one init and one bc per spec, got {len(specs)} specs, "
+                          f"{len(inits)} inits and {len(bcs)} bcs")
+    diffusion, shift = specs[0].diffusion, specs[0].shift
+    for spec in specs:
+        if d != spec.params.d:
+            raise DomainError(f"config dim {d} != params dim {spec.params.d}")
+        if spec.shift != shift or not _same_diffusion(spec.diffusion, diffusion):
+            raise DomainError("rows solved together must share diffusion and shift")
     dx = cfg.spacings()
     dx_min = min(dx)
     coords = cfg.coords()
-    p, A = spec.params.p, spec.params.A
+    shape = tuple(cfg.nx)
+    # one stencil for a single row's grid, one for blocks with a leading row axis
+    stencils = (_Stencil(shape, dx), _Stencil(shape, dx, rows=True))
+    n_all = len(specs)
 
-    if callable(init):
-        u = np.array(np.broadcast_to(init(*coords), tuple(cfg.nx)), dtype=float, order="C")
-    else:
-        u = np.array(init, dtype=float, order="C")
-        if u.shape != tuple(cfg.nx):
-            raise DomainError(f"init shape {u.shape} != grid shape {tuple(cfg.nx)}")
-
-    st = _Stencil(u.shape, dx)
-    coeff = _sampler(spec.coefficient, spec.coeff_at, coords, st, cfg.t0)
-    forcing = _sampler(spec.forcing, spec.forcing_at, coords, st, cfg.t0)
-    a0, _ = coeff(cfg.t0)
-    if np.any(a0 < 1.0 / A - 1e-12) or np.any(a0 > A + 1e-12):
-        logger.warning(
-            "coefficient leaves [1/A, A] = [%g, %g] (range [%g, %g]); "
-            "theorem hypotheses do not apply",
-            1.0 / A, A, float(a0.min()), float(a0.max()),
-        )
-    if isinstance(spec.diffusion, TraceDiffusion):
-        b0 = spec.diffusion.matrix_at(coords, cfg.t0, d)
+    u_all = np.empty((n_all,) + shape)
+    coeffs, forcings = [], []
+    for r, (spec, init) in enumerate(zip(specs, inits)):
+        if callable(init):
+            u_all[r] = np.broadcast_to(init(*coords), shape)
+        else:
+            u0 = np.asarray(init, dtype=float)
+            if u0.shape != shape:
+                raise DomainError(f"init shape {u0.shape} != grid shape {shape}")
+            u_all[r] = u0
+        coeffs.append(_Field(spec.coefficient, spec.coeff_at, coords, cfg.t0))
+        forcings.append(_Field(spec.forcing, spec.forcing_at, coords, cfg.t0))
+        A = spec.params.A
+        a0 = coeffs[r].at(cfg.t0)
+        if np.any(a0 < 1.0 / A - 1e-12) or np.any(a0 > A + 1e-12):
+            logger.warning(
+                "coefficient leaves [1/A, A] = [%g, %g] (range [%g, %g]); "
+                "theorem hypotheses do not apply",
+                1.0 / A, A, float(a0.min()), float(a0.max()),
+            )
+    if isinstance(diffusion, TraceDiffusion):
+        b0 = diffusion.matrix_at(coords, cfg.t0, d)
         if d == 1:
             lam_min = np.min(b0[0, 0])
         else:
@@ -348,67 +525,107 @@ def solve_hj(spec: HamiltonianSpec, init, bc, cfg: SolveConfig) -> GridFunction:
             raise DomainError(f"trace diffusion matrix not nonnegative definite "
                               f"(min eigenvalue {float(lam_min):g} at t0)")
 
-    # Dirichlet nodes as flat indices into u, which is updated in place
-    bidx = np.flatnonzero(_boundary_mask(u.shape))
+    # Dirichlet nodes as flat indices into each row's grid, updated in place
+    bidx = np.flatnonzero(_boundary_mask(shape))
     bcoords = [c.reshape(-1)[bidx] for c in coords]
-    u_flat = u.reshape(-1)
-    data_bound = float(np.max(np.abs(u)))
-    out = np.empty(tuple(cfg.nx) + (cfg.nt,))
-    out[..., 0] = u
+    ps = [spec.params.p for spec in specs]
+    data_bound = [float(np.max(np.abs(u_all[r]))) for r in range(n_all)]
+    outs = [np.empty(shape + (cfg.nt,)) for _ in range(n_all)]
+    for r in range(n_all):
+        outs[r][..., 0] = u_all[r]
     times_out = cfg.out_times()
-    warned_cap = False
+    clock = [cfg.t0] * n_all
+    warned_cap = [False] * n_all
+    failed = [None] * n_all
+    # active row set -> (stencil, coefficient, forcing, exponent), built once per set
+    blocks = {}
 
-    t = cfg.t0
     for n in range(1, cfg.nt):
         t_target = times_out[n]
-        while t < t_target - 1e-14 * (1.0 + abs(t_target)):
-            a, a_mid = coeff(t)
-            faces = st.face_diffs(u)
-            qmax = 0.0
-            for q in faces:
-                qmax = max(qmax, float(np.abs(q).max()))
-            alpha = p * float(a.max()) * qmax ** (p - 1.0) if qmax > 0 else 0.0
-            alpha = max(alpha, cfg.lf_alpha_floor)
-            if cfg.lf_alpha_cap is not None and alpha > cfg.lf_alpha_cap:
-                alpha = cfg.lf_alpha_cap
-                if not warned_cap:
-                    logger.warning(
-                        "LF dissipation capped at %g; scheme leaves its "
-                        "provably monotone regime", alpha,
-                    )
-                    warned_cap = True
+        t_done = t_target - 1e-14 * (1.0 + abs(t_target))
+        rows = [r for r in range(n_all) if failed[r] is None and clock[r] < t_done]
+        while rows:
+            n_rows = len(rows)
+            if tuple(rows) not in blocks:
+                st = stencils[n_rows > 1]
+                blocks[tuple(rows)] = (st, _block_sampler([coeffs[r] for r in rows], st),
+                                       _block_sampler([forcings[r] for r in rows], st),
+                                       _row_exponent([ps[r] / 2.0 for r in rows], d))
+            st, coeff, forcing, half = blocks[tuple(rows)]
+            u, copied = _row_block(u_all, rows)
+            flats = [u.reshape(-1)] if n_rows == 1 else [row.reshape(-1) for row in u]
+            stepping = True
+            while stepping:
+                ts = [clock[r] for r in rows]
+                a, a_mid = coeff(ts)
+                bs, lams = _diffusion_bounds(diffusion, coords, ts, d)
+                faces = st.face_diffs(u)
+                qmaxes = [0.0] * n_rows
+                for q in faces:
+                    qmaxes = list(map(max, qmaxes, _row_max(np.abs(q), n_rows)))
+                half_alphas, dts = [], []
+                for r, qmax, amax, lam in zip(rows, qmaxes, _row_max(a, n_rows), lams):
+                    p = ps[r]
+                    alpha = p * amax * qmax ** (p - 1.0) if qmax > 0 else 0.0
+                    alpha = max(alpha, cfg.lf_alpha_floor)
+                    if cfg.lf_alpha_cap is not None and alpha > cfg.lf_alpha_cap:
+                        alpha = cfg.lf_alpha_cap
+                        if not warned_cap[r]:
+                            logger.warning(
+                                "LF dissipation capped at %g; scheme leaves its "
+                                "provably monotone regime", alpha,
+                            )
+                            warned_cap[r] = True
+                    half_alphas.append(0.5 * alpha)
 
-            hamil = _hamiltonian(a_mid, st.centred(u), p)
-            for i in range(d):
-                hamil = hamil - 0.5 * alpha * st.face_jump(faces, i)
-            diff_term, lam = _diffusion_field(spec, st, u, coords, t)
-            rhs = forcing(t)[1] - spec.shift - hamil + diff_term
+                    dt_stab = math.inf
+                    if alpha > 0:
+                        dt_stab = dx_min / (2.0 * alpha * d)
+                    if lam > 0:
+                        dt_stab = min(dt_stab, dx_min**2 / (2.0 * d * lam))
+                    dt_stab *= cfg.cfl
+                    if dt_stab < cfg.dt_floor:
+                        failed[r] = CflViolation(f"stable step {dt_stab:g} below floor "
+                                                 f"{cfg.dt_floor:g} at t={clock[r]:g}")
+                        dts.append(0.0)
+                    else:
+                        dts.append(min(dt_stab, t_target - clock[r]))
 
-            dt_stab = math.inf
-            if alpha > 0:
-                dt_stab = dx_min / (2.0 * alpha * d)
-            if lam > 0:
-                dt_stab = min(dt_stab, dx_min**2 / (2.0 * d * lam))
-            dt_stab *= cfg.cfl
-            if dt_stab < cfg.dt_floor:
-                raise CflViolation(
-                    f"stable step {dt_stab:g} below floor {cfg.dt_floor:g} at t={t:g}"
-                )
-            dt = min(dt_stab, t_target - t)
+                hamil = _hamiltonian(a_mid, st.centred(u), half)
+                jump_coeff = _column(half_alphas, d)
+                for i in range(d):
+                    hamil = hamil - jump_coeff * st.face_jump(faces, i)
+                diff_term = _diffusion_term(diffusion, st, u, bs)
+                rhs = forcing(ts)[1] - shift - hamil + diff_term
+                u[st.mid] += _column(dts, d) * rhs
 
-            u[st.mid] += dt * rhs
-            t_new = min(t + dt, t_target)
-            bvals = np.asarray(bc(*bcoords, t_new), dtype=float)
-            u_flat[bidx] = bvals
-            data_bound = max(data_bound, float(np.abs(bvals).max()))
-            if float(np.abs(u).max()) > cfg.blowup_factor * (1.0 + data_bound):
-                raise Blowup(f"values exceeded {cfg.blowup_factor:g}*(1+data bound) at t={t_new:g}")
-            t = t_new
-        t = t_target
-        out[..., n] = u
+                for r, dt, flat in zip(rows, dts, flats):
+                    if failed[r] is None:
+                        clock[r] = min(clock[r] + dt, t_target)
+                        bvals = np.asarray(bcs[r](*bcoords, clock[r]), dtype=float)
+                        flat[bidx] = bvals
+                        data_bound[r] = max(data_bound[r], float(np.abs(bvals).max()))
+                # the block changes when a row fails or reaches the output time
+                for r, peak in zip(rows, _row_max(np.abs(u), n_rows)):
+                    if failed[r] is not None:
+                        stepping = False
+                    elif peak > cfg.blowup_factor * (1.0 + data_bound[r]):
+                        failed[r] = Blowup(f"values exceeded {cfg.blowup_factor:g}*(1+data "
+                                           f"bound) at t={clock[r]:g}")
+                        stepping = False
+                    elif clock[r] >= t_done:
+                        stepping = False
+            if copied:
+                u_all[rows] = u
+            rows = [r for r in rows if failed[r] is None and clock[r] < t_done]
+        for r in range(n_all):
+            if failed[r] is None:
+                clock[r] = t_target
+                outs[r][..., n] = u_all[r]
 
     dt_out = (cfg.t1 - cfg.t0) / (cfg.nt - 1)
-    return GridFunction(cfg.xmin, tuple(dx), cfg.t0, dt_out, out)
+    return [GridFunction(cfg.xmin, tuple(dx), cfg.t0, dt_out, outs[r]) if failed[r] is None
+            else failed[r] for r in range(n_all)]
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +664,20 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
     ts = u.times()
     st = _Stencil(u.n_space, list(u.spacing_x))
     inner = st.mid
-    coeff = _sampler(spec.coefficient, spec.coeff_at, coords, st, ts[0])
-    forcing = _sampler(spec.forcing, spec.forcing_at, coords, st, ts[0])
+    coeff = _Field(spec.coefficient, spec.coeff_at, coords, ts[0])
+    forcing = _Field(spec.forcing, spec.forcing_at, coords, ts[0])
+    half = spec.params.p / 2.0
 
     worst = -math.inf if side == "sub" else math.inf
     worst_idx = None
     for n in range(1, u.n_time):
         un = u.values[..., n]
         ut = (un[inner] - u.values[inner + (n - 1,)]) / u.spacing_t
-        a = coeff(ts[n])[1]
-        diff_term, _ = _diffusion_field(spec, st, un, coords, ts[n])
-        res = ut + _hamiltonian(a, st.centred(un), spec.params.p) - diff_term
-        res = res - forcing(ts[n])[1] + spec.shift
+        a = st.interior(coeff.at(ts[n]))
+        bs, _ = _diffusion_bounds(spec.diffusion, coords, [ts[n]], d)
+        diff_term = _diffusion_term(spec.diffusion, st, un, bs)
+        res = ut + _hamiltonian(a, st.centred(un), half) - diff_term
+        res = res - st.interior(forcing.at(ts[n])) + spec.shift
         if side == "sub":
             k = int(np.argmax(res))
             val = float(res.ravel()[k])

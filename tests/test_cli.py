@@ -227,6 +227,75 @@ class TestBadInputExit2:
         err = self._expect_exit_2(argv, capsys)
         assert message in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("nx", [33.5], "grid nx must be a whole number, got 33.5"),
+        ("nt", 5.7, "grid nt must be a whole number, got 5.7"),
+        ("nt", "five", "grid nt must be a number, got 'five'"),
+        ("xmin", ["a"], "grid xmin must be a number"),
+    ])
+    def test_grid_entry_not_a_count(self, tmp_path, capsys, key, value, message):
+        grid = {"xmin": [-1.0], "xmax": [1.0], "nx": [33], "t0": 0.0, "t1": 0.1, "nt": 5}
+        grid[key] = value
+        cfg = solve_config(tmp_path, grid=grid)
+        err = self._expect_exit_2(["solve", "--config", cfg,
+                                   "--out", str(tmp_path / "u.hjg")], capsys)
+        assert message in err
+
+    def test_whole_float_grid_counts_accepted(self, tmp_path):
+        outs = []
+        for nx, nt in (([33], 5), ([33.0], 5.0)):
+            grid = {"xmin": [-1.0], "xmax": [1.0], "nx": nx, "t0": 0.0, "t1": 0.1, "nt": nt}
+            out = tmp_path / f"u_{len(outs)}.hjg"
+            assert run(["solve", "--config", solve_config(tmp_path, grid=grid),
+                        "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_config_that_is_a_list(self, tmp_path, capsys, command):
+        cfg = write_json(tmp_path / "cfg.json", [1, 2])
+        argv = [command, "--config", cfg, "--out", str(tmp_path / "out")]
+        assert "must hold a JSON object, got list" in self._expect_exit_2(argv, capsys)
+
+    @pytest.mark.parametrize("equation, message", [
+        ([], "'equation' must be a JSON object"),
+        ({"p": "x"}, "equation.p must be a number, got 'x'"),
+        ({"p": 3.0, "A": 2.0, "forcing": {"kind": "constant", "value": [1]}},
+         "forcing.value must be a number"),
+        ({"p": 3.0, "A": 2.0, "coefficient": "rough"}, "'coefficient' must be a JSON object"),
+    ])
+    def test_equation_of_the_wrong_shape(self, tmp_path, capsys, equation, message):
+        cfg = solve_config(tmp_path, equation=equation)
+        err = self._expect_exit_2(["solve", "--config", cfg,
+                                   "--out", str(tmp_path / "u.hjg")], capsys)
+        assert message in err
+
+    @pytest.mark.parametrize("initial, message", [
+        ({"kind": "windowed", "level": "x"}, "level must be a number, got 'x'"),
+        ({"level": 0.5}, "unknown initial profile None"),
+        ([0.5], "'initial' must be a JSON object"),
+    ])
+    def test_initial_profile_of_the_wrong_shape(self, tmp_path, capsys, initial, message):
+        cfg = solve_config(tmp_path, initial=initial)
+        err = self._expect_exit_2(["solve", "--config", cfg,
+                                   "--out", str(tmp_path / "u.hjg")], capsys)
+        assert message in err
+
+    @pytest.mark.parametrize("instances, message", [
+        ({"p": 3.0}, "nonempty 'instances' list"),
+        ([], "nonempty 'instances' list"),
+        ([3], "sweep instances must be JSON objects, got 3"),
+        ([{"p": 3.0}, {"p": "x"}], "equation.p must be a number, got 'x'"),
+        ([{"p": 3.0, "gamma": 0.3, "strength": "big"}], "forcing.strength must be a number"),
+    ])
+    def test_sweep_instances_of_the_wrong_shape(self, tmp_path, capsys, instances, message):
+        cfg = json.loads(open(TestSweep()._config(tmp_path)).read())
+        cfg["instances"] = instances
+        path = write_json(tmp_path / "sweep.json", cfg)
+        err = self._expect_exit_2(["sweep", "--config", path,
+                                   "--out", str(tmp_path / "sweep.csv")], capsys)
+        assert message in err
+
     def test_m_given_as_numeric_string(self, tmp_path):
         grid = {"xmin": [-1.0], "xmax": [1.0], "nx": [33], "t0": 0.0, "t1": 0.1, "nt": 5}
         outs = []
@@ -351,3 +420,41 @@ class TestSweep:
         assert run(["sweep", "--config", self._config(tmp_path), "--out", out_csv]) == 0
         assert run(["sweep", "--config", self._config(tmp_path), "--out", ref_csv]) == 0
         assert open(out_csv, "rb").read() == open(ref_csv, "rb").read()
+
+    def test_failing_instance_keeps_its_row(self, tmp_path, capsys):
+        cfg = json.loads(open(self._config(tmp_path)).read())
+        ok_csv, mixed_csv = str(tmp_path / "ok.csv"), str(tmp_path / "mixed.csv")
+        assert run(["sweep", "--config", write_json(tmp_path / "ok.json", cfg),
+                    "--out", ok_csv]) == 0
+        # a huge forcing blows this instance up within the first output interval
+        cfg["instances"].insert(1, {"p": 3, "gamma": 0.3, "strength": 1e9})
+        capsys.readouterr()
+        rc = run(["sweep", "--config", write_json(tmp_path / "mixed.json", cfg),
+                  "--out", mixed_csv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("verification failed: instance 1: values exceeded")
+        assert "Traceback" not in captured.err
+        assert "2/3 instances passed" in captured.out
+        ok_rows = open(ok_csv).read().splitlines()
+        mixed_rows = open(mixed_csv).read().splitlines()
+        assert mixed_rows[:3] == ["# seed,0", "# instances,3", "# pass_rate,0.666666666667"]
+        assert ok_rows[3] == mixed_rows[3]  # column names
+        assert [ok_rows[4], ok_rows[5]] == [mixed_rows[4], mixed_rows[6]]
+        failed = dict(zip(mixed_rows[3].split(","), mixed_rows[5].split(",")))
+        assert (failed["gamma"], failed["passed"]) == ("0.3", "0")
+        assert (failed["alpha_hat"], failed["fit_residual"]) == ("nan", "nan")
+        assert failed["alpha"] not in ("nan", "") and failed["theta"] not in ("nan", "")
+
+    def test_sweep_matches_one_solve_per_instance(self, tmp_path):
+        cfg = json.loads(open(self._config(tmp_path)).read())
+        cfg["instances"].append({"p": 4.0, "A": 3.0, "k": 4.0, "omega": 2.0})
+        batched = []
+        for inst in cfg["instances"]:
+            solve_cfg = cli._sweep_instance_config(cfg["base"], inst)
+            batched.append(cli.solve_from_config(solve_cfg)[0].values.tobytes())
+        specs, inits, bcs, grids = zip(*(
+            cli._problem_from_config(cli._sweep_instance_config(cfg["base"], inst))
+            for inst in cfg["instances"]))
+        together = cli.scheme.solve_hj(specs, inits, bcs, grids[0])
+        assert [u.values.tobytes() for u in together] == batched

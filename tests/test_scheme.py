@@ -129,6 +129,15 @@ class TestSolveBasics:
         with pytest.raises(DomainError):
             solve_hj(spec, lambda x: np.cos(x), lambda x, t: np.cos(x), cfg_1d())
 
+    def test_grid_counts_must_be_whole_numbers(self):
+        for nx, nt in (((np.int64(33),), np.int32(5)), ((33.0,), 5.0), ([33], 5)):
+            cfg = SolveConfig(xmin=(-1.0,), xmax=(1.0,), nx=nx, t0=0.0, t1=0.1, nt=nt)
+            assert (cfg.nx, cfg.nt) == ((33,), 5)
+            assert type(cfg.nx[0]) is int and type(cfg.nt) is int
+        for nx, nt in (((33.5,), 5), ((33,), 5.7), ((33,), float("nan")), (("x",), 5)):
+            with pytest.raises(DomainError):
+                SolveConfig(xmin=(-1.0,), xmax=(1.0,), nx=nx, t0=0.0, t1=0.1, nt=nt)
+
     def test_2d_constant_and_heat(self):
         params = EquationParams(p=2.0, A=1.0, d=2)
         spec = HamiltonianSpec(params=params, coefficient=0.0,

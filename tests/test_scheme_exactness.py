@@ -5,6 +5,10 @@ substep loop and residual check that the interior stencil replaced.  The
 stencil performs the same float operations in the same order, so every
 solution value and every residual report must agree bit for bit, and every
 callable must be sampled at the same times in the same order.
+
+The same holds for problems solved together as rows of one solve_hj call:
+each row must match its one-at-a-time solve bit for bit and sample its
+callables as that solve does.
 """
 
 import logging
@@ -15,6 +19,7 @@ import pytest
 
 from hjholder import instances
 from hjholder.core import EquationParams
+from hjholder.errors import Blowup, CflViolation, DomainError
 from hjholder.scheme import (
     ExtremalDiffusion,
     HamiltonianSpec,
@@ -356,3 +361,175 @@ def test_separable_space_factor_evaluated_once_per_solve():
 
     plain = HamiltonianSpec(params=spec.params, coefficient=rough, forcing=forcing, shift=0.1)
     assert u.values.tobytes() == solve_hj(plain, _init, _bc(_Log()), cfg).values.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Rows solved together against one-at-a-time solves
+# ---------------------------------------------------------------------------
+
+
+def _row_init(k):
+    """Initial data of row k: _init shifted in phase, so the rows differ."""
+    return lambda *c: _init(*c) + 0.05 * k * np.cos(c[0] + 0.5 * k)
+
+
+def _row_coefficient(kind, k, log):
+    if kind == "constant":
+        return 1.0 + 0.1 * k
+    rough = instances.rough_coefficient(7.0 - k, 5.0 + k)
+    if kind == "rough":
+        return rough
+    return log.wrap("a", lambda *a: rough(*a))  # an opaque callable, sampled per row
+
+
+def _row_forcing(kind, d, log):
+    if kind == "none":
+        return None
+    if kind == "constant":
+        return 0.7
+    power = instances.inverse_power_forcing(0.3, 0.4, (0.3, -0.2)[:d], cap_radius=0.05)
+    if kind == "inverse_power":
+        return power
+    return log.wrap("f", lambda *a: power(*a))
+
+
+def _row_specs(d, rows, logs, diffusion=None, first=0):
+    """Specs of rows numbered from `first`: the number picks the coefficient."""
+    return [HamiltonianSpec(params=EquationParams(p=p, A=2.0, d=d),
+                            coefficient=_row_coefficient(coefficient, k, log),
+                            diffusion=diffusion, forcing=_row_forcing(forcing, d, log),
+                            shift=0.1)
+            for k, ((p, coefficient, forcing), log) in enumerate(zip(rows, logs), first)]
+
+
+def _check_rows(d, rows, cfg, diffusion=ExtremalDiffusion(sign=1, coeff=0.04)):
+    """Solve the rows together and one at a time; every row must agree bit for
+    bit and sample its callables at the same times in the same order.
+    Returns each row's substep count."""
+    together_logs = [_Log() for _ in rows]
+    inits = [_row_init(k) for k in range(len(rows))]
+    got = solve_hj(_row_specs(d, rows, together_logs, diffusion), inits,
+                   [_bc(log) for log in together_logs], cfg)
+    assert len(got) == len(rows)
+    substeps = []
+    for k, row in enumerate(rows):
+        alone_log = _Log()
+        (spec,) = _row_specs(d, [row], [alone_log], diffusion, first=k)
+        want = solve_hj(spec, inits[k], _bc(alone_log), cfg)
+        assert got[k].values.tobytes() == want.values.tobytes(), row
+        assert together_logs[k].calls == alone_log.calls, row
+        substeps.append(sum(name == "bc" for name, _, _ in alone_log.calls))
+    return got, substeps
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_rows_match_alone_across_exponents(d):
+    # p = 4 puts 2.0 in the exponent column, where ndarray ** 2.0 squares
+    # instead of calling power; p = 2 puts 1.0 there
+    rows = [(4.0, "rough", "inverse_power"), (2.0, "rough", "inverse_power"),
+            (3.0, "rough", "inverse_power"), (2.5, "rough", "inverse_power")][:6 - 2 * d]
+    cfg = _cfg(d)
+    got, substeps = _check_rows(d, rows, cfg)
+    # each row finishes each output interval after its own number of substeps
+    assert len(set(substeps)) > 1
+    # and matches the frozen roll/gradient reference
+    for k, row in enumerate(rows):
+        (spec,) = _row_specs(d, [row], [_Log()], ExtremalDiffusion(sign=1, coeff=0.04), first=k)
+        want = _ref_solve(spec, _row_init(k), _bc(_Log()), cfg)
+        assert got[k].values.tobytes() == want.tobytes()
+
+
+def test_rows_with_one_exponent():
+    _check_rows(1, [(3.0, "rough", "inverse_power"), (3.0, "constant", "none"),
+                    (3.0, "opaque", "constant")], _cfg(1))
+
+
+@pytest.mark.parametrize("forcings", [
+    ("none", "none"), ("constant", "constant"), ("inverse_power", "inverse_power"),
+    ("none", "constant", "inverse_power", "opaque"),
+])
+@pytest.mark.parametrize("coefficients", [
+    ("rough", "rough"), ("constant", "constant"), ("rough", "opaque"),
+    ("opaque", "constant", "rough"),
+])
+def test_separable_rows_beside_opaque_rows(coefficients, forcings):
+    n = max(len(coefficients), len(forcings))
+    rows = [(2.5 + 0.5 * k, coefficients[k % len(coefficients)], forcings[k % len(forcings)])
+            for k in range(n)]
+    _check_rows(1, rows, _cfg(1))
+
+
+@pytest.mark.parametrize("diffusion", [
+    None,
+    ExtremalDiffusion(sign=-1, coeff=0.04),
+    TraceDiffusion(np.array([[0.03]])),
+    TraceDiffusion(_trace_entries(1)),
+])
+def test_rows_share_each_diffusion_kind(diffusion):
+    _check_rows(1, [(3.0, "rough", "inverse_power"), (2.5, "opaque", "none")], _cfg(1),
+                diffusion=diffusion)
+
+
+def test_rows_under_lf_cap_warn_once_each(caplog):
+    rows = [(4.0, "rough", "inverse_power"), (3.0, "rough", "none"), (2.5, "constant", "none")]
+    cfg = _cfg(1, lf_alpha_cap=0.3)
+    _check_rows(1, rows, cfg)
+
+    def cap_warnings(rows, first=0):
+        logs = [_Log() for _ in rows]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="hjholder.scheme"):
+            solve_hj(_row_specs(1, rows, logs, first=first), [_init] * len(rows),
+                     [_bc(log) for log in logs], cfg)
+        return sum("LF dissipation capped" in r.getMessage() for r in caplog.records)
+
+    alone = [cap_warnings([row], first=k) for k, row in enumerate(rows)]
+    assert cap_warnings(rows) == sum(alone) >= 2
+
+
+def test_failing_row_leaves_the_others():
+    rows = [(3.0, "rough", "inverse_power"), (3.0, "rough", "constant"),
+            (2.5, "opaque", "none")]
+    logs = [_Log() for _ in rows]
+    specs = _row_specs(1, rows, logs)
+    specs[1] = HamiltonianSpec(params=specs[1].params, coefficient=specs[1].coefficient,
+                               diffusion=specs[1].diffusion, forcing=1e9, shift=0.1)
+    inits = [_row_init(k) for k in range(len(rows))]
+    cfg = _cfg(1)
+    got = solve_hj(specs, inits, [_bc(log) for log in logs], cfg)
+    with pytest.raises((Blowup, CflViolation)) as alone:
+        solve_hj(specs[1], inits[1], _bc(_Log()), cfg)
+    assert type(got[1]) is alone.type and str(got[1]) == str(alone.value)
+    for k in (0, 2):
+        alone_log = _Log()
+        (spec,) = _row_specs(1, [rows[k]], [alone_log], first=k)
+        want = solve_hj(spec, inits[k], _bc(alone_log), cfg)
+        assert got[k].values.tobytes() == want.values.tobytes()
+        assert logs[k].calls == alone_log.calls
+
+
+def test_rows_must_share_grid_diffusion_and_shift():
+    cfg = _cfg(1)
+    base = _row_specs(1, [(3.0, "rough", "none"), (2.5, "rough", "none")], [_Log(), _Log()])
+    two = [_init, _init]
+    bcs = [_bc(_Log()), _bc(_Log())]
+    other_diffusion = HamiltonianSpec(params=base[1].params, diffusion=ExtremalDiffusion(1, 0.05),
+                                      shift=0.1)
+    other_shift = HamiltonianSpec(params=base[1].params, diffusion=base[0].diffusion, shift=0.2)
+    other_dim = HamiltonianSpec(params=EquationParams(p=3.0, A=2.0, d=2),
+                                diffusion=base[0].diffusion, shift=0.1)
+    for second in (other_diffusion, other_shift, other_dim):
+        with pytest.raises(DomainError):
+            solve_hj([base[0], second], two, bcs, cfg)
+    with pytest.raises(DomainError):
+        solve_hj(base, [_init], bcs, cfg)
+    with pytest.raises(DomainError):
+        solve_hj([], [], [], cfg)
+    # equal matrices in two TraceDiffusion objects are one shared term
+    trace = [HamiltonianSpec(params=s.params, diffusion=TraceDiffusion(np.array([[0.03]])),
+                             shift=0.1) for s in base]
+    assert len(solve_hj(trace, two, bcs, cfg)) == 2
+    trace[1] = HamiltonianSpec(params=base[1].params,
+                               diffusion=TraceDiffusion(np.array([[0.04]])), shift=0.1)
+    with pytest.raises(DomainError):
+        solve_hj(trace, two, bcs, cfg)
