@@ -166,7 +166,8 @@ def _super_terms(params: EquationParams, eta: float, rho, t):
 
     With s = rho^2 + eta t and g(s) = s^{p'/2}: t^{-1/(p-1)}, g', the bracket
     -g/((p-1) t) + eta g' of U_t and the radial bracket 2g' + 4g'' rho^2.
-    `_super_residual` turns them into the residual of one candidate (C, eps).
+    `_super_candidate` and `_super_residual` turn them into the residual of one
+    candidate (C, eps).
     """
     rho = np.asarray(rho, dtype=float)
     t = np.asarray(t, dtype=float)
@@ -184,11 +185,13 @@ def _super_terms(params: EquationParams, eta: float, rho, t):
     )
 
 
-def _super_residual(terms, C: float, eps: float, params: EquationParams, d: int):
-    """U_t + (1/A)|DU|^p - eps*m+(D^2 U) from `_super_terms`, with tau = C t^{-1/(p-1)}.
+def _super_candidate(terms, C: float, params: EquationParams, d: int):
+    """The eps-free part P = U_t + (1/A)|DU|^p of the residual of one C, and m+(D^2 U).
 
-    The barrier is radial, so the Hessian eigenvalues are tau (2g' + 4g''rho^2)
-    (radial) and 2 tau g' (tangential, d >= 2), and |DU| = 2 tau g' rho.
+    With tau = C t^{-1/(p-1)} from `_super_terms`: the barrier is radial, so
+    the Hessian eigenvalues are tau (2g' + 4g''rho^2) (radial) and 2 tau g'
+    (tangential, d >= 2), and |DU| = 2 tau g' rho.  `_super_residual` turns
+    (P, m+) into the residual at one eps.
     """
     rho, t_pow, dg, dt_bracket, rad_bracket = terms
     tau = C * t_pow
@@ -197,14 +200,20 @@ def _super_residual(terms, C: float, eps: float, params: EquationParams, d: int)
     eig_rad = tau * rad_bracket
     eig_max = np.maximum(eig_rad, tau_dg) if d >= 2 else eig_rad
     mp = np.maximum(eig_max, 0.0)
-    return tau * dt_bracket + gnorm**params.p / params.A - eps * mp
+    return tau * dt_bracket + gnorm**params.p / params.A, mp
+
+
+def _super_residual(candidate, eps: float):
+    """U_t + (1/A)|DU|^p - eps*m+(D^2 U) from the `_super_candidate` (P, m+) of one C."""
+    P, mp = candidate
+    return P - eps * mp
 
 
 def _super_residual_radial(bar: SupersolutionBarrier, rho, t, eps: float, d: int):
     """Vectorized residual over radii/times; identical to the pointwise form
     because the barrier is radial."""
     terms = _super_terms(bar.params, bar.eta, rho, t)
-    return _super_residual(terms, bar.C, eps, bar.params, d)
+    return _super_residual(_super_candidate(terms, bar.C, bar.params, d), eps)
 
 
 def find_supersolution_constants(
@@ -214,16 +223,21 @@ def find_supersolution_constants(
 ) -> tuple[float, float]:
     """(C, eps0) certified on the verification grid.
 
-    Scans eps0 by halving from 1 and C by doubling from 1 until the residual
-    of the eta-barrier at eps = eta*eps0 is >= -1e-10 at every node; the
-    residual is nonincreasing in eps, so the check at eps = eta*eps0 covers
-    all smaller eps.  Raises SearchFailed when no pair passes within budget
-    (p too close to 2 for the grid resolution).
+    The candidates are C = 2^j and eps0 = 2^-h for j, h = 0..40; a candidate
+    passes when the residual of the eta-barrier at eps = eta*eps0 is >= -1e-10
+    at every node.  The residual is nonincreasing in eps, so the check at
+    eps = eta*eps0 covers all smaller eps.  The result is the passing
+    candidate with the fewest halvings h, and among those the smallest C.
+    Raises SearchFailed when no candidate passes (p too close to 2 for the
+    grid resolution).
 
     Everything in the residual that does not depend on C or eps (g and its
     derivatives in s = |x|^2 + eta t, t^{-1/(p-1)} and the brackets of U_t and
-    of the radial eigenvalue) is computed once per search; each candidate
-    costs only the terms in tau = C t^{-1/(p-1)} and eps.
+    of the radial eigenvalue) is computed once per search.  The search walks
+    C upward and builds the eps-free part P(C) and m+(C) of the residual once
+    for each C; each eps0 then costs one P - eps*m+.  For each C only halving
+    counts below the best found so far are tried, and the walk stops at the
+    first C that passes at eps0 = 1.
     """
     params.require_superquadratic("find_supersolution_constants")
     if not eta > 0:
@@ -231,19 +245,27 @@ def find_supersolution_constants(
     grid = grid or VerificationGrid()
     rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
     terms = _super_terms(params, eta, rho, t)
-    eps0 = 1.0
-    for _ in range(_EPS0_MAX_HALVINGS):
-        c = 1.0
-        for _ in range(_C_MAX_DOUBLINGS):
-            res = _super_residual(terms, c, eta * eps0, params, params.d)
+    found = None
+    halvings = _EPS0_MAX_HALVINGS  # a pass must take fewer halvings than this
+    c = 1.0
+    for _ in range(_C_MAX_DOUBLINGS):
+        candidate = _super_candidate(terms, c, params, params.d)
+        eps0 = 1.0
+        for h in range(halvings):
+            res = _super_residual(candidate, eta * eps0)
             if res.min() >= -RESIDUAL_TOL:
-                return c, eps0
-            c *= 2.0
-        eps0 *= 0.5
-    raise SearchFailed(
-        f"no supersolution certificate for p={params.p}, A={params.A}, eta={eta} "
-        f"within budget; p may be too close to 2 for this grid"
-    )
+                found, halvings = (c, eps0), h
+                break
+            eps0 *= 0.5
+        if halvings == 0:
+            break
+        c *= 2.0
+    if found is None:
+        raise SearchFailed(
+            f"no supersolution certificate for p={params.p}, A={params.A}, eta={eta} "
+            f"within budget; p may be too close to 2 for this grid"
+        )
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +451,7 @@ class FirstOrderConstants:
 
     def margins(self) -> tuple[float, float, float]:
         """Slack of each inequality (all must be >= 0)."""
-        p, A = self.params.p, self.params.A
-        pp = self.params.p_prime
-        c_p = legendre_closed(p, 1.0).c_p
-        lhs1 = c_p * (self.T - 1.0) ** (1.0 - pp) * A ** (pp - 1.0) * 3.0**pp
-        lhs2 = c_p * self.T ** (1.0 - pp) * A ** (pp - 1.0)
+        lhs1, lhs2 = _first_order_costs(self.params, self.T)
         return (
             (1.0 - 4.0 * self.theta) - lhs1,
             lhs2 - 2.0 * self.theta,
@@ -455,20 +473,32 @@ class FirstOrderConstants:
         return cls(data["T"], data["theta"], data["eps"], params)
 
 
+def _first_order_costs(params: EquationParams, T: float) -> tuple[float, float]:
+    """The left sides c_p (T-1)^{1-p'} A^{p'-1} 3^{p'} and c_p T^{1-p'} A^{p'-1}
+    of the first two inequalities; SearchFailed when they leave the float range."""
+    p, A = params.p, params.A
+    pp = params.p_prime
+    c_p = legendre_closed(p, 1.0).c_p
+    try:
+        return (c_p * (T - 1.0) ** (1.0 - pp) * A ** (pp - 1.0) * 3.0**pp,
+                c_p * T ** (1.0 - pp) * A ** (pp - 1.0))
+    except OverflowError:
+        raise SearchFailed(
+            f"first-order constants for p={p}, A={A} leave the float range "
+            f"(p' = {pp:g})"
+        ) from None
+
+
 def first_order_constants(params: EquationParams) -> FirstOrderConstants:
     """Solve the system in the proof's order: grow T by doubling until the
     left side of the first inequality drops below 1, take theta as the
     largest value the first two inequalities allow, then eps = theta/(2T)."""
-    p, A = params.p, params.A
-    pp = params.p_prime
-    c_p = legendre_closed(p, 1.0).c_p
     T = 2.0
-    while c_p * (T - 1.0) ** (1.0 - pp) * A ** (pp - 1.0) * 3.0**pp >= 1.0:
+    while _first_order_costs(params, T)[0] >= 1.0:
         T *= 2.0
         if T > 2.0**200:
             raise SearchFailed("first-order T search diverged")
-    lhs1 = c_p * (T - 1.0) ** (1.0 - pp) * A ** (pp - 1.0) * 3.0**pp
-    lhs2 = c_p * T ** (1.0 - pp) * A ** (pp - 1.0)
+    lhs1, lhs2 = _first_order_costs(params, T)
     theta = min((1.0 - lhs1) / 4.0, lhs2 / 2.0)
     eps = theta / (2.0 * T)
     return FirstOrderConstants(T, theta, eps, params)
@@ -512,19 +542,13 @@ def two_case_oscillation_check(
     """
     d = u.dim
     center = np.zeros(d) if center is None else np.atleast_1d(np.asarray(center, float))
-    dist2 = np.zeros(u.n_space)
-    for i in range(d):
-        coord = u.axis_coords(i) - center[i]
-        shape = [1] * d
-        shape[i] = -1
-        dist2 = dist2 + (coord**2).reshape(shape)
     ts = u.times()
-    cover_sp = dist2 < (R + r) ** 2
+    cover_box, cover_sp = u.ball_box(center, R + r)
     cover_t = (ts >= -1e-12) & (ts <= 1.0 + 1e-12)
     cover = cover_sp[..., None] & cover_t
     if not cover.any():
         raise EmptyIntersection("covering cylinder misses the grid")
-    covered = u.values[cover]
+    covered = u.values[cover_box][cover]
     if covered.min() < -range_tol or covered.max() > 1.0 + range_tol:
         raise DomainError(
             f"values must lie in [0,1] on the covering cylinder; got "
@@ -534,23 +558,25 @@ def two_case_oscillation_check(
     i_bottom = int(np.argmin(np.abs(ts)))
     if abs(ts[i_bottom]) > 0.5 * u.spacing_t + 1e-12:
         raise DomainError("grid has no time slice near t = 0")
-    bottom_mask = dist2 < R**2
+    bottom_box, bottom_mask = u.ball_box(center, R)
     if not bottom_mask.any():
         raise EmptyIntersection("B_R misses the spatial grid")
-    bottom_vals = u.values[..., i_bottom][bottom_mask]
+    bottom_vals = u.values[..., i_bottom][bottom_box][bottom_mask]
     bottom_min = float(bottom_vals.min())
 
     upper_t = (ts >= 0.5 - 1e-12) & (ts <= 1.0 + 1e-12)
     case1 = bottom_min <= theta
     if case1:
-        region = bottom_mask[..., None] & upper_t
+        region_box, region_sp = bottom_box, bottom_mask
         threshold = 1.0 - theta
     else:
-        region = (dist2 < (R / 2.0) ** 2)[..., None] & upper_t
+        region_box, region_sp = u.ball_box(center, R / 2.0)
         threshold = theta / 2.0
+    region = region_sp[..., None] & upper_t
     if not region.any():
         raise EmptyIntersection("conclusion region misses the grid")
-    vals = np.where(region, u.values, np.nan)
+    # within the box, whose C order is the grid's, the first extreme node is the grid's
+    vals = np.where(region, u.values[region_box], np.nan)
     if case1:
         flat = int(np.nanargmax(vals))
         witness = float(np.nanmax(vals))
@@ -561,8 +587,8 @@ def two_case_oscillation_check(
         witness = float(np.nanmin(vals))
         passed = witness >= threshold - 1e-12
         margin = witness - threshold
-    idx = np.unravel_index(flat, u.values.shape)
-    wx = tuple(float(u.axis_coords(i)[idx[i]]) for i in range(d))
+    idx = np.unravel_index(flat, vals.shape)
+    wx = tuple(float(u.axis_coords(i)[region_box[i].start + idx[i]]) for i in range(d))
     wt = float(ts[idx[-1]])
     return TwoCaseReport(
         case=1 if case1 else 2,

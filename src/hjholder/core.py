@@ -116,6 +116,12 @@ class ParabolicCylinder:
         return in_ball & in_slab
 
 
+def _span(mask: np.ndarray) -> slice:
+    """The shortest slice of a 1-D mask that holds all its True entries."""
+    hits = np.flatnonzero(mask)
+    return slice(int(hits[0]), int(hits[-1]) + 1) if hits.size else slice(0, 0)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Scalar values on a uniform space-time grid over a box x interval.
@@ -181,22 +187,46 @@ class GridFunction:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def node_mask(self, q: ParabolicCylinder) -> np.ndarray:
-        """Boolean mask over values marking nodes inside the cylinder."""
-        if q.dim != self.dim:
-            raise DomainError(f"cylinder dim {q.dim} != grid dim {self.dim}")
-        center = np.asarray(q.center_x)
-        dist2 = np.zeros(self.n_space)
+    def ball_box(self, center, radius: float) -> tuple:
+        """(box, mask) of the spatial nodes in the open ball B_radius(center).
+
+        box holds one slice per space axis, spanning the nodes whose offset
+        on that axis alone is below the radius; mask, of the box's shape,
+        marks the nodes in the ball.  Every node outside the box is outside
+        the ball: the squared distance is 0.0 + sum over the axes of
+        (x_i - c_i)^2, and a sum of nonnegative floats is never below one of
+        its terms.
+        """
+        r2 = radius**2
+        box, dist2 = [], 0.0
         for i in range(self.dim):
-            coord = self.axis_coords(i) - center[i]
+            term = (self.axis_coords(i) - center[i]) ** 2
+            window = _span(term < r2)
             shape = [1] * self.dim
             shape[i] = -1
-            dist2 = dist2 + (coord**2).reshape(shape)
-        sp_mask = dist2 < q.radius**2
+            box.append(window)
+            dist2 = dist2 + term[window].reshape(shape)
+        return tuple(box), dist2 < r2
+
+    def cylinder_box(self, q: ParabolicCylinder) -> tuple:
+        """(box, mask) of the nodes inside the cylinder: box holds one slice
+        per axis of values and mask, of the box's shape, marks the nodes of
+        the box inside q, so u.values[box][mask] are the values in q."""
+        if q.dim != self.dim:
+            raise DomainError(f"cylinder dim {q.dim} != grid dim {self.dim}")
+        sp_box, sp_mask = self.ball_box(q.center_x, q.radius)
         ts = self.times()
         tol = _TIME_TOL * (1.0 + abs(q.top_t) + abs(q.t_bottom))
         t_mask = (ts >= q.t_bottom - tol) & (ts <= q.top_t + tol)
-        return sp_mask[..., None] & t_mask
+        t_box = _span(t_mask)
+        return sp_box + (t_box,), sp_mask[..., None] & t_mask[t_box]
+
+    def node_mask(self, q: ParabolicCylinder) -> np.ndarray:
+        """Boolean mask over values marking nodes inside the cylinder."""
+        box, mask = self.cylinder_box(q)
+        out = np.zeros(self.values.shape, dtype=bool)
+        out[box] = mask
+        return out
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return replace(self, values=np.asarray(values, dtype=float))
@@ -217,19 +247,19 @@ def osc_over_cylinder(u: GridFunction, q: ParabolicCylinder) -> float:
 
     Raises EmptyIntersection when no node lies in the cylinder.
     """
-    mask = u.node_mask(q)
+    box, mask = u.cylinder_box(q)
     if not mask.any():
         raise EmptyIntersection(f"no grid node inside cylinder {q}")
-    vals = u.values[mask]
+    vals = u.values[box][mask]
     return float(vals.max() - vals.min())
 
 
 def shift_normalize(u: GridFunction, q: ParabolicCylinder) -> GridFunction:
     """u minus its minimum over q; the minimum of the result over q is 0."""
-    mask = u.node_mask(q)
+    box, mask = u.cylinder_box(q)
     if not mask.any():
         raise EmptyIntersection(f"no grid node inside cylinder {q}")
-    return u.with_values(u.values - u.values[mask].min())
+    return u.with_values(u.values - u.values[box][mask].min())
 
 
 # ---------------------------------------------------------------------------

@@ -60,14 +60,14 @@ def measure_oscillations(
     for k in range(levels + 1):
         r = r0 * lam**k
         q = ParabolicCylinder(tuple(cx), ct, r, beta)
-        mask = u.node_mask(q)
+        box, mask = u.cylinder_box(q)
         n_nodes = int(mask.sum())
         if k == 0 and n_nodes == 0:
             raise EmptyIntersection("outer cylinder misses the grid")
         if n_nodes < 2:
             logger.info("truncating at level %d: cylinder holds %d node(s)", k, n_nodes)
             break
-        vals = u.values[mask]
+        vals = u.values[box][mask]
         out.append((r, float(vals.max() - vals.min())))
     return out
 

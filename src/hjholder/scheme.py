@@ -56,12 +56,32 @@ class ExtremalDiffusion:
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TraceDiffusion:
     """Diffusion term tr(B(x,t) D^2 u); entries(*coords, t) returns either a
-    constant (d, d) matrix or an array of shape (d, d, *space)."""
+    constant (d, d) matrix or an array of shape (d, d, *space).
+
+    Two terms are equal when their entries are one object, or are both
+    arrays of the same shape and bits; callables compare by identity.
+    """
 
     entries: object
+
+    def _bits(self):
+        x = np.asarray(self.entries, dtype=float)
+        return x.shape, x.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceDiffusion):
+            return NotImplemented
+        if self.entries is other.entries:
+            return True
+        if callable(self.entries) or callable(other.entries):
+            return False
+        return self._bits() == other._bits()
+
+    def __hash__(self):
+        return hash(id(self.entries) if callable(self.entries) else self._bits())
 
     def matrix_at(self, coords, t, d):
         b = self.entries(*coords, t) if callable(self.entries) else self.entries
@@ -418,18 +438,6 @@ def _diffusion_term(diff, st: _Stencil, u, bs):
     return total
 
 
-def _same_diffusion(a, b) -> bool:
-    """Whether two diffusion specs are one term; matrix entries compare by their bits."""
-    if isinstance(a, TraceDiffusion) and isinstance(b, TraceDiffusion):
-        if a.entries is b.entries:
-            return True
-        if callable(a.entries) or callable(b.entries):
-            return False
-        x, y = np.asarray(a.entries, dtype=float), np.asarray(b.entries, dtype=float)
-        return x.shape == y.shape and x.tobytes() == y.tobytes()
-    return a == b
-
-
 def _row_block(u_all: np.ndarray, rows: list) -> tuple:
     """Rows of u_all as one array, and whether it is a copy to write back.
 
@@ -484,7 +492,7 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
     for spec in specs:
         if d != spec.params.d:
             raise DomainError(f"config dim {d} != params dim {spec.params.d}")
-        if spec.shift != shift or not _same_diffusion(spec.diffusion, diffusion):
+        if spec.shift != shift or spec.diffusion != diffusion:
             raise DomainError("rows solved together must share diffusion and shift")
     dx = cfg.spacings()
     dx_min = min(dx)

@@ -81,15 +81,19 @@ def legendre_brute(
         raise DomainError(f"n_samples must be >= 100, got {n_samples}")
     if not search_radius > 0.0:
         raise DomainError("search_radius must be positive")
+    if math.isinf(search_radius):
+        raise WindowTooSmall("the search window |xi| <= inf cannot be sampled")
     qv = np.atleast_1d(np.asarray(q, dtype=float))
     qnorm = float(np.linalg.norm(qv))
     s = np.linspace(-search_radius, search_radius, int(n_samples))
     vals = qnorm * s - (shift + A * np.abs(s) ** p)
     k = int(np.argmax(vals))
     if k in (0, len(s) - 1) and qnorm > 0.0:
-        raise WindowTooSmall(
-            f"maximizer on the window edge; |xi*|={(qnorm / (p * A)) ** (1.0 / (p - 1.0)):g}"
-        )
+        try:
+            xi_star = (qnorm / (p * A)) ** (1.0 / (p - 1.0))
+        except OverflowError:  # p close to 1
+            xi_star = math.inf
+        raise WindowTooSmall(f"maximizer on the window edge; |xi*|={xi_star:g}")
     return float(vals[k])
 
 

@@ -1,20 +1,24 @@
-"""The certificate checkers against their per-candidate and pair-index forms.
+"""The certificate checkers against their per-candidate, pair-index and
+full-grid forms.
 
 The references below are frozen, test-local copies of the code that the
-once-per-search terms and the sliced neighbour blocks replaced: the
-supersolution and subsolution residuals recomputed whole for every
-candidate, both searches' candidate loops, and the modulus check built on
-(N, 2) pair-index arrays.  The same float operations run in the same order,
-so every residual array, every certificate and every ModulusReport must
-agree bit for bit.
+once-per-search terms, the C-outer supersolution search, the sliced
+neighbour blocks and the cylinder boxes replaced: the supersolution and
+subsolution residuals recomputed whole for every candidate, both searches'
+eps-outer candidate loops, the modulus check built on (N, 2) pair-index
+arrays, and the ball and cylinder masks built over the whole grid.  The same
+float operations run in the same order, so every residual array, every
+certificate, every mask and every report must agree bit for bit.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hjholder import barriers
+from hjholder import barriers, oscillation
 from hjholder.barriers import (
     BumpFunction,
     SubsolutionBarrier,
@@ -24,10 +28,11 @@ from hjholder.barriers import (
     _super_residual_radial,
     find_supersolution_constants,
     make_subsolution_barrier,
+    two_case_oscillation_check,
 )
-from hjholder.core import EquationParams, GridFunction
-from hjholder.errors import DomainError
-from hjholder.oscillation import ModulusReport, holder_modulus_check
+from hjholder.core import EquationParams, GridFunction, ParabolicCylinder
+from hjholder.errors import DomainError, EmptyIntersection, SearchFailed
+from hjholder.oscillation import ModulusReport, holder_modulus_check, iterate_scales
 from hjholder.scaling import time_exponent
 
 # ---------------------------------------------------------------------------
@@ -75,7 +80,8 @@ def _ref_sub_residual_radial(bar, params, rho, t, d):
 
 
 def _ref_super_search(params, eta, grid):
-    """The old search: (C, eps0) and every candidate (C, eps) it tried."""
+    """The old search: (C, eps0), or None where it raised SearchFailed, and
+    every candidate (C, eps) it tried."""
     rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
     tried = []
     eps0 = 1.0
@@ -89,7 +95,7 @@ def _ref_super_search(params, eta, grid):
                 return (c, eps0), tried
             c *= 2.0
         eps0 *= 0.5
-    raise AssertionError("reference supersolution search failed")
+    return None, tried
 
 
 def _ref_sub_search(params, R, grid, theta_margin=0.01, eps_halvings=80):
@@ -150,29 +156,84 @@ def test_sub_residual_matches_reference(p, d):
             assert _same_bits(got, _ref_sub_residual_radial(bar, params, rho, t, d))
 
 
+def _check_supersolution_search(params, eta, grid, monkeypatch):
+    """Run the search with every P(C) build counted and every residual it forms
+    checked bit for bit against the per-candidate reference; compare the
+    result with the old loop's, and check that every candidate the old loop
+    rejected still fails."""
+    d = params.d
+    rho, t = np.meshgrid(grid.radii(d), grid.times(), indexing="ij")
+    build, subtract = barriers._super_candidate, barriers._super_residual
+    built = []
+
+    def counted(terms, C, params_, d_):
+        built.append(C)
+        return build(terms, C, params_, d_)
+
+    def checked(candidate, eps):
+        res = subtract(candidate, eps)
+        ref = _ref_super_residual_radial(SupersolutionBarrier(built[-1], eta, params),
+                                         rho, t, eps, d)
+        assert _same_bits(res, ref), (built[-1], eps)
+        return res
+
+    monkeypatch.setattr(barriers, "_super_candidate", counted)
+    monkeypatch.setattr(barriers, "_super_residual", checked)
+    try:
+        result = find_supersolution_constants(params, eta, grid)
+    except SearchFailed:
+        result = None
+    search_builds = list(built)
+    ref_result, ref_tried = _ref_super_search(params, eta, grid)
+    assert result == ref_result
+    # one build per C, up the ladder; the walk ends early only at a pass with eps0 = 1
+    if result is not None and result[1] == 1.0:
+        n_builds = round(math.log2(result[0])) + 1
+    else:
+        n_builds = barriers._C_MAX_DOUBLINGS
+    assert search_builds == [2.0**j for j in range(n_builds)]
+    terms = barriers._super_terms(params, eta, rho, t)
+    candidates = {}
+    for C, eps in ref_tried if ref_result is None else ref_tried[:-1]:
+        if C not in candidates:
+            candidates[C] = build(terms, C, params, d)
+        assert subtract(candidates[C], eps).min() < -barriers.RESIDUAL_TOL, (C, eps)
+    return result
+
+
 @pytest.mark.parametrize("eta", [0.1, 1.0])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_supersolution_search_matches_reference(p, d, eta, monkeypatch):
-    """Same candidates in the same order, each residual bit-equal, same (C, eps0)."""
-    grid = VerificationGrid()
+    """Same (C, eps0) as the old loop, every residual formed bit-equal, at most
+    one P(C) build per C of the ladder, every rejected candidate still failing."""
     params = EquationParams(p=p, A=2.0, d=d)
-    rho, t = np.meshgrid(grid.radii(d), grid.times(), indexing="ij")
-    inner = barriers._super_residual
-    tried = []
+    _check_supersolution_search(params, eta, VerificationGrid(), monkeypatch)
 
-    def checked(terms, C, eps, params_, d_):
-        res = inner(terms, C, eps, params_, d_)
-        ref = _ref_super_residual_radial(SupersolutionBarrier(C, eta, params), rho, t, eps, d)
-        assert _same_bits(res, ref), (C, eps)
-        tried.append((C, eps))
-        return res
 
-    monkeypatch.setattr(barriers, "_super_residual", checked)
-    result = find_supersolution_constants(params, eta, grid)
-    ref_result, ref_tried = _ref_super_search(params, eta, grid)
-    assert result == ref_result
-    assert tried == ref_tried
+@pytest.mark.parametrize("eta", [0.01, 10.0])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("p, A, expected", [
+    (2.0 + 1e-9, 50.0, (16.0, 2.0**-32)),
+    (2.5, 1e4, (256.0, 2.0**-4)),
+    (3.0, 1e8, (4096.0, 2.0**-3)),
+    (2.0 + 1e-12, 2.0, None),  # no candidate passes: SearchFailed
+])
+def test_supersolution_search_on_a_coarse_grid(p, A, expected, d, eta, monkeypatch):
+    """Large A needs C > 1; p this close to 2 exhausts the budget on both sides."""
+    grid = VerificationGrid(nx=9, nt=9, t_min=1e-6)
+    result = _check_supersolution_search(EquationParams(p=p, A=A, d=d), eta, grid,
+                                         monkeypatch)
+    if d == 1:
+        assert result == expected
+
+
+def test_supersolution_search_stops_at_a_pass_with_eps0_one(monkeypatch):
+    """A C that passes at eps0 = 1 ends the walk up the C ladder.  Off the
+    origin (nx even) with t >= 1/2, C = 128 passes at eps0 = 1."""
+    params = EquationParams(p=2.5, A=100.0, d=1)
+    grid = VerificationGrid(nx=8, nt=9, t_min=0.5)
+    assert _check_supersolution_search(params, 1.0, grid, monkeypatch) == (128.0, 1.0)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -205,11 +266,12 @@ def test_subsolution_search_matches_reference(p, d, monkeypatch):
 
 
 def _count_calls(monkeypatch, name):
+    """The arguments of every call to barriers.<name>, in order."""
     inner = getattr(barriers, name)
     calls = []
 
     def counted(*args):
-        calls.append(1)
+        calls.append(args)
         return inner(*args)
 
     monkeypatch.setattr(barriers, name, counted)
@@ -220,13 +282,35 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
 def test_supersolution_candidate_count(p, d, eta, monkeypatch):
-    """Every candidate is checked once, in the order perfbench/tracing.py derives
-    barriers.candidates_per_certificate from."""
-    calls = _count_calls(monkeypatch, "_super_residual")
+    """Each C of the ladder is built once.  At each C the search forms the
+    residuals at eps0 = 1, 1/2, ... in turn: up to the first pass for a C below
+    the certificate's, up to the certificate's eps0 at its C, and only the
+    eps0 with fewer halvings above it.  (perfbench/tracing.py still derives
+    barriers.candidates_per_certificate from the eps0-outer loop's count.)"""
+    build, subtract = barriers._super_candidate, barriers._super_residual
+    tried = {}  # C -> halving counts of the residuals formed, in order
+
+    def counted(terms, C, params_, d_):
+        assert C not in tried
+        tried[C] = []
+        return build(terms, C, params_, d_)
+
+    def logged(candidate, eps):
+        tried[max(tried)].append(round(-math.log2(eps / eta)))
+        return subtract(candidate, eps)
+
+    monkeypatch.setattr(barriers, "_super_candidate", counted)
+    monkeypatch.setattr(barriers, "_super_residual", logged)
     C, eps0 = find_supersolution_constants(EquationParams(p=p, A=2.0, d=d), eta)
-    expected = (round(-math.log2(eps0)) * barriers._C_MAX_DOUBLINGS
-                + round(math.log2(C)) + 1)
-    assert len(calls) == expected
+    h = round(-math.log2(eps0))
+    assert h > 0
+    assert list(tried) == [2.0**j for j in range(barriers._C_MAX_DOUBLINGS)]
+    for c, halvings in tried.items():
+        assert halvings == list(range(len(halvings)))
+        if c < C:
+            assert h < len(halvings) <= barriers._EPS0_MAX_HALVINGS
+        else:
+            assert len(halvings) == (h + 1 if c == C else h)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -396,3 +480,223 @@ def test_modulus_rejects_a_grid_without_pairs():
     u = GridFunction((0.0,), (1.0,), 0.0, 1.0, np.zeros((1, 1)))
     with pytest.raises(DomainError):
         holder_modulus_check(u, 0.5, 1.0, 3.0, n_random_pairs=10)
+
+
+# ---------------------------------------------------------------------------
+# Reference: ball and cylinder masks over the whole grid
+# ---------------------------------------------------------------------------
+
+
+def _ref_dist2(u, center):
+    dist2 = np.zeros(u.n_space)
+    for i in range(u.dim):
+        coord = u.axis_coords(i) - center[i]
+        shape = [1] * u.dim
+        shape[i] = -1
+        dist2 = dist2 + (coord**2).reshape(shape)
+    return dist2
+
+
+def _ref_node_mask(u, q):
+    sp_mask = _ref_dist2(u, np.asarray(q.center_x)) < q.radius**2
+    ts = u.times()
+    tol = 1e-12 * (1.0 + abs(q.top_t) + abs(q.t_bottom))
+    t_mask = (ts >= q.t_bottom - tol) & (ts <= q.top_t + tol)
+    return sp_mask[..., None] & t_mask
+
+
+def _ref_measure_oscillations(u, center, lam, beta, levels, r0=1.0):
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    cx, ct = center[:-1], float(center[-1])
+    out = []
+    for k in range(levels + 1):
+        r = r0 * lam**k
+        mask = _ref_node_mask(u, ParabolicCylinder(tuple(cx), ct, r, beta))
+        n_nodes = int(mask.sum())
+        if k == 0 and n_nodes == 0:
+            raise EmptyIntersection("outer cylinder misses the grid")
+        if n_nodes < 2:
+            break
+        vals = u.values[mask]
+        out.append((r, float(vals.max() - vals.min())))
+    return out
+
+
+def _ref_two_case(u, params, R, r, theta, center=None, range_tol=1e-8):
+    d = u.dim
+    center = np.zeros(d) if center is None else np.atleast_1d(np.asarray(center, float))
+    dist2 = _ref_dist2(u, center)
+    ts = u.times()
+    cover = (dist2 < (R + r) ** 2)[..., None] & (ts >= -1e-12) & (ts <= 1.0 + 1e-12)
+    if not cover.any():
+        raise EmptyIntersection("covering cylinder misses the grid")
+    covered = u.values[cover]
+    if covered.min() < -range_tol or covered.max() > 1.0 + range_tol:
+        raise DomainError(
+            f"values must lie in [0,1] on the covering cylinder; got "
+            f"[{covered.min():g}, {covered.max():g}]"
+        )
+    i_bottom = int(np.argmin(np.abs(ts)))
+    bottom_mask = dist2 < R**2
+    if not bottom_mask.any():
+        raise EmptyIntersection("B_R misses the spatial grid")
+    bottom_min = float(u.values[..., i_bottom][bottom_mask].min())
+    upper_t = (ts >= 0.5 - 1e-12) & (ts <= 1.0 + 1e-12)
+    case1 = bottom_min <= theta
+    if case1:
+        region = bottom_mask[..., None] & upper_t
+        threshold = 1.0 - theta
+    else:
+        region = (dist2 < (R / 2.0) ** 2)[..., None] & upper_t
+        threshold = theta / 2.0
+    if not region.any():
+        raise EmptyIntersection("conclusion region misses the grid")
+    vals = np.where(region, u.values, np.nan)
+    if case1:
+        flat = int(np.nanargmax(vals))
+        witness = float(np.nanmax(vals))
+        passed = witness <= threshold + 1e-12
+        margin = threshold - witness
+    else:
+        flat = int(np.nanargmin(vals))
+        witness = float(np.nanmin(vals))
+        passed = witness >= threshold - 1e-12
+        margin = witness - threshold
+    idx = np.unravel_index(flat, u.values.shape)
+    return barriers.TwoCaseReport(
+        case=1 if case1 else 2,
+        passed=bool(passed),
+        threshold=float(threshold),
+        witness_value=witness,
+        witness_x=tuple(float(u.axis_coords(i)[idx[i]]) for i in range(d)),
+        witness_t=float(ts[idx[-1]]),
+        margin=float(margin),
+        bottom_min=bottom_min,
+        n_bottom_nodes=int(bottom_mask.sum()),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cylinder boxes
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _grid_and_cylinder(draw):
+    """A small grid and a cylinder whose centre lies inside, outside or on the
+    grid's edge, whose radius runs from below one spacing to past the box,
+    and whose time slab may lie partly or wholly off the grid."""
+    d = draw(st.sampled_from([1, 2]))
+    n_space = [draw(st.integers(1, 12)) for _ in range(d)]
+    nt = draw(st.integers(1, 8))
+    origin = [draw(st.floats(-2.0, 2.0)) for _ in range(d)]
+    spacing = [draw(st.floats(0.01, 1.0)) for _ in range(d)]
+    t0, dt = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.01, 1.0))
+    center = []
+    for lo, h, n in zip(origin, spacing, n_space):
+        where = draw(st.sampled_from(["node", "edge", "anywhere"]))
+        if where == "node":  # exactly on a node, so node offsets tie with radii k*h
+            center.append(lo + h * draw(st.integers(0, n - 1)))
+        elif where == "edge":
+            center.append(lo + h * draw(st.sampled_from([0, n - 1])))
+        else:
+            center.append(draw(st.floats(lo - 3.0, lo + n * h + 3.0)))
+    h_min = min(spacing)
+    if draw(st.booleans()):
+        radius = h_min * draw(st.integers(1, 20))  # ties with node offsets
+    else:
+        radius = draw(st.floats(0.1 * h_min, 2.0 * max(n * h for n, h in zip(n_space, spacing))
+                                + 1.0))
+    top_t = draw(st.floats(t0 - 3.0, t0 + nt * dt + 3.0))
+    beta = draw(st.floats(0.25, 3.0))
+    values = np.arange(math.prod(n_space) * nt, dtype=float).reshape(*n_space, nt)
+    u = GridFunction(tuple(origin), tuple(spacing), t0, dt, values)
+    return u, ParabolicCylinder(tuple(center), top_t, radius, beta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_and_cylinder())
+def test_node_mask_matches_the_full_grid_formula(case):
+    u, q = case
+    ref = _ref_node_mask(u, q)
+    assert _same_bits(u.node_mask(q), ref)
+    box, mask = u.cylinder_box(q)
+    assert _same_bits(u.values[box][mask], u.values[ref])  # same nodes, same order
+    ball_box, ball = u.ball_box(q.center_x, q.radius)
+    full = np.zeros(u.n_space, dtype=bool)
+    full[ball_box] = ball
+    assert _same_bits(full, _ref_dist2(u, np.asarray(q.center_x)) < q.radius**2)
+
+
+def _rough_grid(d, shape, half=1.0, t1=1.0):
+    """Values in [0, 1] with structure at many scales, on [-half, half]^d x [0, t1]."""
+    axes = [np.linspace(-half, half, n) for n in shape[:-1]] + [np.linspace(0.0, t1, shape[-1])]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    x, t = mesh[:-1], mesh[-1]
+    vals = 0.5 + 0.3 * np.sin(7.0 * sum(x) + 2.0 * t) * np.cos(3.0 * x[-1] - t)
+    vals = vals + 0.1 * np.sin(40.0 * x[0]) * (0.2 + t)
+    spacing = tuple(2.0 * half / (n - 1) for n in shape[:-1])
+    return GridFunction((-half,) * d, spacing, 0.0, t1 / (shape[-1] - 1), vals)
+
+
+_ROUGH = {1: (257, 33), 2: (65, 65, 17)}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_iterate_scales_report_matches_reference(d, monkeypatch):
+    u = _rough_grid(d, _ROUGH[d], half=2.0)
+    params = EquationParams(p=3.0, A=2.0, d=d)
+    centers = [(0.0,) * d + (1.0,), (0.93,) * d + (0.4,), (-1.0,) * d + (1.0,)]
+    verdicts = set()
+    for kwargs in (dict(), dict(r0=0.5), dict(centers=centers, r0=0.3)):
+        for lam, theta, alpha in ((0.6, 0.006, 0.01), (0.6, 0.25, 0.5)):
+            got = iterate_scales(u, params, lam, theta, alpha, **kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(oscillation, "measure_oscillations", _ref_measure_oscillations)
+                ref = iterate_scales(u, params, lam, theta, alpha, **kwargs)
+            assert repr(got) == repr(ref)
+            verdicts |= {(c.passed, c.truncated) for c in got.centers}
+    assert {(True, False), (False, False)} <= verdicts
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_measure_oscillations_matches_reference(d):
+    u = _rough_grid(d, _ROUGH[d])
+    for center in [(0.0,) * d + (1.0,), (0.37,) * d + (0.6,), (1.0,) * d + (0.05,)]:
+        for lam, beta, levels, r0 in ((0.5, 2.0, 12, 1.0), (0.9, 1.3, 40, 0.7)):
+            got = oscillation.measure_oscillations(u, center, lam, beta, levels, r0)
+            ref = _ref_measure_oscillations(u, center, lam, beta, levels, r0)
+            assert repr(got) == repr(ref)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_two_case_report_matches_reference(d):
+    params = EquationParams(p=3.0, A=2.0, d=d)
+    rough = _rough_grid(d, _ROUGH[d], half=1.5)
+    raised_bottom = rough.values.copy()
+    raised_bottom[..., 0] = 0.95
+    grids = [rough,
+             rough.with_values(0.5 * rough.values),  # case 1 passes
+             rough.with_values(raised_bottom),  # case 2, failing for large theta
+             rough.with_values(1.3 * rough.values - 0.15)]  # leaves [0, 1]
+    outcomes = set()
+    for u in grids:
+        for theta in (0.05, 0.3, 0.45):
+            for R, r in ((0.5, 0.25), (1.0, 0.5), (0.07, 0.01), (0.004, 0.001)):
+                for center in (None, (0.3,) * d, (-0.41,) * d, (1.5,) * d, (5.0,) * d):
+                    got, ref = [_outcome(check, u, params, R, r, theta, center=center)
+                                for check in (two_case_oscillation_check, _ref_two_case)]
+                    assert got == ref
+                    outcomes.add(got[:2])
+    assert outcomes >= {("case 1", True), ("case 1", False), ("case 2", True),
+                        ("case 2", False), ("raised", "EmptyIntersection"),
+                        ("raised", "DomainError")}
+
+
+def _outcome(check, *args, **kwargs):
+    """What a check returned, by case, verdict and repr, or what it raised."""
+    try:
+        rep = check(*args, **kwargs)
+    except (DomainError, EmptyIntersection) as exc:
+        return "raised", type(exc).__name__, str(exc)
+    return f"case {rep.case}", rep.passed, repr(rep)

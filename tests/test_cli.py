@@ -64,6 +64,18 @@ class TestExitCodes:
         # m too close to 1 + d/p: the L^m theory has no admissible alpha
         assert run(["scale", "--p", "3", "--m", "1.3", "--d", "2"]) == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["constants", "first-order", "--p", "1.001", "--A", "1"], "leave the float range"),
+        (["legendre", "--p", "1.001", "--A", "1"], "cannot be sampled"),
+    ])
+    def test_float_overflow_is_a_failed_verification(self, argv, message, capsys):
+        # p' = 1001: 3^{p'} and the Legendre search window overflow a float
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("verification failed: ")
+        assert message in err
+        assert "Traceback" not in err
+
     def test_invalid_args_exit_2(self):
         assert run(["legendre", "--p", "2"]) == 2
         assert run(["nonsense"]) == 2

@@ -358,3 +358,45 @@ class TestVectorizedExtremal:
                     )
                 assert mp[idx] == pytest.approx(extremal.m_plus(mat), abs=1e-12)
                 assert mm[idx] == pytest.approx(extremal.m_minus(mat), abs=1e-12)
+
+
+class TestDiffusionEquality:
+    def test_equal_matrices_in_two_objects(self):
+        a, b = TraceDiffusion(np.eye(2)), TraceDiffusion(np.eye(2))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a == TraceDiffusion([[1.0, 0.0], [0.0, 1.0]])
+
+    def test_matrices_compare_by_shape_and_bits(self):
+        a = TraceDiffusion(np.eye(2))
+        assert a != TraceDiffusion(2.0 * np.eye(2))
+        assert a != TraceDiffusion(np.eye(2).ravel())  # same bytes, other shape
+        assert TraceDiffusion(np.zeros((1, 1))) != TraceDiffusion(-np.zeros((1, 1)))
+        nan = np.full((1, 1), np.nan)
+        assert TraceDiffusion(nan) == TraceDiffusion(nan.copy())
+
+    def test_callables_compare_by_identity(self):
+        def entries(*args):
+            return np.eye(1)
+
+        a = TraceDiffusion(entries)
+        assert a == TraceDiffusion(entries)
+        assert hash(a) == hash(TraceDiffusion(entries))
+        assert a != TraceDiffusion(lambda *args: np.eye(1))
+        assert a != TraceDiffusion(np.eye(1))
+        assert TraceDiffusion(np.eye(1)) != a
+
+    def test_other_diffusion_kinds(self):
+        trace = TraceDiffusion(np.eye(1))
+        assert trace != ExtremalDiffusion(1, 1.0)
+        assert trace != None  # noqa: E711
+        assert ExtremalDiffusion(1, 1.0) == ExtremalDiffusion(1, 1.0)
+
+    def test_specs_holding_equal_matrices(self):
+        params = EquationParams(p=3.0, A=2.0, d=2)
+        a = HamiltonianSpec(params=params, diffusion=TraceDiffusion(np.eye(2)))
+        b = HamiltonianSpec(params=params, diffusion=TraceDiffusion(np.eye(2)))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != HamiltonianSpec(params=params, diffusion=TraceDiffusion(-np.eye(2)))
