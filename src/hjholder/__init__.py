@@ -30,7 +30,6 @@ from .barriers import (
     SupersolutionBarrier,
     VerificationGrid,
     bump_eval,
-    find_subsolution_constants,
     find_supersolution_constants,
     first_order_constants,
     make_subsolution_barrier,

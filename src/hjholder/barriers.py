@@ -30,8 +30,11 @@ from .errors import DomainError, EmptyIntersection, SearchFailed
 from .variational import legendre_closed
 
 RESIDUAL_TOL = 1e-10
+RANGE_TOL = 1e-8  # slack of the [0, 1] range premise of the two-case check
 _C_MAX_DOUBLINGS = 41
 _EPS0_MAX_HALVINGS = 41
+_THETA_MARGIN = 0.01  # the subsolution theta stays below 1/4 - _THETA_MARGIN
+_EPS_MAX_HALVINGS = 80
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +95,10 @@ class VerificationGrid:
     t_max: float = 1.0
     nt: int = 65
 
+    def __post_init__(self):
+        if self.nx < 1 or self.nt < 1:
+            raise DomainError(f"verification grid needs nx, nt >= 1, got {self.nx}, {self.nt}")
+
     def radii(self, d: int) -> np.ndarray:
         ax = np.linspace(-self.x_max, self.x_max, self.nx)
         if d == 1:
@@ -99,7 +106,11 @@ class VerificationGrid:
         if d == 2:
             gx, gy = np.meshgrid(ax, ax, indexing="ij")
             rho = np.sqrt(gx**2 + gy**2).ravel()
-            return np.unique(rho[rho <= self.x_max])
+            rho = rho[rho <= self.x_max]
+            if rho.size == 0:
+                raise DomainError(f"no node of the verification grid (nx = {self.nx}) "
+                                  f"lies within |x| <= {self.x_max}")
+            return np.unique(rho)
         raise DomainError(f"verification grid supports d in {{1, 2}}, got {d}")
 
     def times(self) -> np.ndarray:
@@ -370,34 +381,19 @@ def _sub_residual_radial(bar: SubsolutionBarrier, params: EquationParams, rho, t
     return _sub_residual(terms, bar.drift, bar.eps)
 
 
-def find_subsolution_constants(
-    params: EquationParams,
-    R: float,
-    grid: VerificationGrid | None = None,
-    theta_margin: float = 0.01,
-) -> tuple[float, float]:
-    """(C_b, theta_max) per the closed-form bounds, certified on the grid.
-
-    C_b = 2||b'|| + ||b''||/R and theta_max is capped by both 1/4 - margin and
-    (R^p / (4 A ||b'||^{p-1}))^{1/(p-1)}.  The certificate is delegated to
-    make_subsolution_barrier, which also picks a verified eps.
-    """
-    bar = make_subsolution_barrier(params, R, grid=grid, theta_margin=theta_margin)
-    return bar.C_b, bar.theta
-
-
 def make_subsolution_barrier(
     params: EquationParams,
     R: float,
     grid: VerificationGrid | None = None,
-    theta_margin: float = 0.01,
-    eps_halvings: int = 80,
 ) -> SubsolutionBarrier:
     """Construct a fully verified subsolution barrier, including its eps.
 
-    eps starts at min(theta/2, 1/(2 C_b)) and halves until the grid residual
-    is <= 1e-10 everywhere (the admissible eps shrinks with the gluing-edge
-    curvature of the bump, so a scan is simpler than a closed form).
+    C_b = 2||b'|| + ||b''||/R, and theta is the smaller of 1/4 - _THETA_MARGIN
+    and (R^p / (4 A ||b'||^{p-1}))^{1/(p-1)}.  eps starts at
+    min(theta/2, 1/(2 C_b)) and halves, at most _EPS_MAX_HALVINGS times, until
+    the grid residual is <= 1e-10 everywhere (the admissible eps shrinks with
+    the gluing-edge curvature of the bump, so a scan is simpler than a closed
+    form).
 
     The bump and its derivatives on the grid, A|DL|^p and the eigenvalue clamp
     do not depend on eps and are computed once per search; each candidate
@@ -410,13 +406,13 @@ def make_subsolution_barrier(
     theta_cap = (R**params.p / (4.0 * params.A * bump.sup_db ** (params.p - 1.0))) ** (
         1.0 / (params.p - 1.0)
     )
-    theta = min(0.25 - theta_margin, theta_cap)
+    theta = min(0.25 - _THETA_MARGIN, theta_cap)
     if theta <= 0:
         raise SearchFailed(f"no admissible theta for R={R}, p={params.p}, A={params.A}")
     rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
     terms = _sub_terms(theta, R, bump, params, rho, t, params.d)
     eps = min(theta / 2.0, 0.5 / C_b)
-    for _ in range(eps_halvings):
+    for _ in range(_EPS_MAX_HALVINGS):
         bar = SubsolutionBarrier(theta, R, eps, C_b, bump)
         res = _sub_residual(terms, bar.drift, eps)
         if res.max() <= RESIDUAL_TOL:
@@ -531,14 +527,14 @@ def two_case_oscillation_check(
     r: float,
     theta: float,
     center=None,
-    range_tol: float = 1e-8,
 ) -> TwoCaseReport:
     """Classify and verify the two-case improvement of oscillation on a grid.
 
     Case 1 (some bottom value in B_R is <= theta): verify u <= 1 - theta on
     B_R x [1/2, 1].  Case 2 (all bottom values >= theta): verify u >= theta/2
     on B_{R/2} x [1/2, 1].  u must already carry values in [0, 1] over the
-    covering region B_{R+r} x [0, 1] (shift_normalize first if needed).
+    covering region B_{R+r} x [0, 1], up to RANGE_TOL (shift_normalize first
+    if needed).
     """
     d = u.dim
     center = np.zeros(d) if center is None else np.atleast_1d(np.asarray(center, float))
@@ -549,7 +545,7 @@ def two_case_oscillation_check(
     if not cover.any():
         raise EmptyIntersection("covering cylinder misses the grid")
     covered = u.values[cover_box][cover]
-    if covered.min() < -range_tol or covered.max() > 1.0 + range_tol:
+    if covered.min() < -RANGE_TOL or covered.max() > 1.0 + RANGE_TOL:
         raise DomainError(
             f"values must lie in [0,1] on the covering cylinder; got "
             f"[{covered.min():g}, {covered.max():g}]"

@@ -282,16 +282,9 @@ def _cmd_oscillate(args) -> int:
         ("note", report.note),
     ]
     _write_csv(args.out, header, ["center_x", "level", "r", "osc", "bound", "pass"], rows)
-    samples = oscillation.measure_oscillations(
-        u,
-        report.centers[0].center,
-        args.lam,
-        report.beta,
-        len(report.centers[0].levels) - 1,
-        r0=args.r0,
-    )
     try:
-        est = oscillation.fit_holder(samples, min_radius=4 * max(u.spacing_x))
+        est = oscillation.fit_holder(report.centers[0].samples,
+                                     min_radius=4 * max(u.spacing_x))
         print(f"alpha_hat = {est.alpha_hat:.6g}, c_hat = {est.c_hat:.6g}, "
               f"max_fit_residual = {est.max_fit_residual:.6g}")
     except HJHolderError as exc:
@@ -443,13 +436,10 @@ def _sweep_row(inst: dict, spec, u, osc_cfg: dict) -> dict:
     passed, alpha_hat, resid = False, float("nan"), float("nan")
     if not isinstance(u, HJHolderError):
         report = oscillation.iterate_scales(u, spec.params, lam, bar.theta, adm.alpha)
-        samples = oscillation.measure_oscillations(
-            u, report.centers[0].center, lam, report.beta,
-            len(report.centers[0].levels) - 1,
-        )
         passed = report.passed
         try:
-            est = oscillation.fit_holder(samples, min_radius=4 * max(u.spacing_x))
+            est = oscillation.fit_holder(report.centers[0].samples,
+                                         min_radius=4 * max(u.spacing_x))
             alpha_hat, resid = est.alpha_hat, est.max_fit_residual
         except HJHolderError:
             pass

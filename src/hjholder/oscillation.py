@@ -32,6 +32,8 @@ logger = logging.getLogger(__name__)
 
 NOISE_FLOOR = 1e-12
 GRID_FLOOR_SPACINGS = 4  # smallest usable cylinder radius, in grid spacings
+COARSE_CENTERS = 5  # default centers per space axis
+MAX_LEVELS = 60
 FAMILY_NOTE = (
     "decay verified on a finite family of cylinder centers, not on all "
     "cylinders of the continuum hypothesis"
@@ -113,20 +115,16 @@ def check_improvement(samples, alpha: float, lam: float) -> ImprovementReport:
     return ImprovementReport(passed, first_failure, tuple(levels))
 
 
-def fit_holder(
-    samples,
-    noise_floor: float = NOISE_FLOOR,
-    min_radius: float = 0.0,
-) -> HolderEstimate:
+def fit_holder(samples, min_radius: float = 0.0) -> HolderEstimate:
     """Least-squares fit of log osc = alpha * log r + log c.
 
-    Samples below the noise floor or below the minimum usable radius are
+    Samples at or below NOISE_FLOOR or below the minimum usable radius are
     dropped; at least 3 must survive.
     """
-    usable = [(r, o) for r, o in samples if o > noise_floor and r >= min_radius]
+    usable = [(r, o) for r, o in samples if o > NOISE_FLOOR and r >= min_radius]
     if len(usable) < 3:
         raise DegenerateData(
-            f"need >= 3 samples above floor {noise_floor:g}, have {len(usable)}"
+            f"need >= 3 samples above floor {NOISE_FLOOR:g}, have {len(usable)}"
         )
     logr = np.log([r for r, _ in usable])
     logo = np.log([o for _, o in usable])
@@ -257,6 +255,7 @@ class CenterIteration:
     first_failure: int | None
     truncated: bool
     levels: tuple
+    samples: tuple  # the raw (r, osc) of measure_oscillations, before renormalizing
 
 
 @dataclass(frozen=True)
@@ -270,8 +269,9 @@ class IterationReport:
     note: str = FAMILY_NOTE
 
 
-def default_centers(u: GridFunction, r0: float, beta: float, coarse: int = 5) -> list:
-    """Coarse sub-grid of centers whose outer cylinder fits in the domain."""
+def default_centers(u: GridFunction, r0: float, beta: float) -> list:
+    """Coarse sub-grid (COARSE_CENTERS per axis) of centers whose outer
+    cylinder fits in the domain."""
     d = u.dim
     lo = [u.axis_coords(i)[0] + r0 for i in range(d)]
     hi = [u.axis_coords(i)[-1] - r0 for i in range(d)]
@@ -280,7 +280,7 @@ def default_centers(u: GridFunction, r0: float, beta: float, coarse: int = 5) ->
     top = u.t1
     if top - r0**beta < u.t0 - 1e-12:
         raise DomainError(f"outer cylinder depth {r0**beta:g} exceeds the time extent")
-    axes = [np.linspace(lo[i], hi[i], coarse) if hi[i] > lo[i] else np.array([lo[i]]) for i in range(d)]
+    axes = [np.linspace(lo[i], hi[i], COARSE_CENTERS) if hi[i] > lo[i] else np.array([lo[i]]) for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     return [tuple(pt) + (top,) for pt in pts]
@@ -294,16 +294,22 @@ def iterate_scales(
     alpha: float,
     r0: float = 1.0,
     centers=None,
-    max_levels: int | None = None,
 ) -> IterationReport:
     """Run the decay induction  osc_{Q_{r_k}} u <= r_k^alpha  on measured data.
 
-    Requires the selection rule lambda^alpha >= 1 - theta.  The function is
-    renormalized so the outer oscillation is at most one at every center, the
-    cylinder time depth follows beta = p - alpha(p-1), and levels stop at the
-    grid floor of 4 spacings.  On a full pass the implied two-point constant
-    is lambda^{-alpha}.
+    Requires lambda and theta in (0, 1), alpha in (0, 1] and the selection
+    rule lambda^alpha >= 1 - theta.  The function is renormalized so the
+    outer oscillation is at most one at every center, the cylinder time depth
+    follows beta = p - alpha(p-1), and levels stop at the grid floor of 4
+    spacings or after MAX_LEVELS.  On a full pass the implied two-point
+    constant is lambda^{-alpha}.
     """
+    if not 0.0 < lam < 1.0:
+        raise DomainError(f"lambda must lie in (0,1), got {lam}")
+    if not 0.0 < theta < 1.0:
+        raise DomainError(f"theta must lie in (0,1), got {theta}")
+    if not 0.0 < alpha <= 1.0:
+        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if lam**alpha < 1.0 - theta:
         raise PreconditionFailed(
             f"lambda^alpha = {lam ** alpha:g} < 1 - theta = {1 - theta:g}; "
@@ -312,14 +318,12 @@ def iterate_scales(
     beta = params.p - alpha * (params.p - 1.0)
     if centers is None:
         centers = default_centers(u, r0, beta)
-    if max_levels is None:
-        max_levels = 60
     floor = GRID_FLOOR_SPACINGS * max(u.spacing_x)
     if floor < r0:
         k_floor = int(math.floor(math.log(floor / r0) / math.log(lam) + 1e-9))
     else:
         k_floor = 0
-    k_max = min(max_levels, max(k_floor, 0))
+    k_max = min(MAX_LEVELS, max(k_floor, 0))
 
     reports = []
     all_pass = True
@@ -339,7 +343,8 @@ def iterate_scales(
         passed = first_fail is None
         all_pass = all_pass and passed
         reports.append(
-            CenterIteration(tuple(center), passed, first_fail, truncated, tuple(levels))
+            CenterIteration(tuple(center), passed, first_fail, truncated, tuple(levels),
+                            tuple(samples))
         )
     return IterationReport(
         passed=all_pass,

@@ -19,6 +19,11 @@ from .errors import DomainError, Infeasible
 ALPHA_GRID_RESOLUTION = 1e-4
 
 
+def _require_dimension(d: int) -> None:
+    if d < 1:
+        raise DomainError(f"d must be >= 1, got {d}")
+
+
 @dataclass(frozen=True)
 class ScaleReport:
     """Multiplicative factors picked up by each term under v = c*u(ax, bt)."""
@@ -98,6 +103,7 @@ def calpha_scale(r: float, alpha: float, p: float, params: EquationParams) -> Sc
 
 def delta_exponent(p: float, m: float, d: int, alpha: float) -> float:
     """delta = (1/m)(p(m-1) - d) + (alpha/m)((m-1)p + 1)."""
+    _require_dimension(d)
     if not m > 1.0:
         raise DomainError(f"m must be > 1, got {m}")
     if not p > 1.0:
@@ -107,6 +113,7 @@ def delta_exponent(p: float, m: float, d: int, alpha: float) -> float:
 
 def lm_scaling_exponent(p: float, m: float, d: int) -> float:
     """Exponent of a in |a^p f(a., a^p.)|_{L^m} = a^e |f|_{L^m}."""
+    _require_dimension(d)
     if not m > 1.0:
         raise DomainError(f"m must be > 1, got {m}")
     return p * (1.0 - 1.0 / m) - d / m
@@ -129,9 +136,9 @@ def admissible_alpha(
     d: int,
     lam: float,
     theta: float,
-    resolution: float = ALPHA_GRID_RESOLUTION,
 ) -> AdmissibleAlpha:
-    """Largest alpha on a fine grid satisfying every active constraint.
+    """Largest alpha, in steps of ALPHA_GRID_RESOLUTION, satisfying every
+    active constraint.
 
     Active constraints: alpha < p/(2(p-1)); lam^alpha >= 1 - theta; alpha < 1;
     and when m is given, alpha < 1/2 together with p(1-alpha-1/m) - d/m >= 0.
@@ -144,10 +151,11 @@ def admissible_alpha(
         raise DomainError(f"lambda must be in (0,1), got {lam}")
     if not (0.0 < theta < 1.0):
         raise DomainError(f"theta must be in (0,1), got {theta}")
+    _require_dimension(d)
     caps = {}
-    caps["alpha < p/(2(p-1))"] = p / (2.0 * (p - 1.0)) - resolution
+    caps["alpha < p/(2(p-1))"] = p / (2.0 * (p - 1.0)) - ALPHA_GRID_RESOLUTION
     caps["lambda^alpha >= 1-theta"] = math.log(1.0 - theta) / math.log(lam)
-    caps["alpha < 1"] = 1.0 - resolution
+    caps["alpha < 1"] = 1.0 - ALPHA_GRID_RESOLUTION
     if m is not None:
         if not m > 1.0:
             raise DomainError(f"m must be > 1, got {m}")
@@ -155,10 +163,10 @@ def admissible_alpha(
             raise Infeasible(
                 f"p(m-1) = {p * (m - 1.0)} must exceed d = {d} for the L^m theory"
             )
-        caps["alpha < 1/2"] = 0.5 - resolution
+        caps["alpha < 1/2"] = 0.5 - ALPHA_GRID_RESOLUTION
         caps["p(1-alpha-1/m)-d/m >= 0"] = 1.0 - 1.0 / m - d / (p * m)
     cap = min(caps.values())
-    alpha = math.floor(cap / resolution) * resolution
+    alpha = math.floor(cap / ALPHA_GRID_RESOLUTION) * ALPHA_GRID_RESOLUTION
     if alpha <= 0.0:
         binding = min(caps, key=lambda k: caps[k])
         raise Infeasible(f"no positive alpha satisfies {binding!r} (cap {cap:g})")
@@ -167,6 +175,7 @@ def admissible_alpha(
 
 def beta_window(p: float, m: float, d: int) -> tuple[float, float, bool]:
     """The admissible window (1/p, min(1/p', (m-1)/d)) for the kernel exponent."""
+    _require_dimension(d)
     if not p > 2.0:
         raise DomainError(f"p must be > 2, got {p}")
     if not m > 1.0:

@@ -42,6 +42,9 @@ RESIDUAL_SURROGATE_NOTE = (
     "one-sided-in-time node check; a consistent surrogate of the viscosity "
     "inequality, not an equivalent"
 )
+DT_FLOOR = 1e-9  # a stable substep below this is a CflViolation
+BLOWUP_FACTOR = 1e3  # |u| above BLOWUP_FACTOR * (1 + data bound) is a Blowup
+BOUNDARY_TOL = 1e-9  # slack of the comparison premise lower <= upper on the boundary
 
 
 @dataclass(frozen=True)
@@ -131,8 +134,6 @@ class SolveConfig:
     cfl: float = 0.8
     lf_alpha_cap: float | None = None
     lf_alpha_floor: float = 0.0
-    dt_floor: float = 1e-9
-    blowup_factor: float = 1e3
 
     def __post_init__(self):
         for name in ("xmin", "xmax", "nx"):
@@ -140,8 +141,7 @@ class SolveConfig:
             object.__setattr__(self, name, tuple(
                 as_number(v, f"grid {name}", integral=name == "nx") for v in values))
         object.__setattr__(self, "nt", as_number(self.nt, "grid nt", integral=True))
-        for name in ("t0", "t1", "cfl", "lf_alpha_cap", "lf_alpha_floor", "dt_floor",
-                     "blowup_factor"):
+        for name in ("t0", "t1", "cfl", "lf_alpha_cap", "lf_alpha_floor"):
             if name != "lf_alpha_cap" or self.lf_alpha_cap is not None:
                 object.__setattr__(self, name, as_number(getattr(self, name), f"grid {name}"))
         if not (len(self.xmin) == len(self.xmax) == len(self.nx)):
@@ -592,9 +592,9 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     if lam > 0:
                         dt_stab = min(dt_stab, dx_min**2 / (2.0 * d * lam))
                     dt_stab *= cfg.cfl
-                    if dt_stab < cfg.dt_floor:
+                    if dt_stab < DT_FLOOR:
                         failed[r] = CflViolation(f"stable step {dt_stab:g} below floor "
-                                                 f"{cfg.dt_floor:g} at t={clock[r]:g}")
+                                                 f"{DT_FLOOR:g} at t={clock[r]:g}")
                         dts.append(0.0)
                     else:
                         dts.append(min(dt_stab, t_target - clock[r]))
@@ -617,8 +617,8 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                 for r, peak in zip(rows, _row_max(np.abs(u), n_rows)):
                     if failed[r] is not None:
                         stepping = False
-                    elif peak > cfg.blowup_factor * (1.0 + data_bound[r]):
-                        failed[r] = Blowup(f"values exceeded {cfg.blowup_factor:g}*(1+data "
+                    elif peak > BLOWUP_FACTOR * (1.0 + data_bound[r]):
+                        failed[r] = Blowup(f"values exceeded {BLOWUP_FACTOR:g}*(1+data "
                                            f"bound) at t={clock[r]:g}")
                         stepping = False
                     elif clock[r] >= t_done:
@@ -726,10 +726,9 @@ def comparison_check(
     lower: GridFunction,
     upper: GridFunction,
     on: ParabolicCylinder,
-    boundary_tol: float = 1e-9,
 ) -> ComparisonReport:
-    """Check lower <= upper on the discrete parabolic boundary of the
-    cylinder, then report max(lower - upper) over the interior nodes.
+    """Check lower <= upper + BOUNDARY_TOL on the discrete parabolic boundary
+    of the cylinder, then report max(lower - upper) over the interior nodes.
 
     A node of the cylinder is interior when its spatial neighbours and its
     predecessor in time are all in the cylinder; the rest form the discrete
@@ -756,7 +755,7 @@ def comparison_check(
 
     excess = lower.values - upper.values
     b_excess = float(excess[boundary].max()) if boundary.any() else -math.inf
-    if b_excess > boundary_tol:
+    if b_excess > BOUNDARY_TOL:
         raise BoundaryOrderingFailed(
             f"lower exceeds upper by {b_excess:g} on the parabolic boundary"
         )

@@ -17,7 +17,9 @@ import numpy as np
 from .core import EquationParams
 from .errors import DomainError, EmptyBoundary, WindowTooSmall
 
-TAU_MIN_DEFAULT = 1e-9
+TAU_MIN = 1e-9  # hopf_lax_eval skips candidates with t - s < TAU_MIN
+N_LATERAL_TIMES = 65  # lateral-boundary sample times
+N_ANGLES = 64  # lateral-boundary sample directions for d = 2
 
 
 @dataclass(frozen=True)
@@ -123,13 +125,12 @@ def sample_parabolic_boundary(
     t1: float,
     d: int = 1,
     bottom_spacing: float = 1.0 / 64,
-    n_lateral_times: int = 65,
-    n_angles: int = 64,
 ) -> BoundarySamples:
     """Uniform samples of value_fn on the parabolic boundary of B_R x [t0, t1].
 
     The bottom ball grid always contains the origin; the lateral boundary is
-    a product grid (two endpoints for d = 1, angle-uniform for d = 2).
+    a product grid of N_LATERAL_TIMES times and two endpoints (d = 1) or
+    N_ANGLES angle-uniform directions (d = 2).
     """
     if d not in (1, 2):
         raise DomainError(f"boundary sampling supports d in {{1, 2}}, got {d}")
@@ -142,9 +143,9 @@ def sample_parabolic_boundary(
         gx, gy = np.meshgrid(ax, ax, indexing="ij")
         pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
         ys = pts[np.linalg.norm(pts, axis=-1) <= R]
-        ang = np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False)
+        ang = np.linspace(0.0, 2.0 * math.pi, N_ANGLES, endpoint=False)
         lateral_pts = R * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    lat_ts = np.linspace(t0, t1, n_lateral_times)
+    lat_ts = np.linspace(t0, t1, N_LATERAL_TIMES)
     points = [ys]
     times = [np.full(len(ys), t0)]
     for t in lat_ts:
@@ -161,18 +162,17 @@ def hopf_lax_eval(
     lag: PowerLagrangian,
     x,
     t: float,
-    tau_min: float = TAU_MIN_DEFAULT,
 ) -> float:
     """min over sampled (y, s) with s < t of  v(y,s) + (t-s) L((x-y)/(t-s)).
 
-    Candidates with t - s < tau_min are skipped: for y != x the cost blows up
+    Candidates with t - s < TAU_MIN are skipped: for y != x the cost blows up
     as s -> t, and y = x is recovered by earlier samples, so the floor cannot
     change the minimum on continuous data.
     """
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    keep = boundary.times <= t - tau_min
+    keep = boundary.times <= t - TAU_MIN
     if not keep.any():
-        raise EmptyBoundary(f"no boundary candidate with s <= t - {tau_min:g}")
+        raise EmptyBoundary(f"no boundary candidate with s <= t - {TAU_MIN:g}")
     dt = t - boundary.times[keep]
     disp = xv - boundary.points[keep]
     speed = np.linalg.norm(disp, axis=-1) / dt

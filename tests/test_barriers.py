@@ -10,7 +10,6 @@ from hjholder.barriers import (
     SupersolutionBarrier,
     VerificationGrid,
     bump_eval,
-    find_subsolution_constants,
     find_supersolution_constants,
     first_order_constants,
     make_subsolution_barrier,
@@ -106,6 +105,19 @@ class TestBump:
                 rel=1e-5,
                 abs=1e-5,
             )
+
+
+class TestVerificationGrid:
+    @pytest.mark.parametrize("nx, nt", [(0, 65), (65, 0), (-5, 65)])
+    def test_rejects_counts_below_one(self, nx, nt):
+        with pytest.raises(DomainError, match="nx, nt >= 1"):
+            VerificationGrid(nx=nx, nt=nt)
+
+    def test_no_node_within_x_max(self):
+        grid = VerificationGrid(nx=2)  # nodes at (+-2, +-2), all outside |x| <= 2
+        assert grid.radii(1).tolist() == [2.0]
+        with pytest.raises(DomainError, match="no node"):
+            grid.radii(2)
 
 
 class TestSupersolution:
@@ -263,7 +275,8 @@ class TestSubsolution:
 
     def test_constants_formulas(self):
         params = EquationParams(p=3.0, A=1.0, d=1)
-        C_b, theta = find_subsolution_constants(params, 0.25, QUICK_GRID)
+        bar = make_subsolution_barrier(params, 0.25, QUICK_GRID)
+        C_b, theta = bar.C_b, bar.theta
         b = BumpFunction()
         assert C_b == pytest.approx(2 * b.sup_db + b.sup_d2b / 0.25, rel=1e-14)
         assert theta ** (params.p - 1.0) <= 0.25**params.p / (
@@ -273,9 +286,23 @@ class TestSubsolution:
 
     def test_theta_weakly_increases_with_R(self):
         params = EquationParams(p=3.0, A=1.0, d=1)
-        _, th1 = find_subsolution_constants(params, 0.25, QUICK_GRID)
-        _, th2 = find_subsolution_constants(params, 0.5, QUICK_GRID)
+        th1 = make_subsolution_barrier(params, 0.25, QUICK_GRID).theta
+        th2 = make_subsolution_barrier(params, 0.5, QUICK_GRID).theta
         assert th2 >= th1
+
+    @pytest.mark.parametrize("p, A, R, d", [
+        (3.0, 1.0, 0.25, 1),  # the cap in R binds
+        (2.5, 2.0, 0.5, 2),
+        (3.0, 1.0, 4.0, 1),  # 1/4 - 0.01 binds
+    ])
+    def test_barrier_carries_the_closed_form_constants(self, p, A, R, d):
+        # the (C_b, theta) that the removed find_subsolution_constants returned
+        params = EquationParams(p=p, A=A, d=d)
+        bar = make_subsolution_barrier(params, R, QUICK_GRID)
+        b = BumpFunction()
+        theta_cap = (R**p / (4.0 * A * b.sup_db ** (p - 1.0))) ** (1.0 / (p - 1.0))
+        assert bar.C_b == 2.0 * b.sup_db + b.sup_d2b / R
+        assert bar.theta == min(0.25 - 0.01, theta_cap)
 
     def test_derivatives_match_fd_away_from_gluing(self):
         params = EquationParams(p=3.0, A=1.0, d=2)

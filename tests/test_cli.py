@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -301,12 +302,48 @@ class TestBadInputExit2:
         ([{"p": 3.0, "gamma": 0.3, "strength": "big"}], "forcing.strength must be a number"),
     ])
     def test_sweep_instances_of_the_wrong_shape(self, tmp_path, capsys, instances, message):
-        cfg = json.loads(open(TestSweep()._config(tmp_path)).read())
+        cfg = json.loads(Path(TestSweep()._config(tmp_path)).read_text())
         cfg["instances"] = instances
         path = write_json(tmp_path / "sweep.json", cfg)
         err = self._expect_exit_2(["sweep", "--config", path,
                                    "--out", str(tmp_path / "sweep.csv")], capsys)
         assert message in err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        # r**alpha >= 1 at every level once alpha <= 0, and theta >= 1 makes
+        # the selection rule vacuous: neither may yield a passing certificate
+        ("--alpha", "-1", "alpha must lie in (0, 1], got -1.0"),
+        ("--alpha", "0", "alpha must lie in (0, 1], got 0.0"),
+        ("--alpha", "1.5", "alpha must lie in (0, 1], got 1.5"),
+        ("--lambda", "-1", "lambda must lie in (0,1), got -1.0"),
+        ("--lambda", "0", "lambda must lie in (0,1), got 0.0"),
+        ("--theta", "2", "theta must lie in (0,1), got 2.0"),
+    ])
+    def test_oscillate_exponents_out_of_range(self, tmp_path, capsys, flag, value, message):
+        args = {"--alpha": "0.5", "--lambda": "0.5", "--theta": "0.5"}
+        args[flag] = value
+        argv = ["oscillate", "--in", self._grid_file(tmp_path)]
+        for key, val in args.items():
+            argv += [key, val]
+        assert message in self._expect_exit_2(argv, capsys)
+
+    @pytest.mark.parametrize("kind", ["super", "sub"])
+    @pytest.mark.parametrize("extra, message", [
+        (["--nx", "0"], "verification grid needs nx, nt >= 1, got 0, 65"),
+        (["--nt", "0"], "verification grid needs nx, nt >= 1, got 65, 0"),
+        (["--nx", "-5"], "verification grid needs nx, nt >= 1, got -5, 65"),
+        (["--d", "2", "--nx", "2"], "no node of the verification grid (nx = 2)"),
+    ])
+    def test_barrier_verify_bad_grid(self, capsys, kind, extra, message):
+        err = self._expect_exit_2(["barrier", "verify", "--kind", kind, "--p", "3",
+                                   "--A", "1"] + extra, capsys)
+        assert message in err
+
+    @pytest.mark.parametrize("extra", [["--m", "2"], ["--m", "2", "--alpha", "0.3"], []])
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_scale_dimension_below_one(self, capsys, extra, d):
+        err = self._expect_exit_2(["scale", "--p", "3", "--d", d] + extra, capsys)
+        assert f"got {d}" in err
 
     def test_m_given_as_numeric_string(self, tmp_path):
         grid = {"xmin": [-1.0], "xmax": [1.0], "nx": [33], "t0": 0.0, "t1": 0.1, "nt": 5}
@@ -345,7 +382,7 @@ class TestPipeline:
         rc = run(["oscillate", "--in", out_grid, "--lambda", "0.6", "--theta", "0.0058",
                   "--p", "3", "--A", "2", "--out", osc_csv])
         assert rc == 0
-        lines = open(osc_csv).read().splitlines()
+        lines = Path(osc_csv).read_text().splitlines()
         assert any(line.startswith("# alpha,") for line in lines)
         header = [line for line in lines if not line.startswith("#")][0]
         assert header == "center_x,level,r,osc,bound,pass"
@@ -354,7 +391,7 @@ class TestPipeline:
         rc = run(["modulus", "--in", out_grid, "--alpha", "0.01", "--C", "2.0",
                   "--p", "3", "--pairs", "5000", "--out", mod_csv])
         assert rc == 0
-        lines = open(mod_csv).read().splitlines()
+        lines = Path(mod_csv).read_text().splitlines()
         assert lines[-2] == "alpha,time_exponent,C,max_ratio"
 
         # with a hopeless constant the check reports failure via exit code 1
@@ -371,7 +408,7 @@ class TestPipeline:
         for path in (a, b):
             run(["modulus", "--in", out_grid, "--alpha", "0.01", "--C", "2.0",
                  "--p", "3", "--pairs", "5000", "--seed", "7", "--out", path])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_grid_csv_format_accepted(self, tmp_path):
         cfg = solve_config(tmp_path, grid={"xmin": [-1.0], "xmax": [1.0], "nx": [65],
@@ -390,7 +427,7 @@ class TestDemo:
         assert rc == 0
         assert "case 1" in out and "case 2" in out
         assert os.path.exists(os.path.join(out_dir, "sees_points.csv"))
-        svg = open(os.path.join(out_dir, "sees_points.svg")).read()
+        svg = Path(os.path.join(out_dir, "sees_points.svg")).read_text()
         assert svg.startswith("<svg") and "polyline" in svg
 
 
@@ -422,7 +459,7 @@ class TestSweep:
         out = capsys.readouterr().out
         assert rc == 0
         assert "2/2 instances passed" in out
-        lines = open(out_csv).read().splitlines()
+        lines = Path(out_csv).read_text().splitlines()
         assert lines[0] == "# seed,0"
         assert any("pass_rate,1" in line for line in lines)
 
@@ -431,10 +468,10 @@ class TestSweep:
         ref_csv = str(tmp_path / "sweep_b.csv")
         assert run(["sweep", "--config", self._config(tmp_path), "--out", out_csv]) == 0
         assert run(["sweep", "--config", self._config(tmp_path), "--out", ref_csv]) == 0
-        assert open(out_csv, "rb").read() == open(ref_csv, "rb").read()
+        assert Path(out_csv).read_bytes() == Path(ref_csv).read_bytes()
 
     def test_failing_instance_keeps_its_row(self, tmp_path, capsys):
-        cfg = json.loads(open(self._config(tmp_path)).read())
+        cfg = json.loads(Path(self._config(tmp_path)).read_text())
         ok_csv, mixed_csv = str(tmp_path / "ok.csv"), str(tmp_path / "mixed.csv")
         assert run(["sweep", "--config", write_json(tmp_path / "ok.json", cfg),
                     "--out", ok_csv]) == 0
@@ -448,8 +485,8 @@ class TestSweep:
         assert captured.err.startswith("verification failed: instance 1: values exceeded")
         assert "Traceback" not in captured.err
         assert "2/3 instances passed" in captured.out
-        ok_rows = open(ok_csv).read().splitlines()
-        mixed_rows = open(mixed_csv).read().splitlines()
+        ok_rows = Path(ok_csv).read_text().splitlines()
+        mixed_rows = Path(mixed_csv).read_text().splitlines()
         assert mixed_rows[:3] == ["# seed,0", "# instances,3", "# pass_rate,0.666666666667"]
         assert ok_rows[3] == mixed_rows[3]  # column names
         assert [ok_rows[4], ok_rows[5]] == [mixed_rows[4], mixed_rows[6]]
@@ -459,7 +496,7 @@ class TestSweep:
         assert failed["alpha"] not in ("nan", "") and failed["theta"] not in ("nan", "")
 
     def test_sweep_matches_one_solve_per_instance(self, tmp_path):
-        cfg = json.loads(open(self._config(tmp_path)).read())
+        cfg = json.loads(Path(self._config(tmp_path)).read_text())
         cfg["instances"].append({"p": 4.0, "A": 3.0, "k": 4.0, "omega": 2.0})
         batched = []
         for inst in cfg["instances"]:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hjholder.core import EquationParams, GridFunction
-from hjholder.errors import DegenerateData, EmptyIntersection, PreconditionFailed
+from hjholder.errors import DegenerateData, DomainError, EmptyIntersection, PreconditionFailed
 from hjholder.oscillation import (
     check_improvement,
     default_centers,
@@ -211,6 +211,48 @@ class TestIterateScales:
         dx = u.spacing_x[0]
         for cit in rep.centers:
             assert cit.levels[-1].r >= 4 * dx - 1e-12
+
+    @pytest.mark.parametrize("lam, theta, alpha, name", [
+        # for alpha <= 0 the bound r**alpha >= 1 would pass every level
+        (0.5, 0.05, -1.0, "alpha"),
+        (0.5, 0.05, 0.0, "alpha"),
+        (0.5, 0.05, 1.5, "alpha"),
+        (-1.0, 0.05, 0.5, "lambda"),  # (-1)**0.5 is complex
+        (0.0, 0.05, 0.5, "lambda"),
+        (1.0, 0.05, 0.5, "lambda"),
+        (0.5, 2.0, 0.5, "theta"),  # 1 - theta < 0 makes the selection rule vacuous
+        (0.5, 0.0, 0.5, "theta"),
+    ])
+    def test_parameters_outside_their_range_rejected(self, lam, theta, alpha, name):
+        u = grid_of(lambda x, t: 0.4 * x + 0.0 * t, half=2.0, t0=-2.0)
+        with pytest.raises(DomainError, match=f"{name} must lie in"):
+            iterate_scales(u, self._params(), lam, theta, alpha)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_samples_are_the_raw_measurement(self, d):
+        # values up to 3, so the outer oscillation exceeds one and the levels
+        # carry renormalized oscillations; the samples keep the raw ones
+        n, nt, half = (129, 33, 2.0) if d == 1 else (81, 17, 2.0)
+        axes = [np.linspace(-half, half, n)] * d + [np.linspace(0.0, 1.0, nt)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        vals = 1.5 + 1.5 * np.sin(3.0 * sum(mesh[:-1]) + mesh[-1])
+        u = GridFunction((-half,) * d, (axes[0][1] - axes[0][0],) * d, 0.0, 1.0 / (nt - 1),
+                         vals)
+        params = EquationParams(p=3.0, A=1.0, d=d)
+        lam, theta, alpha = 0.6, 0.25, 0.5
+        # the second centre sits just below the second time slice: its small
+        # cylinders reach back less than one time step and hold no node
+        centers = [(0.0,) * d + (1.0,), (0.3,) * d + (0.9 / (nt - 1),)]
+        rep = iterate_scales(u, params, lam, theta, alpha, centers=centers)
+        assert [c.truncated for c in rep.centers] == [False, True]
+        for c in rep.centers:
+            fresh = measure_oscillations(u, c.center, lam, rep.beta, len(c.levels) - 1)
+            assert c.samples == tuple(fresh)
+            assert [lv.r for lv in c.levels] == [r for r, _ in c.samples]
+            assert any(lv.osc != osc for lv, (_, osc) in zip(c.levels, c.samples))
+        truncated = rep.centers[1]
+        assert truncated.samples == tuple(measure_oscillations(
+            u, truncated.center, lam, rep.beta, 60))
 
     def test_default_centers_fit_domain(self):
         u = grid_of(lambda x, t: x + 0.0 * t, half=2.0, t0=-2.0)

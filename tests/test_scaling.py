@@ -206,6 +206,19 @@ class TestBetaWindow:
             beta_window(2.0, 2.0, 1)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda d: delta_exponent(3.0, 2.0, d, 0.0),
+    lambda d: lm_scaling_exponent(3.0, 2.0, d),
+    lambda d: admissible_alpha(3.0, 2.0, d, 0.5, 0.1),
+    lambda d: admissible_alpha(3.0, None, d, 0.5, 0.1),
+    lambda d: beta_window(3.0, 2.0, d),
+])
+def test_dimension_below_one_rejected(call, d):
+    with pytest.raises(DomainError, match=f"d must be >= 1, got {d}"):
+        call(d)
+
+
 def test_time_exponent_matches_display():
     p, alpha = 3.0, 0.25
     assert time_exponent(p, alpha) == pytest.approx(alpha / (p - alpha * (p - 1)))

@@ -21,6 +21,7 @@ from hjholder import instances
 from hjholder.core import EquationParams
 from hjholder.errors import Blowup, CflViolation, DomainError
 from hjholder.scheme import (
+    BLOWUP_FACTOR,
     ExtremalDiffusion,
     HamiltonianSpec,
     ResidualReport,
@@ -135,7 +136,7 @@ def _ref_solve(spec, init, bc, cfg):
             bvals = np.asarray(bc(*bcoords, t_new), dtype=float)
             u[bmask] = np.broadcast_to(bvals, u[bmask].shape)
             data_bound = max(data_bound, float(np.max(np.abs(bvals))))
-            assert float(np.max(np.abs(u))) <= cfg.blowup_factor * (1.0 + data_bound)
+            assert float(np.max(np.abs(u))) <= BLOWUP_FACTOR * (1.0 + data_bound)
             t = t_new
         t = t_target
         out[..., n] = u
