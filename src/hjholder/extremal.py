@@ -7,19 +7,35 @@ closed form (the 2x2 one from _mid_rad, which the solver's m+/- fields and
 its definiteness check share); d >= 3 uses LAPACK through
 numpy.linalg.eigvalsh.  The tests check all of them against an independent
 cyclic-Jacobi / trigonometric-cubic oracle.
+
+The 2x2 radius is sqrt(x*x + y*y): several times cheaper than np.hypot and
+within an ulp of it on random pairs.  Where a square could overflow or lose
+bits to underflow, np.hypot takes over for that entry.  Entries are halved
+before they are added, so no finite matrix overflows on the way and m+/- of
+a finite matrix is never nan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 
+# _mid_rad takes sqrt(s) for s = x*x + y*y in [_SQ_MIN, inf).  Below _SQ_MIN
+# (2**-1022 * 2**53) a square may be subnormal or zero, and its rounding
+# error is no longer negligible against s; s = inf means a square overflowed.
+_SQ_MIN = 2.0**-969
+
 
 def _symmetrized(x) -> np.ndarray:
-    """0.5 (a + a^T) of a finite (..., d, d) array with d >= 1; a scalar is 1x1."""
+    """(a + a^T) / 2 of a finite (..., d, d) array with d >= 1; a scalar is 1x1.
+
+    Halving before adding cannot overflow, and gives the bits of 0.5 (a + a^T)
+    outside the subnormal range.
+    """
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
@@ -27,7 +43,8 @@ def _symmetrized(x) -> np.ndarray:
         raise DomainError(f"expected square matrices, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
-    return 0.5 * (a + a.swapaxes(-1, -2))
+    half = 0.5 * a
+    return half + half.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -50,9 +67,32 @@ class SymMatrix:
 def _mid_rad(h00, h11, h01):
     """Centre and radius of the eigenvalues of [[h00, h01], [h01, h11]], elementwise.
 
-    The eigenvalues are mid - rad and mid + rad.
+    The eigenvalues are mid - rad and mid + rad.  With x = h00/2 - h11/2 the
+    radius is sqrt(x*x + h01*h01); entries whose sum of squares s leaves
+    [_SQ_MIN, inf) get np.hypot(x, h01) instead.  So for finite entries the
+    radius is within 2 ulp of hypot's, and inf only where hypot's is.  A
+    stack is screened with two reductions (s.min(), s.max()) and patched
+    only where needed; one matrix, as numpy scalars, with one comparison.
+    Each entry's radius depends on that entry alone, so a matrix gets the
+    same bits alone and inside a stack.  x and the centre a + b cannot
+    overflow, since |h00/2| and |h11/2| are at most half the float range.
     """
-    return 0.5 * (h00 + h11), np.hypot(0.5 * (h00 - h11), h01)
+    a, b = 0.5 * h00, 0.5 * h11
+    x = a - b
+    if isinstance(x, np.ndarray):
+        # a square that overflows is inf, and so is a radius above the float range
+        with np.errstate(over="ignore"):
+            s = x * x + h01 * h01
+            rad = np.sqrt(s)
+            if not (_SQ_MIN <= s.min() and s.max() < math.inf):
+                np.hypot(x, h01, out=rad, where=~((s >= _SQ_MIN) & (s < math.inf)))
+        return a + b, rad
+    x, y = float(x), float(h01)  # Python floats overflow to inf without a warning
+    s = x * x + y * y
+    if _SQ_MIN <= s < math.inf:
+        return a + b, math.sqrt(s)
+    with np.errstate(over="ignore"):
+        return a + b, np.hypot(x, y)
 
 
 def sym_eigs(x) -> np.ndarray:

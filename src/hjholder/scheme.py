@@ -203,69 +203,97 @@ def _boundary_mask(shape: tuple) -> np.ndarray:
 class _Stencil:
     """Finite differences on the interior nodes of a uniform grid.
 
-    Each difference is a slice expression over shifted views of u, built
-    once per grid.  With rows=True, u carries a leading row axis (one
-    problem per row), which every difference keeps.  The float operations
-    and their order are those of the np.roll / np.gradient formulas on the
-    same nodes, so results agree bit for bit; the boundary nodes, where
-    those formulas wrap or go one-sided, are simply not computed.
+    flat() flattens the space axes, and every difference reads contiguous
+    windows f[..., lo + k : hi + k] of the flat values at fixed offsets k,
+    each a signed sum of axis strides; [lo, hi) runs from the first
+    interior node to the last.  Leading axes, such as the row axis of
+    problems solved together, are kept.  Every interior node gets the float
+    operations of the np.roll / np.gradient formulas in the same order, so
+    results agree bit for bit.
+
+    In d >= 2 a window also holds the boundary-column positions between
+    grid lines, and the face differences the seams between one grid line
+    and the next.  Nothing at those positions is ever read: the solver's
+    update writes there, but the Dirichlet reset of the same substep
+    overwrites those nodes, and reductions go through grid views
+    (face_view, inner) that skip them.
     """
 
-    def __init__(self, shape: tuple, dx: list, rows: bool = False):
+    def __init__(self, shape: tuple, dx: list):
         d = len(shape)
         self.d = d
         self.shape = tuple(shape)
         self.dx = list(dx)
-        lead = (slice(None),) if rows else ()
+        self.size = math.prod(self.shape)
+        self.strides = [math.prod(self.shape[i + 1:]) for i in range(d)]
+        lo = sum(self.strides)
+        hi = self.size - lo
 
-        def view(shifts: dict, rest=slice(1, -1)) -> tuple:
-            """Index taking shifts[k] on space axis k and `rest` on the other space axes."""
-            return lead + tuple(shifts.get(k, rest) for k in range(d))
+        def at(k: int) -> tuple:
+            """Index of the window at offset k: the flat values k away from each position."""
+            return (..., slice(lo + k, hi + k))
 
-        self.mid = view({})
-        up, down = slice(2, None), slice(None, -2)
-        # face differences along axis i span every node of the other axes
-        self.face_hi = [view({i: slice(1, None)}, slice(None)) for i in range(d)]
-        self.face_lo = [view({i: slice(None, -1)}, slice(None)) for i in range(d)]
-        # the faces on either side of each interior node
-        self.face_fwd = [view({i: slice(1, None)}) for i in range(d)]
-        self.face_bwd = [view({i: slice(None, -1)}) for i in range(d)]
-        self.plus = [view({i: up}) for i in range(d)]
-        self.minus = [view({i: down}) for i in range(d)]
+        self.mid = at(0)
+        self.plus = [at(s) for s in self.strides]
+        self.minus = [at(-s) for s in self.strides]
         self.cross = {
-            (i, j): tuple(view({i: si, j: sj}) for si, sj in
-                          ((up, up), (up, down), (down, up), (down, down)))
-            for i in range(d) for j in range(i + 1, d)
+            (i, j): (at(si + sj), at(si - sj), at(sj - si), at(-si - sj))
+            for i, si in enumerate(self.strides) for j, sj in enumerate(self.strides) if i < j
         }
+        # face k along axis i lies between flat values k and k + strides[i]
+        self.face_hi = [(..., slice(s, None)) for s in self.strides]
+        self.face_lo = [(..., slice(None, -s)) for s in self.strides]
+        # boxes of the grid views: the interior nodes, and the faces along each axis
+        self.inner_box = tuple(n - 2 for n in self.shape)
+        self.face_boxes = [tuple(n - (k == i) for k, n in enumerate(self.shape))
+                           for i in range(d)]
+        self.byte_strides = tuple(s * np.dtype(float).itemsize for s in self.strides)
+
+    def flat(self, u: np.ndarray) -> np.ndarray:
+        """u with its space axes flattened: a view when they are contiguous."""
+        return u.reshape(u.shape[:u.ndim - self.d] + (self.size,))
+
+    def _grid_view(self, w: np.ndarray, box: tuple) -> np.ndarray:
+        """View of a C-contiguous float array's last axis as `box` with the grid's
+        strides; box must keep every position inside w."""
+        return np.ndarray(w.shape[:-1] + box, float, w, 0, w.strides[:-1] + self.byte_strides)
+
+    def inner(self, w: np.ndarray) -> np.ndarray:
+        """The interior nodes of a window array, on the grid's interior axes."""
+        return self._grid_view(w, self.inner_box)
+
+    def face_view(self, q: np.ndarray, i: int) -> np.ndarray:
+        """The faces of a face_diffs-shaped array along axis i, without the seams."""
+        return self._grid_view(q, self.face_boxes[i])
 
     def interior(self, field):
-        """Interior values of a field sampled on the grid; scalars pass through."""
+        """Window values of a field sampled on the grid; scalars pass through."""
         if np.ndim(field) == 0:
             return field
         if field.shape[-self.d:] != self.shape:
             field = np.broadcast_to(field, self.shape)
-        return field[self.mid]
+        return self.flat(field)[self.mid]
 
-    def face_diffs(self, u: np.ndarray) -> list:
+    def face_diffs(self, f: np.ndarray) -> list:
         """One-sided differences (u[k+1] - u[k]) / dx along each axis, on every face."""
-        return [(u[self.face_hi[i]] - u[self.face_lo[i]]) / self.dx[i] for i in range(self.d)]
+        return [(f[self.face_hi[i]] - f[self.face_lo[i]]) / self.dx[i] for i in range(self.d)]
 
     def face_jump(self, faces: list, i: int) -> np.ndarray:
         """Forward minus backward one-sided difference along axis i."""
-        return faces[i][self.face_fwd[i]] - faces[i][self.face_bwd[i]]
+        return faces[i][self.mid] - faces[i][self.minus[i]]
 
-    def centred(self, u: np.ndarray) -> list:
+    def centred(self, f: np.ndarray) -> list:
         """Centred first differences, the interior formula of np.gradient."""
-        return [(u[self.plus[i]] - u[self.minus[i]]) / (2. * self.dx[i]) for i in range(self.d)]
+        return [(f[self.plus[i]] - f[self.minus[i]]) / (2. * self.dx[i]) for i in range(self.d)]
 
-    def second_diffs(self, u: np.ndarray) -> dict:
+    def second_diffs(self, f: np.ndarray) -> dict:
         """Centred second differences keyed (i, j) with i <= j."""
         dx = self.dx
         out = {}
         for i in range(self.d):
-            out[(i, i)] = (u[self.plus[i]] - 2.0 * u[self.mid] + u[self.minus[i]]) / dx[i] ** 2
+            out[(i, i)] = (f[self.plus[i]] - 2.0 * f[self.mid] + f[self.minus[i]]) / dx[i] ** 2
         for (i, j), (pp, pm, mp, mm) in self.cross.items():
-            out[(i, j)] = (u[pp] - u[pm] - u[mp] + u[mm]) / (4.0 * dx[i] * dx[j])
+            out[(i, j)] = (f[pp] - f[pm] - f[mp] + f[mm]) / (4.0 * dx[i] * dx[j])
         return out
 
 
@@ -283,14 +311,15 @@ def _extremal_field(hess: dict, d: int, sign: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _column(values: list, d: int):
-    """Per-row numbers as a column that broadcasts over rows of d-axis fields.
+def _column(values: list, ndim: int):
+    """Per-row numbers as a column that broadcasts over rows of fields with
+    ndim axes per row: d on the grid, 1 in the stencil's flat windows.
 
     A single row's number is returned as it is.
     """
     if len(values) == 1:
         return values[0]
-    return np.array(values).reshape((len(values),) + (1,) * d)
+    return np.array(values).reshape((len(values),) + (1,) * ndim)
 
 
 def _stack_rows(values: list, st: _Stencil) -> tuple:
@@ -310,7 +339,7 @@ def _row_max(x, n_rows: int) -> list:
     """max of each leading row of x (x itself for one row) as Python floats."""
     if n_rows == 1:
         return [float(x.max())]
-    return x.reshape(n_rows, -1).max(axis=1).tolist()
+    return x.max(axis=tuple(range(1, x.ndim))).tolist()
 
 
 # ndarray ** number sends these exponents to square, sqrt, reciprocal, ...
@@ -327,8 +356,8 @@ class _RowExponent:
     the number.
     """
 
-    def __init__(self, exponents: list, d: int):
-        self.column = _column(exponents, d)
+    def __init__(self, exponents: list):
+        self.column = _column(exponents, 1)
         self.redo = [(r, e) for r, e in enumerate(exponents) if e in _POWER_FAST_PATHS]
 
     def power(self, x: np.ndarray) -> np.ndarray:
@@ -338,11 +367,12 @@ class _RowExponent:
         return y
 
 
-def _row_exponent(exponents: list, d: int):
-    """The rows' exponents: one number when they all agree, else a _RowExponent."""
+def _row_exponent(exponents: list):
+    """The rows' exponents: one number when they all agree, else a _RowExponent
+    for fields in the stencil's flat windows."""
     if all(e == exponents[0] for e in exponents):
         return exponents[0]
-    return _RowExponent(exponents, d)
+    return _RowExponent(exponents)
 
 
 class _Field:
@@ -402,7 +432,9 @@ def _block_sampler(fields: list, st: _Stencil):
 def _hamiltonian(a, grads: list, half):
     """a |Du|^p from the centred gradient, with half = p/2 a number or a
     _RowExponent; shared by solver and residual."""
-    g2 = sum(g**2 for g in grads)
+    g2 = grads[0] ** 2  # the bits of sum(g**2 for g in grads): squares are >= +0
+    for g in grads[1:]:
+        g2 += g**2
     return a * (half.power(g2) if isinstance(half, _RowExponent) else g2 ** half)
 
 
@@ -419,15 +451,15 @@ def _diffusion_bounds(diff, coords, ts: list, d: int) -> tuple:
     raise DomainError(f"unknown diffusion spec {type(diff)!r}")
 
 
-def _diffusion_term(diff, st: _Stencil, u, bs):
+def _diffusion_term(diff, st: _Stencil, f, bs):
     """Interior diffusion term of u, with bs from _diffusion_bounds.
 
-    u holds one row per matrix in bs on a leading axis, or is a single grid
-    function.
+    f is the stencil's flat view of one grid function, or of one row per
+    matrix in bs on a leading axis.
     """
     if diff is None:
         return 0.0
-    hess = st.second_diffs(u)
+    hess = st.second_diffs(f)
     if bs is None:
         return diff.coeff * _extremal_field(hess, st.d, diff.sign)
     total = np.zeros(hess[(0, 0)].shape)
@@ -498,8 +530,7 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
     dx_min = min(dx)
     coords = cfg.coords()
     shape = tuple(cfg.nx)
-    # one stencil for a single row's grid, one for blocks with a leading row axis
-    stencils = (_Stencil(shape, dx), _Stencil(shape, dx, rows=True))
+    st = _Stencil(shape, dx)
     n_all = len(specs)
 
     u_all = np.empty((n_all,) + shape)
@@ -545,7 +576,7 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
     clock = [cfg.t0] * n_all
     warned_cap = [False] * n_all
     failed = [None] * n_all
-    # active row set -> (stencil, coefficient, forcing, exponent), built once per set
+    # active row set -> (coefficient, forcing, exponent), built once per set
     blocks = {}
 
     for n in range(1, cfg.nt):
@@ -555,22 +586,23 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
         while rows:
             n_rows = len(rows)
             if tuple(rows) not in blocks:
-                st = stencils[n_rows > 1]
-                blocks[tuple(rows)] = (st, _block_sampler([coeffs[r] for r in rows], st),
+                blocks[tuple(rows)] = (_block_sampler([coeffs[r] for r in rows], st),
                                        _block_sampler([forcings[r] for r in rows], st),
-                                       _row_exponent([ps[r] / 2.0 for r in rows], d))
-            st, coeff, forcing, half = blocks[tuple(rows)]
+                                       _row_exponent([ps[r] / 2.0 for r in rows]))
+            coeff, forcing, half = blocks[tuple(rows)]
             u, copied = _row_block(u_all, rows)
-            flats = [u.reshape(-1)] if n_rows == 1 else [row.reshape(-1) for row in u]
+            f = st.flat(u)  # a view: u is contiguous
+            flats = [f] if n_rows == 1 else list(f)
             stepping = True
             while stepping:
                 ts = [clock[r] for r in rows]
                 a, a_mid = coeff(ts)
                 bs, lams = _diffusion_bounds(diffusion, coords, ts, d)
-                faces = st.face_diffs(u)
+                faces = st.face_diffs(f)
                 qmaxes = [0.0] * n_rows
-                for q in faces:
-                    qmaxes = list(map(max, qmaxes, _row_max(np.abs(q), n_rows)))
+                for i, q in enumerate(faces):
+                    face_maxes = _row_max(st.face_view(np.abs(q), i), n_rows)
+                    qmaxes = list(map(max, qmaxes, face_maxes))
                 half_alphas, dts = [], []
                 for r, qmax, amax, lam in zip(rows, qmaxes, _row_max(a, n_rows), lams):
                     p = ps[r]
@@ -599,13 +631,15 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     else:
                         dts.append(min(dt_stab, t_target - clock[r]))
 
-                hamil = _hamiltonian(a_mid, st.centred(u), half)
-                jump_coeff = _column(half_alphas, d)
+                hamil = _hamiltonian(a_mid, st.centred(f), half)
+                jump_coeff = _column(half_alphas, 1)
                 for i in range(d):
                     hamil = hamil - jump_coeff * st.face_jump(faces, i)
-                diff_term = _diffusion_term(diffusion, st, u, bs)
+                diff_term = _diffusion_term(diffusion, st, f, bs)
                 rhs = forcing(ts)[1] - shift - hamil + diff_term
-                u[st.mid] += _column(dts, d) * rhs
+                # boundary-column positions of the window get written here and
+                # reset below, before anything reads them
+                f[st.mid] += _column(dts, 1) * rhs
 
                 for r, dt, flat in zip(rows, dts, flats):
                     if failed[r] is None:
@@ -671,33 +705,29 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
     coords = list(np.meshgrid(*axes, indexing="ij"))
     ts = u.times()
     st = _Stencil(u.n_space, list(u.spacing_x))
-    inner = st.mid
     coeff = _Field(spec.coefficient, spec.coeff_at, coords, ts[0])
     forcing = _Field(spec.forcing, spec.forcing_at, coords, ts[0])
     half = spec.params.p / 2.0
 
     worst = -math.inf if side == "sub" else math.inf
     worst_idx = None
+    prev = st.flat(u.values[..., 0])
     for n in range(1, u.n_time):
-        un = u.values[..., n]
-        ut = (un[inner] - u.values[inner + (n - 1,)]) / u.spacing_t
+        fn = st.flat(u.values[..., n])  # a contiguous copy of the time slice
+        ut = (fn[st.mid] - prev[st.mid]) / u.spacing_t
         a = st.interior(coeff.at(ts[n]))
         bs, _ = _diffusion_bounds(spec.diffusion, coords, [ts[n]], d)
-        diff_term = _diffusion_term(spec.diffusion, st, un, bs)
-        res = ut + _hamiltonian(a, st.centred(un), half) - diff_term
-        res = res - st.interior(forcing.at(ts[n])) + spec.shift
-        if side == "sub":
-            k = int(np.argmax(res))
-            val = float(res.ravel()[k])
-            better = val > worst
-        else:
-            k = int(np.argmin(res))
-            val = float(res.ravel()[k])
-            better = val < worst
-        if better:
+        diff_term = _diffusion_term(spec.diffusion, st, fn, bs)
+        res = ut + _hamiltonian(a, st.centred(fn), half) - diff_term
+        res = st.inner(res - st.interior(forcing.at(ts[n])) + spec.shift)
+        k = int(np.argmax(res) if side == "sub" else np.argmin(res))
+        idx = np.unravel_index(k, res.shape)
+        val = float(res[idx])
+        if (val > worst) if side == "sub" else (val < worst):
             worst = val
             # interior index -> grid index: one boundary layer per axis
-            worst_idx = tuple(i + 1 for i in np.unravel_index(k, res.shape)) + (n,)
+            worst_idx = tuple(i + 1 for i in idx) + (n,)
+        prev = fn
 
     violation = max(0.0, worst) if side == "sub" else max(0.0, -worst)
     xc = tuple(float(axes[i][worst_idx[i]]) for i in range(d))

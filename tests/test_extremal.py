@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjholder.errors import DomainError
-from hjholder.extremal import SymMatrix, m_minus, m_plus, sym_eigs
+from hjholder.extremal import SymMatrix, _mid_rad, _symmetrized, m_minus, m_plus, sym_eigs
 
 
 def random_sym(rng, d):
@@ -217,3 +220,72 @@ class TestAlgebraicProperties:
         assert np.all(np.abs(m_minus(cx) - c * m_minus(x)) <= tol * (1 + c))
         # quadratic-form monotonicity: X <= X + P for P psd
         assert np.all(m_plus(x) <= m_plus(x + psd) + tol)
+
+
+# ---------------------------------------------------------------------------
+# Entries near the ends of the float range
+# ---------------------------------------------------------------------------
+
+_MAX = float(np.finfo(float).max)
+
+
+def _signed(magnitudes):
+    return st.builds(lambda sign, v: sign * v, st.sampled_from([-1.0, 1.0]), magnitudes)
+
+
+# any finite float, and magnitudes whose squares overflow or underflow
+_ENTRY = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    _signed(st.floats(1e154, _MAX)),
+    _signed(st.floats(0.0, 1e-154)),
+)
+
+
+class TestRadius:
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(_ENTRY, _ENTRY, _ENTRY), st.tuples(_ENTRY, _ENTRY, _ENTRY))
+    def test_within_2ulp_of_hypot_alone_and_in_a_stack(self, first, second):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = [_mid_rad(*(np.asarray(v) for v in h)) for h in (first, second)]
+            mids, rads = _mid_rad(*(np.array(col) for col in zip(first, second)))
+        for k, (h00, h11, h01) in enumerate((first, second)):
+            mid, rad = alone[k]
+            with np.errstate(over="ignore"):  # radii above the float range are inf
+                want = np.hypot(0.5 * h00 - 0.5 * h11, h01)
+            assert rad == want or abs(rad - want) <= 2 * np.spacing(want)
+            assert mid == 0.5 * h00 + 0.5 * h11 and math.isfinite(mid)
+            # each entry's radius depends on that entry alone
+            assert np.float64(rad).tobytes() == rads[k].tobytes()
+            assert np.float64(mid).tobytes() == mids[k].tobytes()
+
+    def test_sqrt_form_away_from_the_range_ends(self):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(2, 10_000)) * 10.0 ** rng.integers(-100, 100, size=(2, 10_000))
+        _, rad = _mid_rad(x, -x, y)
+        assert rad.tobytes() == np.sqrt(x * x + y * y).tobytes()
+
+
+class TestHugeFiniteMatrices:
+    @pytest.mark.parametrize("entries", [
+        [[1.5e308, 0.0], [0.0, 1.5e308]],
+        [[1e308, 0.0], [0.0, -1e308]],
+        [[-1.2e308, 1e308], [1e308, 1.2e308]],
+        [[1.5e308, 0.0, 0.0], [0.0, -1e308, 0.0], [0.0, 0.0, 1e308]],
+        # eigenvalues +-1.97e308 lie above the float range: +-inf, never nan
+        [[-1.7e308, 1e308], [1e308, 1.7e308]],
+    ])
+    def test_m_pm_never_nan_and_match_eigvalsh(self, entries):
+        x = np.array(entries)
+        want = np.linalg.eigvalsh(x)
+        for a in (x, np.stack([x, x])):
+            ev = sym_eigs(a)
+            assert not np.isnan(ev).any()
+            assert np.allclose(ev, want, rtol=1e-15, atol=0.0)
+            assert np.all(m_plus(a) == max(ev.reshape(-1)[-1], 0.0))
+            assert np.all(m_minus(a) == min(ev.reshape(-1)[0], 0.0))
+
+    def test_symmetrization_keeps_the_bits_of_the_half_sum(self):
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(300, 3, 3)) * 10.0 ** rng.integers(-300, 300, size=(300, 1, 1))
+        assert _symmetrized(a).tobytes() == (0.5 * (a + a.swapaxes(-1, -2))).tobytes()

@@ -1,10 +1,12 @@
-"""The interior-slice stencil against the np.roll / np.gradient formulas.
+"""The flat-window stencil against the np.roll / np.gradient formulas.
 
 The reference below is a frozen, test-local copy of the roll/gradient
-substep loop and residual check that the interior stencil replaced.  The
-stencil performs the same float operations in the same order, so every
-solution value and every residual report must agree bit for bit, and every
-callable must be sampled at the same times in the same order.
+substep loop and residual check that the flat-window stencil replaced; its
+m+/- radius is the sqrt form of hjholder.extremal._mid_rad (a tolerance test
+compares with the np.hypot radius it had before).  The stencil performs the
+same float operations in the same order, so every solution value and every
+residual report must agree bit for bit, and every callable must be sampled
+at the same times in the same order.
 
 The same holds for problems solved together as rows of one solve_hj call:
 each row must match its one-at-a-time solve bit for bit and sample its
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 from hjholder import instances
-from hjholder.core import EquationParams
+from hjholder.core import EquationParams, GridFunction
 from hjholder.errors import Blowup, CflViolation, DomainError
 from hjholder.scheme import (
     BLOWUP_FACTOR,
@@ -62,22 +64,26 @@ def _ref_second_diffs(u, dx):
     return out
 
 
-def _ref_m_field(hess, d, sign):
+def _sqrt_radius(x, y):
+    return np.sqrt(x * x + y * y)
+
+
+def _ref_m_field(hess, d, sign, radius):
     if d == 1:
         h = hess[(0, 0)]
         return np.maximum(h, 0.0) if sign > 0 else np.minimum(h, 0.0)
     mid = 0.5 * (hess[(0, 0)] + hess[(1, 1)])
-    rad = np.hypot(0.5 * (hess[(0, 0)] - hess[(1, 1)]), hess[(0, 1)])
+    rad = radius(0.5 * (hess[(0, 0)] - hess[(1, 1)]), hess[(0, 1)])
     return np.maximum(mid + rad, 0.0) if sign > 0 else np.minimum(mid - rad, 0.0)
 
 
-def _ref_diffusion_field(spec, u, coords, t, dx, d):
+def _ref_diffusion_field(spec, u, coords, t, dx, d, radius=_sqrt_radius):
     diff = spec.diffusion
     if diff is None:
         return 0.0, 0.0
     hess = _ref_second_diffs(u, dx)
     if isinstance(diff, ExtremalDiffusion):
-        return diff.coeff * _ref_m_field(hess, d, diff.sign), abs(diff.coeff)
+        return diff.coeff * _ref_m_field(hess, d, diff.sign, radius), abs(diff.coeff)
     b = diff.matrix_at(coords, t, d)
     total = np.zeros(u.shape)
     for i in range(d):
@@ -86,7 +92,7 @@ def _ref_diffusion_field(spec, u, coords, t, dx, d):
     return total, float(np.max(np.abs(b))) * d
 
 
-def _ref_solve(spec, init, bc, cfg):
+def _ref_solve(spec, init, bc, cfg, radius=_sqrt_radius):
     d = cfg.dim
     dx = cfg.spacings()
     dx_min = min(dx)
@@ -122,7 +128,7 @@ def _ref_solve(spec, init, bc, cfg):
             hamil = a * gnorm2 ** (p / 2.0)
             for i in range(d):
                 hamil = hamil - 0.5 * alpha * (qf[i] - qb[i])
-            diff_term, lam = _ref_diffusion_field(spec, u, coords, t, dx, d)
+            diff_term, lam = _ref_diffusion_field(spec, u, coords, t, dx, d, radius)
             rhs = spec.forcing_at(coords, t) - spec.shift - hamil + diff_term
             dt_stab = math.inf
             if alpha > 0:
@@ -196,10 +202,10 @@ class _Log:
         return logged
 
 
-def _cfg(d, **kw):
+def _cfg(d, nx=(25, 21), **kw):
     if d == 1:
         return SolveConfig(xmin=(-1.0,), xmax=(1.2,), nx=(65,), t0=0.0, t1=0.3, nt=7, **kw)
-    return SolveConfig(xmin=(-1.0, -0.8), xmax=(1.0, 1.1), nx=(25, 21), t0=0.0, t1=0.2,
+    return SolveConfig(xmin=(-1.0, -0.8), xmax=(1.0, 1.1), nx=nx, t0=0.0, t1=0.2,
                        nt=5, **kw)
 
 
@@ -249,17 +255,22 @@ def _spec(d, diffusion, coefficient, forcing, log):
                            diffusion=diff, forcing=force, shift=0.1)
 
 
-def _bc(log):
-    return log.wrap("bc", lambda *args: _init(*args[:-1]) + 0.1 * args[-1])
+def _bc(log, jump=0.0):
+    """Boundary data: the initial data drifting in time, plus `jump` times a
+    sign pattern that sets the boundary apart from the interior."""
+    def bc(*args):
+        return _init(*args[:-1]) + 0.1 * args[-1] + jump * np.sign(args[0] + 0.05)
+
+    return log.wrap("bc", bc)
 
 
-def _check(d, diffusion, coefficient, forcing, **cfg_kw):
+def _check(d, diffusion, coefficient, forcing, jump=0.0, **cfg_kw):
     cfg = _cfg(d, **cfg_kw)
     new_log, ref_log = _Log(), _Log()
     got = solve_hj(_spec(d, diffusion, coefficient, forcing, new_log), _init,
-                   _bc(new_log), cfg)
+                   _bc(new_log, jump), cfg)
     want = _ref_solve(_spec(d, diffusion, coefficient, forcing, ref_log), _init,
-                      _bc(ref_log), cfg)
+                      _bc(ref_log, jump), cfg)
     assert np.array_equal(got.values, want)
     assert got.values.tobytes() == want.tobytes()  # also the sign of every zero
     # the solver samples at t0 for its checks before the loop starts
@@ -287,6 +298,53 @@ def test_stencil_matches_reference_under_lf_cap(d, caplog):
     with caplog.at_level(logging.WARNING, logger="hjholder.scheme"):
         _check(d, "m+", "rough", "inverse_power", lf_alpha_cap=0.3)
     assert any("LF dissipation capped" in r.getMessage() for r in caplog.records)
+
+
+@pytest.mark.parametrize("diffusion", ["m+", "m-", "trace_callable"])
+@pytest.mark.parametrize("nx", [(13, 30), (30, 9), (3, 17), (17, 3)])
+def test_stencil_matches_reference_on_grid_shapes(nx, diffusion):
+    # the flat windows run across grid lines; their seams sit elsewhere in
+    # each shape, and a 3-node axis leaves one interior line
+    _check(2, diffusion, "rough", "inverse_power", nx=nx)
+
+
+@pytest.mark.parametrize("diffusion", ["m+", "trace"])
+@pytest.mark.parametrize("nx", [(13, 11), (9, 14)])
+def test_boundary_columns_never_leak(nx, diffusion):
+    # boundary data set apart from the interior: a window position at a
+    # boundary column, or a seam, read anywhere would change the bits
+    _check(2, diffusion, "rough", "constant", jump=0.3, nx=nx)
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 5), (3, 8), (8, 3), (5, 4, 6), (6, 3, 3)])
+def test_residual_never_reads_boundary_columns(shape):
+    # random interiors with boundary values a thousand times larger: a seam
+    # or a boundary column inside the reduction would be the worst node
+    d = len(shape)
+    rng = np.random.default_rng(d)
+    vals = rng.normal(size=shape + (4,))
+    vals[_ref_boundary_mask(shape)] *= 1e3
+    u = GridFunction((0.0,) * d, tuple(0.1 + 0.05 * i for i in range(d)), 0.0, 0.05, vals)
+    diffusion = (ExtremalDiffusion(sign=1, coeff=0.04) if d == 2
+                 else TraceDiffusion(0.01 * np.eye(d) + 0.005))
+    spec = HamiltonianSpec(params=EquationParams(p=3.0, A=2.0, d=d), diffusion=diffusion,
+                           forcing=0.3, shift=0.1)
+    for side in ("sub", "super"):
+        assert discrete_residual(u, spec, side) == _ref_residual(u, spec, side)
+
+
+@pytest.mark.parametrize("forcing", ["none", "constant", "inverse_power"])
+@pytest.mark.parametrize("coefficient", ["constant", "rough"])
+@pytest.mark.parametrize("diffusion", ["m+", "m-"])
+def test_sqrt_radius_close_to_hypot_reference(diffusion, coefficient, forcing):
+    # the radius was np.hypot(x, y); of these twelve solves only m- with a
+    # constant coefficient and forcing moves, in 27 of 2625 values, by at
+    # most 1.3e-16 relative
+    cfg = _cfg(2)
+    got = solve_hj(_spec(2, diffusion, coefficient, forcing, _Log()), _init, _bc(_Log()), cfg)
+    old = _ref_solve(_spec(2, diffusion, coefficient, forcing, _Log()), _init, _bc(_Log()),
+                     cfg, radius=np.hypot)
+    assert np.max(np.abs(got.values - old) / np.abs(old)) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +494,20 @@ def test_rows_match_alone_across_exponents(d):
     # and matches the frozen roll/gradient reference
     for k, row in enumerate(rows):
         (spec,) = _row_specs(d, [row], [_Log()], ExtremalDiffusion(sign=1, coeff=0.04), first=k)
+        want = _ref_solve(spec, _row_init(k), _bc(_Log()), cfg)
+        assert got[k].values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("diffusion", [ExtremalDiffusion(sign=-1, coeff=0.04),
+                                       TraceDiffusion(_trace_entries(2))])
+@pytest.mark.parametrize("nx", [(17, 12), (3, 14), (11, 3)])
+def test_2d_rows_match_reference(nx, diffusion):
+    rows = [(3.0, "rough", "inverse_power"), (2.5, "constant", "none"),
+            (4.0, "opaque", "constant")]
+    cfg = _cfg(2, nx=nx)
+    got, _ = _check_rows(2, rows, cfg, diffusion=diffusion)
+    for k, row in enumerate(rows):
+        (spec,) = _row_specs(2, [row], [_Log()], diffusion, first=k)
         want = _ref_solve(spec, _row_init(k), _bc(_Log()), cfg)
         assert got[k].values.tobytes() == want.tobytes()
 
