@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
+import keyword
 import os
 import sys
 
@@ -52,98 +54,116 @@ def _write_csv(path, header_rows, columns, rows):
 # ---------------------------------------------------------------------------
 
 
-def _section(cfg: dict, key: str, default=None) -> dict:
-    """A JSON object inside a config; DomainError when it is something else."""
-    value = cfg.get(key, {} if default is None else default)
-    if not isinstance(value, dict):
-        raise DomainError(f"config entry {key!r} must be a JSON object, got {value!r}")
-    return value
+def _value(value, annotation: str, where: str, key: str):
+    """The JSON value at where.key read as the annotated type of a parameter;
+    DomainError otherwise.  Numbers must be finite (whole for an int), and a
+    tuple holds one number per space axis, where a bare number is one axis.
+    An unannotated parameter takes a number."""
+    annotation = "float" if annotation is inspect.Parameter.empty else annotation
+    if value is None and annotation.endswith(" | None"):
+        return None
+    annotation, what = annotation.removesuffix(" | None"), f"{where}.{key}"
+    if annotation in ("float", "int"):
+        return as_number(value, what, integral=annotation == "int")
+    if annotation == "tuple[float, ...]":
+        return tuple(as_number(v, what) for v in (value if isinstance(value, list) else [value]))
+    if annotation == "object" or isinstance(value, {"str": str, "dict": dict}[annotation]):
+        return value  # an object is read by the block it goes into
+    wanted = "a JSON object" if annotation == "dict" else "a string"
+    raise DomainError(f"{where}: {key!r} must be {wanted}, got {value!r}")
 
 
-def _equation_from_config(cfg: dict, dx_min: float):
-    eq = _section(cfg, "equation")
-    m = eq.get("m")
-    params = EquationParams(
-        p=as_number(eq.get("p", 3.0), "equation.p"),
-        A=as_number(eq.get("A", 1.0), "equation.A"),
-        eps=as_number(eq.get("eps", 0.0), "equation.eps"),
-        d=as_number(eq.get("d", 1), "equation.d", integral=True),
-        m=None if m is None else as_number(m, "equation.m"),
-    )
-    coeff_cfg = _section(eq, "coefficient", {"kind": "constant", "value": 1.0})
-    kind = coeff_cfg.get("kind", "constant")
-    if kind == "constant":
-        coefficient = as_number(coeff_cfg.get("value", 1.0), "coefficient.value")
-    elif kind == "rough":
-        coefficient = instances.rough_coefficient(
-            k=as_number(coeff_cfg.get("k", 10.0), "coefficient.k"),
-            omega=as_number(coeff_cfg.get("omega", 7.0), "coefficient.omega"),
-            base=as_number(coeff_cfg.get("base", 1.0), "coefficient.base"),
-            amplitude=as_number(coeff_cfg.get("amplitude", 0.5), "coefficient.amplitude"),
-        )
-    else:
-        raise DomainError(f"unknown coefficient kind {kind!r}")
-
-    diff_cfg = _section(eq, "diffusion", {"kind": "none"})
-    kind = diff_cfg.get("kind", "none")
-    if kind == "none":
-        diffusion = None
-    elif kind == "extremal":
-        sign = {"plus": 1, "minus": -1, "+": 1, "-": -1}.get(diff_cfg.get("sign", "plus"))
-        if sign is None:
-            raise DomainError(f"bad extremal sign {diff_cfg.get('sign')!r}")
-        diffusion = scheme.ExtremalDiffusion(
-            sign, as_number(diff_cfg.get("coeff", 0.0), "diffusion.coeff"))
-    elif kind == "trace":
-        scale = as_number(diff_cfg.get("scale", 1.0), "diffusion.scale")
-        diffusion = scheme.TraceDiffusion(scale * np.eye(params.d))
-    else:
-        raise DomainError(f"unknown diffusion kind {kind!r}")
-
-    f_cfg = _section(eq, "forcing", {"kind": "none"})
-    kind = f_cfg.get("kind", "none")
-    if kind == "none":
-        forcing = None
-    elif kind == "constant":
-        forcing = as_number(f_cfg.get("value", 0.0), "forcing.value")
-    elif kind == "inverse_power":
-        forcing = instances.inverse_power_forcing(
-            strength=as_number(f_cfg.get("strength", 0.5), "forcing.strength"),
-            gamma=as_number(f_cfg.get("gamma", 0.4), "forcing.gamma"),
-            center=[as_number(c, "forcing.center")
-                    for c in np.atleast_1d(f_cfg.get("center", 0.0)).tolist()],
-            cap_radius=as_number(f_cfg.get("cap_radius", dx_min), "forcing.cap_radius"),
-        )
-    else:
-        raise DomainError(f"unknown forcing kind {kind!r}")
-
-    return scheme.HamiltonianSpec(
-        params=params,
-        coefficient=coefficient,
-        diffusion=diffusion,
-        forcing=forcing,
-        shift=as_number(eq.get("shift", 0.0), "equation.shift"),
-    )
+@functools.cache  # its keys are the config consumers of this module, a fixed set
+def _params(fn):
+    return inspect.signature(fn).parameters
 
 
-def _grid_from_config(cfg: dict) -> scheme.SolveConfig:
-    if "grid" not in cfg:
-        raise DomainError("config needs a 'grid' block")
-    g = _section(cfg, "grid")
-    missing = [key for key in ("xmin", "xmax", "nx") if key not in g]
+def _kwargs(fn, block: dict, where: str, fixed=(), typed: bool = True) -> dict:
+    """The config block at `where` as keyword arguments of fn: each key names a
+    parameter not in `fixed` (a keyword such as `lambda` names `lambda_`, which is
+    no key itself), read as its type unless fn converts its own; one without a
+    default is required."""
+    params = _params(fn)
+    kwargs = {}
+    for key, value in block.items():
+        name = key + "_" if keyword.iskeyword(key) else key
+        if name not in params or name in fixed or keyword.iskeyword(key[:-1]):
+            raise DomainError(f"{where}: unknown key {key!r}")
+        kwargs[name] = _value(value, params[name].annotation, where, key) if typed else value
+    missing = [name for name, param in params.items()
+               if param.default is param.empty and name not in kwargs and name not in fixed]
     if missing:
-        raise DomainError(f"grid block needs {', '.join(map(repr, missing))}")
-    return scheme.SolveConfig(
-        xmin=g["xmin"],
-        xmax=g["xmax"],
-        nx=g["nx"],
-        t0=g.get("t0", 0.0),
-        t1=g.get("t1", 1.0),
-        nt=g.get("nt", 65),
-        cfl=g.get("cfl", 0.8),
-        lf_alpha_cap=g.get("lf_alpha_cap"),
-        lf_alpha_floor=g.get("lf_alpha_floor", 0.0),
-    )
+        raise DomainError(f"{where} needs {', '.join(map(repr, missing))}")
+    return kwargs
+
+
+def _build(fn, block: dict, where: str, /, **context):
+    """fn(**context, **block), the block read by _kwargs; the context holds
+    values the program sets, and fn gets those it has parameters for."""
+    context = {k: v for k, v in context.items() if k in _params(fn)}
+    return fn(**context, **_kwargs(fn, block, where, context))
+
+
+def _kind(factories: dict, block, where: str, key: str, /, **context):
+    """The object that the block {"kind": name, ...} at where.key describes:
+    factories[name] applied to its other keys.  The first kind in factories is
+    the one an absent block or "kind" means."""
+    block = dict(_value(block, "dict | None", where, key) or {})
+    kind = block.pop("kind", next(iter(factories)))
+    if not isinstance(kind, str) or kind not in factories:
+        raise DomainError(f"{where}.{key}: unknown kind {kind!r} (one of {', '.join(factories)})")
+    return _build(factories[kind], block, f"{where}.{key}", **context)
+
+
+def _from_instances(name: str, signature_of, *args):
+    """A factory calling instances.<name>(*args, **kw), with signature_of's keys;
+    it looks the factory up at each call, so a wrapper put on the module
+    attribute (as the benchmark's tracer does) sees the call."""
+    return functools.wraps(signature_of)(lambda **kw: getattr(instances, name)(*args, **kw))
+
+
+def _extremal_diffusion(coeff, sign: str = "plus") -> scheme.ExtremalDiffusion:
+    signs = {"plus": 1, "minus": -1, "+": 1, "-": -1}
+    if sign not in signs:
+        raise DomainError(f"diffusion sign must be one of {', '.join(signs)}, got {sign!r}")
+    return scheme.ExtremalDiffusion(signs[sign], coeff)
+
+
+_COEFFICIENTS = {"constant": lambda value=scheme.HamiltonianSpec.coefficient: value,
+                 "rough": _from_instances("rough_coefficient", instances.rough_coefficient)}
+_DIFFUSIONS = {"none": lambda: None, "extremal": _extremal_diffusion,
+               "trace": lambda scale=1.0, *, d: scheme.TraceDiffusion(scale * np.eye(d))}
+_FORCINGS = {"none": lambda: None, "constant": lambda value=0.0: value,
+             "inverse_power": _from_instances("inverse_power_forcing",
+                                              instances.inverse_power_forcing)}
+_INITIAL = {kind: _from_instances("initial_profile", fn, kind)
+            for kind, fn in instances.INITIAL_PROFILES.items()}
+_BOUNDARY = {kind: _from_instances("boundary_profile", fn, kind)
+             for kind, fn in instances.BOUNDARY_PROFILES.items()}
+
+
+def _spec(eq: dict | None, grid: scheme.SolveConfig, where: str) -> scheme.HamiltonianSpec:
+    """The equation block at `where`: EquationParams' keys, `shift`, and the
+    coefficient, diffusion and forcing blocks."""
+    eq = dict(eq or {})
+    fields = _params(EquationParams)
+    params = _build(EquationParams, {k: eq.pop(k) for k in list(eq) if k in fields}, where)
+    forcing = _value(eq.get("forcing"), "dict | None", where, "forcing") or {}
+    if forcing.get("kind") == "inverse_power":  # the one default that the grid sets
+        eq["forcing"] = {"cap_radius": min(grid.spacings()), **forcing}
+    terms = {key: _kind(kinds, eq.pop(key, None), where, key, d=params.d) for key, kinds in
+             (("coefficient", _COEFFICIENTS), ("diffusion", _DIFFUSIONS), ("forcing", _FORCINGS))}
+    return _build(scheme.HamiltonianSpec, eq, where, params=params, **terms)
+
+
+def _base(grid: dict, equation: dict | None = None, initial: dict | None = None,
+          boundary: dict | None = None, seed: int | None = None, *, where: str):
+    """(equation block, init, bc, solve_cfg) of a solve config, the equation block
+    left to _spec; a solve draws no random numbers, so its seed is only checked."""
+    grid = _kwargs(scheme.SolveConfig, grid, f"{where}.grid", typed=False)
+    solve_cfg = scheme.SolveConfig(**grid)
+    init = _kind(_INITIAL, initial, where, "initial")
+    return equation, init, _kind(_BOUNDARY, boundary, where, "boundary", init=init), solve_cfg
 
 
 def _load_config(path: str) -> dict:
@@ -157,20 +177,10 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _problem_from_config(cfg: dict):
-    """(spec, init, bc, solve_cfg) of a solve described by a JSON config."""
-    solve_cfg = _grid_from_config(cfg)
-    spec = _equation_from_config(cfg, min(solve_cfg.spacings()))
-    init_cfg = dict(_section(cfg, "initial", {"kind": "constant", "value": 0.5}))
-    init = instances.initial_profile(init_cfg.pop("kind", None), **init_cfg)
-    bc_cfg = dict(_section(cfg, "boundary", {"kind": "frozen_initial"}))
-    bc = instances.boundary_profile(bc_cfg.pop("kind", None), init=init, **bc_cfg)
-    return spec, init, bc, solve_cfg
-
-
 def solve_from_config(cfg: dict):
     """Build and run a solve described by a JSON config; returns (u, spec, solve_cfg)."""
-    spec, init, bc, solve_cfg = _problem_from_config(cfg)
+    equation, init, bc, solve_cfg = _build(_base, cfg, "config", where="config")
+    spec = _spec(equation, solve_cfg, "config.equation")
     return scheme.solve_hj(spec, init, bc, solve_cfg), spec, solve_cfg
 
 
@@ -218,33 +228,26 @@ def _cmd_constants(args) -> int:
 def _cmd_barrier(args) -> int:
     grid = barriers.VerificationGrid(nx=args.nx, nt=args.nt)
     params = EquationParams(p=args.p, A=args.A, d=args.d)
-    if args.kind == "super":
+    radii, times = grid.radii(args.d), grid.times()
+    rho, t = np.meshgrid(radii, times, indexing="ij")
+    if args.kind == "super":  # a supersolution wants residual >= 0, a subsolution <= 0
         C, eps0 = barriers.find_supersolution_constants(params, args.eta, grid)
         bar = barriers.SupersolutionBarrier(C, args.eta, params)
-        rho, t = np.meshgrid(grid.radii(args.d), grid.times(), indexing="ij")
-        res = barriers._super_residual_radial(bar, rho, t, args.eta * eps0, args.d)
-        k = int(np.argmin(res))
-        worst = float(res.ravel()[k])
-        i, j = np.unravel_index(k, res.shape)
+        res, sign = barriers._super_residual_radial(bar, rho, t, args.eta * eps0, args.d), 1.0
         print(f"C = {C:.12g}")
         print(f"eps0 = {eps0:.12g}")
-        print(f"worst_residual = {worst:.6e} (want >= -1e-10)")
-        print(f"worst_node = (|x| = {grid.radii(args.d)[i]:.6g}, t = {grid.times()[j]:.6g})")
-        ok = worst >= -barriers.RESIDUAL_TOL
     else:
         bar = barriers.make_subsolution_barrier(params, args.R, grid)
-        rho, t = np.meshgrid(grid.radii(args.d), grid.times(), indexing="ij")
-        res = barriers._sub_residual_radial(bar, params, rho, t, args.d)
-        k = int(np.argmax(res))
-        worst = float(res.ravel()[k])
-        i, j = np.unravel_index(k, res.shape)
+        res, sign = barriers._sub_residual_radial(bar, params, rho, t, args.d), -1.0
         print(f"C_b = {bar.C_b:.12g}")
         print(f"theta = {bar.theta:.12g}")
         print(f"eps = {bar.eps:.12g}")
-        print(f"worst_residual = {worst:.6e} (want <= 1e-10)")
-        print(f"worst_node = (|x| = {grid.radii(args.d)[i]:.6g}, t = {grid.times()[j]:.6g})")
-        ok = worst <= barriers.RESIDUAL_TOL
-    print(f"grid = {args.nx} radii x {args.nt} times on |x| <= {grid.x_max}, "
+    i, j = np.unravel_index(int(np.argmin(sign * res)), res.shape)
+    worst = float(res[i, j])
+    print(f"worst_residual = {worst:.6e} (want {'>= -' if sign > 0 else '<= '}1e-10)")
+    print(f"worst_node = (|x| = {radii[i]:.6g}, t = {times[j]:.6g})")
+    ok = sign * worst >= -barriers.RESIDUAL_TOL
+    print(f"grid = {len(radii)} radii x {len(times)} times on |x| <= {grid.x_max}, "
           f"t in [{grid.t_min:g}, {grid.t_max:g}] (no statement between nodes)")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -269,10 +272,8 @@ def _cmd_oscillate(args) -> int:
     report = oscillation.iterate_scales(
         u, params, args.lam, args.theta, alpha, r0=args.r0,
     )
-    rows = []
-    for cit in report.centers:
-        for lv in cit.levels:
-            rows.append((cit.center[0], lv.level, lv.r, lv.osc, lv.bound, lv.ok))
+    rows = [(*cit.center[:u.dim], lv.level, lv.r, lv.osc, lv.bound, lv.ok)
+            for cit in report.centers for lv in cit.levels]
     header = [
         ("alpha", alpha),
         ("beta", report.beta),
@@ -281,7 +282,8 @@ def _cmd_oscillate(args) -> int:
         ("implied_C", report.implied_constant if report.passed else float("nan")),
         ("note", report.note),
     ]
-    _write_csv(args.out, header, ["center_x", "level", "r", "osc", "bound", "pass"], rows)
+    centers = [f"center_{'xyz'[i] if i < 3 else i}" for i in range(u.dim)]  # one per space axis
+    _write_csv(args.out, header, [*centers, "level", "r", "osc", "bound", "pass"], rows)
     try:
         est = oscillation.fit_holder(report.centers[0].samples,
                                      min_radius=4 * max(u.spacing_x))
@@ -338,16 +340,11 @@ def _cmd_scale(args) -> int:
     return 0 if ok else 1
 
 
-def _demo_solve(p, A, eps, init, nx=129, nt=65, half_width=1.0):
+def _demo_solve(p, A, eps, init):
     params = EquationParams(p=p, A=A, eps=eps, d=1)
-    spec = scheme.HamiltonianSpec(
-        params=params,
-        coefficient=1.0,
-        diffusion=scheme.ExtremalDiffusion(1, eps) if eps > 0 else None,
-    )
-    cfg = scheme.SolveConfig(
-        xmin=(-half_width,), xmax=(half_width,), nx=(nx,), t0=0.0, t1=1.0, nt=nt
-    )
+    diffusion = scheme.ExtremalDiffusion(1, eps) if eps > 0 else None
+    spec = scheme.HamiltonianSpec(params, diffusion=diffusion)
+    cfg = scheme.SolveConfig(xmin=(-1.0,), xmax=(1.0,), nx=(129,), t0=0.0, t1=1.0, nt=65)
     bc = instances.boundary_profile("frozen_initial", init=init)
     return scheme.solve_hj(spec, init, bc, cfg), params
 
@@ -400,42 +397,33 @@ def _cmd_demo(args) -> int:
     return 0 if ok else 1
 
 
-def _sweep_instance_config(base_cfg: dict, inst: dict) -> dict:
-    """The solve config of one sweep instance: base with its equation overrides."""
-    if not isinstance(inst, dict):
-        raise DomainError(f"sweep instances must be JSON objects, got {inst!r}")
-    cfg = json.loads(json.dumps(base_cfg))  # deep copy
-    eq = cfg["equation"] = _section(cfg, "equation")
-    eq["p"] = inst.get("p", eq.get("p", 3.0))
-    eq["A"] = inst.get("A", eq.get("A", 2.0))
-    if "k" in inst or "omega" in inst:
-        eq["coefficient"] = {
-            "kind": "rough",
-            "k": inst.get("k", 10.0),
-            "omega": inst.get("omega", 7.0),
-        }
-    if inst.get("gamma") is not None:
-        eq["forcing"] = {
-            "kind": "inverse_power",
-            "strength": inst.get("strength", 0.5),
-            "gamma": inst["gamma"],
-            "center": inst.get("x0", 1.3),
-        }
-    if inst.get("m") is not None:
-        eq["m"] = inst["m"]
-    return cfg
+def _override(eq: dict | None, p: object = None, A: object = None, k: object = None,
+              omega: object = None, gamma: object = None, strength: object = None,
+              x0: object = 1.3, m: object = None) -> dict:
+    """The base equation block with one sweep instance's overrides, whose
+    values are read with the block.  A is 2 when neither sets it; k or omega
+    make the coefficient rough, and gamma the forcing inverse_power, centred
+    at x0; a replaced block takes its kind's defaults for the keys not given."""
+    new = {"p": p, "A": (eq or {}).get("A", 2.0) if A is None else A, "m": m}
+    if k is not None or omega is not None:
+        new["coefficient"] = _given(kind="rough", k=k, omega=omega)
+    if gamma is not None:
+        new["forcing"] = _given(kind="inverse_power", gamma=gamma, center=x0, strength=strength)
+    return {**(eq or {}), **_given(**new)}
 
 
-def _sweep_row(inst: dict, spec, u, osc_cfg: dict) -> dict:
+def _given(**kw) -> dict:
+    return {key: value for key, value in kw.items() if value is not None}
+
+
+def _sweep_row(inst: dict, spec, u, lambda_: float = 0.5, R: float = 0.25) -> dict:
     """One sweep CSV row; u is the solution, or the error that stopped the solve,
     which leaves passed = 0 and nan in the columns that need the solution."""
-    lam = as_number(osc_cfg.get("lambda", 0.5), "oscillate.lambda")
-    R = as_number(osc_cfg.get("R", 0.25), "oscillate.R")
     bar = barriers.make_subsolution_barrier(spec.params, R)
-    adm = scaling.admissible_alpha(spec.params.p, spec.params.m, spec.params.d, lam, bar.theta)
+    adm = scaling.admissible_alpha(spec.params.p, spec.params.m, spec.params.d, lambda_, bar.theta)
     passed, alpha_hat, resid = False, float("nan"), float("nan")
     if not isinstance(u, HJHolderError):
-        report = oscillation.iterate_scales(u, spec.params, lam, bar.theta, adm.alpha)
+        report = oscillation.iterate_scales(u, spec.params, lambda_, bar.theta, adm.alpha)
         passed = report.passed
         try:
             est = oscillation.fit_holder(report.centers[0].samples,
@@ -446,10 +434,8 @@ def _sweep_row(inst: dict, spec, u, osc_cfg: dict) -> dict:
     return {
         "p": spec.params.p,
         "A": spec.params.A,
-        "k": inst.get("k", float("nan")),
-        "omega": inst.get("omega", float("nan")),
-        "gamma": inst.get("gamma", float("nan")) or float("nan"),
-        "m": inst.get("m", float("nan")) or float("nan"),
+        **{key: float("nan") if inst.get(key) is None else inst[key]
+           for key in ("k", "omega", "gamma", "m")},
         "alpha": adm.alpha,
         "theta": bar.theta,
         "passed": passed,
@@ -458,32 +444,38 @@ def _sweep_row(inst: dict, spec, u, osc_cfg: dict) -> dict:
     }
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    base = _section(cfg, "base")
-    inst_list = cfg.get("instances", [])
-    if not isinstance(inst_list, list) or not inst_list:
+def _sweep(base: dict, instances: object, oscillate: dict | None = None, seed: int = 0, *,
+           out) -> int:
+    """Run a sweep config.  Its instances override the base's equation block
+    only, so they share the rest of it and are solved in one batched call."""
+    if not isinstance(instances, list) or not instances:
         raise DomainError("sweep config needs a nonempty 'instances' list")
-    osc_cfg = _section(cfg, "oscillate")
-    # instances override equation fields only, so they share the base grid,
-    # initial and boundary profiles, diffusion and shift: one batched solve
-    problems = [_problem_from_config(_sweep_instance_config(base, inst)) for inst in inst_list]
-    specs, inits, bcs, solve_cfgs = zip(*problems)
-    solutions = scheme.solve_hj(specs, inits, bcs, solve_cfgs[0])
+    equation, init, bc, solve_cfg = _build(_base, base, "config.base", where="config.base")
+    specs = []
+    for i, inst in enumerate(instances):
+        if not isinstance(inst, dict):
+            raise DomainError(f"sweep instances must be JSON objects, got {inst!r}")
+        eq = _build(_override, inst, f"config.instances[{i}]", eq=equation)
+        specs.append(_spec(eq, solve_cfg, f"config.instances[{i}].equation"))
+    osc = _kwargs(_sweep_row, oscillate or {}, "config.oscillate", ("inst", "spec", "u"))
+    n = len(specs)
+    solutions = scheme.solve_hj(specs, [init] * n, [bc] * n, solve_cfg)
     for i, u in enumerate(solutions):
         if isinstance(u, HJHolderError):
             print(f"verification failed: instance {i}: {u}", file=sys.stderr)
-    results = [_sweep_row(inst, spec, u, osc_cfg)
-               for inst, spec, u in zip(inst_list, specs, solutions)]
+    results = [_sweep_row(inst, spec, u, **osc)
+               for inst, spec, u in zip(instances, specs, solutions)]
     cols = ["p", "A", "k", "omega", "gamma", "m", "alpha", "theta", "passed",
             "alpha_hat", "fit_residual"]
     rows = [tuple(r[c] for c in cols) for r in results]
     n_pass = sum(1 for r in results if r["passed"])
-    header = [("seed", cfg.get("seed", 0)), ("instances", len(results)),
-              ("pass_rate", n_pass / len(results))]
-    _write_csv(args.out, header, cols, rows)
-    print(f"{n_pass}/{len(results)} instances passed")
-    return 0 if n_pass == len(results) else 1
+    _write_csv(out, [("seed", seed), ("instances", n), ("pass_rate", n_pass / n)], cols, rows)
+    print(f"{n_pass}/{n} instances passed")
+    return 0 if n_pass == n else 1
+
+
+def _cmd_sweep(args) -> int:
+    return _build(_sweep, _load_config(args.config), "config", out=args.out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,16 @@ _TIME_TOL = 1e-12
 
 
 def as_number(value, what: str, integral: bool = False):
-    """value as a float, or as an int when integral; DomainError naming `what` otherwise.
+    """value as a finite float, or as an int when integral; DomainError naming `what` otherwise.
 
     Integral floats such as 33.0 and numpy integers count as whole numbers.
     """
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise DomainError(f"{what} must be a finite number, got {value!r}")
     if not integral:
         return x
     if not x.is_integer():
@@ -46,8 +48,8 @@ class EquationParams:
     conjugate exponent p' = p/(p-1) is always derived from p, never stored.
     """
 
-    p: float
-    A: float
+    p: float = 3.0
+    A: float = 1.0
     eps: float = 0.0
     d: int = 1
     m: float | None = None
@@ -351,7 +353,7 @@ def _save_csv(u: GridFunction, path: str) -> None:
 def _load_csv(path: str) -> GridFunction:
     header = {}
     body = []
-    with open(path) as fh:
+    with open(path, errors="replace") as fh:  # undecodable bytes fail as values or header
         for line in fh:
             line = line.strip()
             if not line:

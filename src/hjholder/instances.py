@@ -14,7 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .core import as_number
 from .errors import DomainError
 
 
@@ -40,7 +39,8 @@ class SeparableField:
         return self.base + value * self.time(args[-1])
 
 
-def rough_coefficient(k: float, omega: float, base: float = 1.0, amplitude: float = 0.5):
+def rough_coefficient(k: float = 10.0, omega: float = 7.0, base: float = 1.0,
+                      amplitude: float = 0.5):
     """a(x, t) = base + amplitude * sin(k x) * sin(omega t) (first axis only)."""
     return SeparableField(
         space=lambda *coords: amplitude * np.sin(k * coords[0]),
@@ -49,13 +49,18 @@ def rough_coefficient(k: float, omega: float, base: float = 1.0, amplitude: floa
     )
 
 
-def inverse_power_forcing(strength: float, gamma: float, center, cap_radius: float):
-    """f(x) = strength * max(|x - x0|, cap_radius)^{-gamma}, time independent."""
+def inverse_power_forcing(strength: float = 0.5, gamma: float = 0.4,
+                          center: tuple[float, ...] = (0.0,), *, cap_radius: float):
+    """f(x) = strength * max(|x - x0|, cap_radius)^{-gamma}, time independent;
+    center x0 holds one entry per space axis (a number is one axis), and
+    cap_radius has no default, because it belongs to the grid."""
     if not gamma > 0 or not cap_radius > 0:
         raise DomainError("need gamma > 0 and cap_radius > 0")
     c = np.atleast_1d(np.asarray(center, dtype=float))
 
     def f(*coords):
+        if len(coords) != c.size:
+            raise DomainError(f"forcing center {c.tolist()} needs {len(coords)} entries")
         dist2 = sum((coords[i] - c[i]) ** 2 for i in range(len(coords)))
         dist = np.maximum(np.sqrt(dist2), cap_radius)
         return strength * dist ** (-gamma)
@@ -63,66 +68,64 @@ def inverse_power_forcing(strength: float, gamma: float, center, cap_radius: flo
     return SeparableField(space=f)
 
 
-def _number(kw: dict, key: str, default: float) -> float:
-    return as_number(kw.get(key, default), key)
+def _dip(level=1.0, depth=0.9, center=0.0, width=0.2):
+    def dip(*coords):
+        dist2 = (coords[0] - center) ** 2
+        for c in coords[1:]:
+            dist2 = dist2 + c**2
+        return level - depth * np.exp(-dist2 / (2.0 * width**2))
+
+    return dip
+
+
+def _windowed(level=0.5, amplitude=0.4, k=2.0, phase=0.0, half_width=2.0):
+    # sinusoid damped by (1 - (x/half_width)^2)^2: flat at the box faces,
+    # so frozen Dirichlet data raises no boundary layer
+    def windowed(*coords):
+        x = coords[0]
+        # np.maximum, not np.clip: same bits (1.0 - s is never -0.0), less dispatch
+        win = np.maximum(1.0 - (x / half_width) ** 2, 0.0) ** 2
+        return level + amplitude * np.sin(k * x + phase) * win
+
+    return windowed
+
+
+def _frozen_initial(*, init):
+    if init is None:
+        raise DomainError("frozen_initial boundary needs the initial profile")
+    return lambda *args: init(*args[:-1])
+
+
+# kind -> factory of named initial data u(x, 0) and Dirichlet data g(x, t); a
+# factory's keyword arguments, all numbers, and their defaults are the keys of
+# its config block.  Boundary factories also get `init`.  Profiles map axis 0 only.
+INITIAL_PROFILES = {
+    "constant": lambda value=0.5: lambda *x: np.full(np.shape(x[0]), value, dtype=float),
+    "sinusoid": lambda level=0.5, amplitude=0.4, k=2.0, phase=0.0:
+        lambda *x: level + amplitude * np.sin(k * x[0] + phase),
+    "quadratic": lambda scale=1.0: lambda *x: scale * sum(c**2 for c in x),
+    "abs": lambda scale=1.0: lambda *x: scale * np.sqrt(sum(c**2 for c in x)),
+    "dip": _dip,
+    "windowed": _windowed,
+}
+BOUNDARY_PROFILES = {
+    "frozen_initial": _frozen_initial,
+    "constant": lambda value=0.0, *, init: lambda *args: np.full(np.shape(args[0]), value,
+                                                                 dtype=float),
+}
+
+
+def _named(factories: dict, kind, what: str):
+    if not isinstance(kind, str) or kind not in factories:
+        raise DomainError(f"unknown {what} {kind!r}")
+    return factories[kind]
 
 
 def initial_profile(kind: str, **kw):
-    """Named initial data u(x, 0); all profiles map the first axis only."""
-    if kind == "constant":
-        value = _number(kw, "value", 0.5)
-        return lambda *coords: np.full(np.shape(coords[0]), value)
-    if kind == "sinusoid":
-        level = _number(kw, "level", 0.5)
-        amp = _number(kw, "amplitude", 0.4)
-        k = _number(kw, "k", 2.0)
-        phase = _number(kw, "phase", 0.0)
-        return lambda *coords: level + amp * np.sin(k * coords[0] + phase)
-    if kind == "quadratic":
-        scale = _number(kw, "scale", 1.0)
-        return lambda *coords: scale * sum(c**2 for c in coords)
-    if kind == "abs":
-        scale = _number(kw, "scale", 1.0)
-        return lambda *coords: scale * np.sqrt(sum(c**2 for c in coords))
-    if kind == "dip":
-        level = _number(kw, "level", 1.0)
-        depth = _number(kw, "depth", 0.9)
-        center = _number(kw, "center", 0.0)
-        width = _number(kw, "width", 0.2)
-
-        def dip(*coords):
-            dist2 = (coords[0] - center) ** 2
-            for c in coords[1:]:
-                dist2 = dist2 + c**2
-            return level - depth * np.exp(-dist2 / (2.0 * width**2))
-
-        return dip
-    if kind == "windowed":
-        # sinusoid damped by (1 - (x/half_width)^2)^2: flat at the box faces,
-        # so frozen Dirichlet data raises no boundary layer
-        level = _number(kw, "level", 0.5)
-        amp = _number(kw, "amplitude", 0.4)
-        k = _number(kw, "k", 2.0)
-        phase = _number(kw, "phase", 0.0)
-        half = _number(kw, "half_width", 2.0)
-
-        def windowed(*coords):
-            x = coords[0]
-            # np.maximum, not np.clip: same bits (1.0 - s is never -0.0), less dispatch
-            win = np.maximum(1.0 - (x / half) ** 2, 0.0) ** 2
-            return level + amp * np.sin(k * x + phase) * win
-
-        return windowed
-    raise DomainError(f"unknown initial profile {kind!r}")
+    """Named initial data u(x, 0): INITIAL_PROFILES[kind](**kw)."""
+    return _named(INITIAL_PROFILES, kind, "initial profile")(**kw)
 
 
 def boundary_profile(kind: str, init=None, **kw):
-    """Named Dirichlet data g(x, t) on the box faces."""
-    if kind == "frozen_initial":
-        if init is None:
-            raise DomainError("frozen_initial boundary needs the initial profile")
-        return lambda *args: init(*args[:-1])
-    if kind == "constant":
-        value = _number(kw, "value", 0.0)
-        return lambda *args: np.full(np.shape(args[0]), value)
-    raise DomainError(f"unknown boundary profile {kind!r}")
+    """Named Dirichlet data g(x, t) on the box faces: BOUNDARY_PROFILES[kind](init=init, **kw)."""
+    return _named(BOUNDARY_PROFILES, kind, "boundary profile")(init=init, **kw)

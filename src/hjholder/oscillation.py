@@ -64,8 +64,8 @@ def measure_oscillations(
         q = ParabolicCylinder(tuple(cx), ct, r, beta)
         box, mask = u.cylinder_box(q)
         n_nodes = int(mask.sum())
-        if k == 0 and n_nodes == 0:
-            raise EmptyIntersection("outer cylinder misses the grid")
+        if k == 0 and n_nodes < 2:  # no oscillation to measure
+            raise EmptyIntersection(f"outer cylinder holds {n_nodes} grid node(s)")
         if n_nodes < 2:
             logger.info("truncating at level %d: cylinder holds %d node(s)", k, n_nodes)
             break

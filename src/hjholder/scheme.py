@@ -128,16 +128,17 @@ class SolveConfig:
     xmin: tuple
     xmax: tuple
     nx: tuple
-    t0: float
-    t1: float
-    nt: int
+    t0: float = 0.0
+    t1: float = 1.0
+    nt: int = 65
     cfl: float = 0.8
     lf_alpha_cap: float | None = None
     lf_alpha_floor: float = 0.0
 
     def __post_init__(self):
         for name in ("xmin", "xmax", "nx"):
-            values = np.atleast_1d(getattr(self, name)).tolist()
+            values = getattr(self, name)  # a nested list fails below, not in numpy
+            values = values if isinstance(values, (list, tuple)) else np.atleast_1d(values).tolist()
             object.__setattr__(self, name, tuple(
                 as_number(v, f"grid {name}", integral=name == "nx") for v in values))
         object.__setattr__(self, "nt", as_number(self.nt, "grid nt", integral=True))

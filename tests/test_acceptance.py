@@ -54,7 +54,7 @@ def sub_barrier():
 @pytest.fixture(scope="module")
 def rough_family(sub_barrier):
     eps = sub_barrier.eps
-    singular = instances.inverse_power_forcing(0.4, 0.4, 1.3, 4.0 / 512)
+    singular = instances.inverse_power_forcing(0.4, 0.4, 1.3, cap_radius=4.0 / 512)
     return [
         # (solution, params, fit center, m)
         (*_rough_solve(10.0, 7.0, 0.30, 1.5, 0.7, eps=eps), 0.50, None),

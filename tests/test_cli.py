@@ -285,7 +285,7 @@ class TestBadInputExit2:
 
     @pytest.mark.parametrize("initial, message", [
         ({"kind": "windowed", "level": "x"}, "level must be a number, got 'x'"),
-        ({"level": 0.5}, "unknown initial profile None"),
+        ({"level": 0.5}, "unknown key 'level'"),
         ([0.5], "'initial' must be a JSON object"),
     ])
     def test_initial_profile_of_the_wrong_shape(self, tmp_path, capsys, initial, message):
@@ -495,15 +495,16 @@ class TestSweep:
         assert (failed["alpha_hat"], failed["fit_residual"]) == ("nan", "nan")
         assert failed["alpha"] not in ("nan", "") and failed["theta"] not in ("nan", "")
 
-    def test_sweep_matches_one_solve_per_instance(self, tmp_path):
+    def test_sweep_matches_one_solve_per_instance(self, tmp_path, monkeypatch):
         cfg = json.loads(Path(self._config(tmp_path)).read_text())
         cfg["instances"].append({"p": 4.0, "A": 3.0, "k": 4.0, "omega": 2.0})
-        batched = []
-        for inst in cfg["instances"]:
-            solve_cfg = cli._sweep_instance_config(cfg["base"], inst)
-            batched.append(cli.solve_from_config(solve_cfg)[0].values.tobytes())
-        specs, inits, bcs, grids = zip(*(
-            cli._problem_from_config(cli._sweep_instance_config(cfg["base"], inst))
-            for inst in cfg["instances"]))
-        together = cli.scheme.solve_hj(specs, inits, bcs, grids[0])
-        assert [u.values.tobytes() for u in together] == batched
+        together, solve_hj = [], cli.scheme.solve_hj
+        monkeypatch.setattr(cli.scheme, "solve_hj",
+                            lambda *args: together.extend(solve_hj(*args)) or together)
+        assert run(["sweep", "--config", write_json(tmp_path / "sweep.json", cfg),
+                    "--out", str(tmp_path / "sweep.csv")]) == 0
+        monkeypatch.undo()
+        alone = [cli.solve_from_config(dict(cfg["base"], equation=cli._override(
+            cfg["base"]["equation"], **inst)))[0] for inst in cfg["instances"]]
+        assert len(together) == len(alone) == 3
+        assert [u.values.tobytes() for u in together] == [u.values.tobytes() for u in alone]
