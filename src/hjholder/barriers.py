@@ -245,10 +245,13 @@ def find_supersolution_constants(
     Everything in the residual that does not depend on C or eps (g and its
     derivatives in s = |x|^2 + eta t, t^{-1/(p-1)} and the brackets of U_t and
     of the radial eigenvalue) is computed once per search.  The search walks
-    C upward and builds the eps-free part P(C) and m+(C) of the residual once
-    for each C; each eps0 then costs one P - eps*m+.  For each C only halving
-    counts below the best found so far are tried, and the walk stops at the
-    first C that passes at eps0 = 1.
+    C upward, and for each C only halving counts below the best found so far
+    are tried; the walk stops at the first C that passes at eps0 = 1.  Each C
+    is first screened on the innermost radius, the first row of those terms
+    (rho = 0 when nx is odd): a candidate passes only if every node does, so
+    a C whose row fails at every remaining eps0 is skipped, and otherwise the
+    eps-free part P(C) and m+(C) are built on the whole grid and tried from
+    the first eps0 the row passed.  Each eps0 costs one P - eps*m+.
     """
     params.require_superquadratic("find_supersolution_constants")
     if not eta > 0:
@@ -256,20 +259,26 @@ def find_supersolution_constants(
     grid = grid or VerificationGrid()
     rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
     terms = _super_terms(params, eta, rho, t)
+    row = tuple(term[:1] for term in terms)  # grid.radii is sorted: the innermost radius
+
+    def first_pass(candidate, start: int, stop: int):
+        """The fewest halvings in [start, stop) at which the candidate passes, or None."""
+        for h in range(start, stop):
+            if _super_residual(candidate, eta * 0.5**h).min() >= -RESIDUAL_TOL:
+                return h
+        return None
+
     found = None
     halvings = _EPS0_MAX_HALVINGS  # a pass must take fewer halvings than this
     c = 1.0
     for _ in range(_C_MAX_DOUBLINGS):
-        candidate = _super_candidate(terms, c, params, params.d)
-        eps0 = 1.0
-        for h in range(halvings):
-            res = _super_residual(candidate, eta * eps0)
-            if res.min() >= -RESIDUAL_TOL:
-                found, halvings = (c, eps0), h
+        h = first_pass(_super_candidate(row, c, params, params.d), 0, halvings)
+        if h is not None:
+            h = first_pass(_super_candidate(terms, c, params, params.d), h, halvings)
+        if h is not None:
+            found, halvings = (c, 0.5**h), h
+            if halvings == 0:
                 break
-            eps0 *= 0.5
-        if halvings == 0:
-            break
         c *= 2.0
     if found is None:
         raise SearchFailed(

@@ -14,6 +14,7 @@ import functools
 import inspect
 import json
 import keyword
+import math
 import os
 import sys
 
@@ -147,7 +148,8 @@ def _spec(eq: dict | None, grid: scheme.SolveConfig, where: str) -> scheme.Hamil
     coefficient, diffusion and forcing blocks."""
     eq = dict(eq or {})
     fields = _params(EquationParams)
-    params = _build(EquationParams, {k: eq.pop(k) for k in list(eq) if k in fields}, where)
+    given = {k: eq.pop(k) for k in list(eq) if k in fields}
+    params = _build(EquationParams, {"d": grid.dim, **given}, where)  # d defaults to the grid's
     forcing = _value(eq.get("forcing"), "dict | None", where, "forcing") or {}
     if forcing.get("kind") == "inverse_power":  # the one default that the grid sets
         eq["forcing"] = {"cap_radius": min(grid.spacings()), **forcing}
@@ -483,6 +485,17 @@ def _cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _finite(text: str) -> float:
+    """The value of a number flag: nan and +-inf exit 2 like any other bad value."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 @functools.lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
@@ -494,27 +507,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("legendre", help="closed-form Legendre transform vs brute force")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--A", type=float, required=True)
-    sp.add_argument("--shift", type=float, default=0.0)
+    sp.add_argument("--p", type=_finite, required=True)
+    sp.add_argument("--A", type=_finite, required=True)
+    sp.add_argument("--shift", type=_finite, default=0.0)
     sp.set_defaults(func=_cmd_legendre)
 
     sp = sub.add_parser("constants", help="constant systems from the proofs")
     csub = sp.add_subparsers(dest="which", required=True)
     fo = csub.add_parser("first-order", help="(T, theta, eps) for the first-order lemma")
-    fo.add_argument("--p", type=float, required=True)
-    fo.add_argument("--A", type=float, required=True)
+    fo.add_argument("--p", type=_finite, required=True)
+    fo.add_argument("--A", type=_finite, required=True)
     fo.set_defaults(func=_cmd_constants)
 
     sp = sub.add_parser("barrier", help="barrier residual certificates")
     bsub = sp.add_subparsers(dest="which", required=True)
     bv = bsub.add_parser("verify", help="residual scan for a barrier")
     bv.add_argument("--kind", choices=["super", "sub"], required=True)
-    bv.add_argument("--p", type=float, required=True)
-    bv.add_argument("--A", type=float, required=True)
+    bv.add_argument("--p", type=_finite, required=True)
+    bv.add_argument("--A", type=_finite, required=True)
     bv.add_argument("--d", type=int, default=1)
-    bv.add_argument("--eta", type=float, default=1.0)
-    bv.add_argument("--R", type=float, default=0.25)
+    bv.add_argument("--eta", type=_finite, default=1.0)
+    bv.add_argument("--R", type=_finite, default=0.25)
     bv.add_argument("--nx", type=int, default=65)
     bv.add_argument("--nt", type=int, default=65)
     bv.set_defaults(func=_cmd_barrier)
@@ -526,41 +539,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("oscillate", help="measure oscillation decay on a stored solution")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    sp.add_argument("--theta", type=float, default=0.05)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--p", type=float, default=3.0)
-    sp.add_argument("--A", type=float, default=1.0)
-    sp.add_argument("--m", type=float, default=None)
-    sp.add_argument("--r0", type=float, default=1.0)
+    sp.add_argument("--lambda", dest="lam", type=_finite, default=0.5)
+    sp.add_argument("--theta", type=_finite, default=0.05)
+    sp.add_argument("--alpha", type=_finite, default=None)
+    sp.add_argument("--p", type=_finite, default=3.0)
+    sp.add_argument("--A", type=_finite, default=1.0)
+    sp.add_argument("--m", type=_finite, default=None)
+    sp.add_argument("--r0", type=_finite, default=1.0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_oscillate)
 
     sp = sub.add_parser("modulus", help="two-point Holder modulus check")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--C", type=float, required=True)
-    sp.add_argument("--p", type=float, required=True)
+    sp.add_argument("--alpha", type=_finite, required=True)
+    sp.add_argument("--C", type=_finite, required=True)
+    sp.add_argument("--p", type=_finite, required=True)
     sp.add_argument("--pairs", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--slack", type=float, default=0.0)
+    sp.add_argument("--slack", type=_finite, default=0.0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_modulus)
 
     sp = sub.add_parser("scale", help="scaling factors, delta, beta window, admissible alpha")
-    sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--m", type=float, default=None)
+    sp.add_argument("--p", type=_finite, required=True)
+    sp.add_argument("--m", type=_finite, default=None)
     sp.add_argument("--d", type=int, default=1)
-    sp.add_argument("--alpha", type=float, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.5)
-    sp.add_argument("--theta", type=float, default=0.1)
+    sp.add_argument("--alpha", type=_finite, default=None)
+    sp.add_argument("--lambda", dest="lam", type=_finite, default=0.5)
+    sp.add_argument("--theta", type=_finite, default=0.1)
     sp.set_defaults(func=_cmd_scale)
 
     sp = sub.add_parser("demo", help="end-to-end demonstrations")
     dsub = sp.add_subparsers(dest="which", required=True)
     dp = dsub.add_parser("sees-points", help="a single low bottom point caps the solution")
-    dp.add_argument("--p", type=float, default=3.0)
-    dp.add_argument("--A", type=float, default=2.0)
+    dp.add_argument("--p", type=_finite, default=3.0)
+    dp.add_argument("--A", type=_finite, default=2.0)
     dp.add_argument("--out-dir", default="demo_out")
     dp.set_defaults(func=_cmd_demo)
 

@@ -145,8 +145,8 @@ def admissible_alpha(
     All constraints are monotone in alpha, so a downward grid snap of the
     smallest cap is exact to the grid resolution.
     """
-    if not p > 1.0:
-        raise DomainError(f"p must be > 1, got {p}")
+    if not 1.0 < p < math.inf:
+        raise DomainError(f"p must be a finite number > 1, got {p}")
     if not (0.0 < lam < 1.0):
         raise DomainError(f"lambda must be in (0,1), got {lam}")
     if not (0.0 < theta < 1.0):

@@ -73,9 +73,15 @@ def legendre_brute(
     """max over sampled xi of q.xi - (shift + A|xi|^p).
 
     Independent sampling oracle for legendre_closed.  For the radial H the
-    maximizer is collinear with q, so the search runs along the ray through q
-    (any ray when q = 0).  Raises WindowTooSmall when the sampled maximum sits
-    on the window edge.
+    maximizer is collinear with q, so the search runs along the line through q
+    (any line when q = 0), sampled at n_samples points of [-R, R] with
+    R = search_radius.  Raises WindowTooSmall when the sampled maximum sits on
+    the window edge.
+
+    Only the half-line s >= 0 is scored at first: a sample s < 0 scores
+    |q| s - (shift + A|s|^p) <= -shift, so a half-line maximum above -shift is
+    the maximum of the whole line, at the same first index.  Otherwise (q = 0,
+    nan, or a shift that swamps every sample) the whole line is scored.
     """
     if not p > 1.0 or not A > 0.0:
         raise DomainError(f"need p > 1 and A > 0, got p={p}, A={A}")
@@ -88,9 +94,12 @@ def legendre_brute(
     qv = np.atleast_1d(np.asarray(q, dtype=float))
     qnorm = float(np.linalg.norm(qv))
     s = np.linspace(-search_radius, search_radius, int(n_samples))
-    vals = qnorm * s - (shift + A * np.abs(s) ** p)
-    k = int(np.argmax(vals))
-    if k in (0, len(s) - 1) and qnorm > 0.0:
+    for m in (int(np.searchsorted(s, 0.0)), 0):  # the half-line s >= 0, then the line
+        vals = qnorm * s[m:] - (shift + A * np.abs(s[m:]) ** p)
+        k = int(np.argmax(vals))
+        if vals[k] > -shift:
+            break
+    if m + k in (0, len(s) - 1) and qnorm > 0.0:
         try:
             xi_star = (qnorm / (p * A)) ** (1.0 / (p - 1.0))
         except OverflowError:  # p close to 1

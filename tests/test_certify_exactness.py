@@ -2,7 +2,7 @@
 full-grid forms.
 
 The references below are frozen, test-local copies of the code that the
-once-per-search terms, the C-outer supersolution search, the sliced
+once-per-search terms, the screened C-outer supersolution search, the sliced
 neighbour blocks and the cylinder boxes replaced: the supersolution and
 subsolution residuals recomputed whole for every candidate, both searches'
 eps-outer candidate loops, the modulus check built on (N, 2) pair-index
@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hjholder import barriers, oscillation
@@ -156,59 +156,90 @@ def test_sub_residual_matches_reference(p, d):
             assert _same_bits(got, _ref_sub_residual_radial(bar, params, rho, t, d))
 
 
-def _check_supersolution_search(params, eta, grid, monkeypatch):
-    """Run the search with every P(C) build counted and every residual it forms
-    checked bit for bit against the per-candidate reference; compare the
-    result with the old loop's, and check that every candidate the old loop
-    rejected still fails."""
+def _ref_screened_walk(params, eta, grid):
+    """The C-outer walk with its innermost-radius screen, on the reference
+    residual: (C, eps0), or None where no candidate passes, every build as
+    (C, rows), and every residual it forms as (C, rows, halvings), where rows
+    is 1 on the innermost radius and the radii count on the whole grid.  A C
+    is built on the whole grid only when its row passes with fewer halvings
+    than the best so far, and is tried there from the row's first pass."""
+    d = params.d
+    rho, t = np.meshgrid(grid.radii(d), grid.times(), indexing="ij")
+    built, formed = [], []
+
+    def first_pass(bar, rows, start, stop):
+        built.append((bar.C, rows))
+        for h in range(start, stop):
+            formed.append((bar.C, rows, h))
+            res = _ref_super_residual_radial(bar, rho[:rows], t[:rows], eta * 2.0**-h, d)
+            if res.min() >= -barriers.RESIDUAL_TOL:
+                return h
+        return None
+
+    found, best = None, barriers._EPS0_MAX_HALVINGS
+    for j in range(barriers._C_MAX_DOUBLINGS):
+        bar = SupersolutionBarrier(2.0**j, eta, params)
+        h = first_pass(bar, 1, 0, best)
+        if h is not None:
+            h = first_pass(bar, len(rho), h, best)
+        if h is not None:
+            found, best = (bar.C, 2.0**-h), h
+            if best == 0:
+                break
+    return found, built, formed
+
+
+def _check_supersolution_search(params, eta, grid):
+    """Run the search with every P(C) build logged and every residual it forms,
+    on the innermost-radius row or on the whole grid, checked bit for bit
+    against the per-candidate reference on the same rows.  The result must be
+    the old loop's, the builds and residuals those of the screened walk, and
+    every candidate the old loop rejected must still fail on the whole grid."""
     d = params.d
     rho, t = np.meshgrid(grid.radii(d), grid.times(), indexing="ij")
     build, subtract = barriers._super_candidate, barriers._super_residual
-    built = []
+    built, formed = [], []  # (C, rows) of each build; (C, rows, halvings) of each residual
 
     def counted(terms, C, params_, d_):
-        built.append(C)
+        built.append((C, len(terms[0])))
         return build(terms, C, params_, d_)
 
     def checked(candidate, eps):
+        C, rows = built[-1]
         res = subtract(candidate, eps)
-        ref = _ref_super_residual_radial(SupersolutionBarrier(built[-1], eta, params),
-                                         rho, t, eps, d)
-        assert _same_bits(res, ref), (built[-1], eps)
+        ref = _ref_super_residual_radial(SupersolutionBarrier(C, eta, params),
+                                         rho[:rows], t[:rows], eps, d)
+        assert _same_bits(res, ref), (C, rows, eps)
+        formed.append((C, rows, round(-math.log2(eps / eta))))
         return res
 
-    monkeypatch.setattr(barriers, "_super_candidate", counted)
-    monkeypatch.setattr(barriers, "_super_residual", checked)
-    try:
-        result = find_supersolution_constants(params, eta, grid)
-    except SearchFailed:
-        result = None
-    search_builds = list(built)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(barriers, "_super_candidate", counted)
+        m.setattr(barriers, "_super_residual", checked)
+        try:
+            result = find_supersolution_constants(params, eta, grid)
+        except SearchFailed:
+            result = None
     ref_result, ref_tried = _ref_super_search(params, eta, grid)
     assert result == ref_result
-    # one build per C, up the ladder; the walk ends early only at a pass with eps0 = 1
-    if result is not None and result[1] == 1.0:
-        n_builds = round(math.log2(result[0])) + 1
-    else:
-        n_builds = barriers._C_MAX_DOUBLINGS
-    assert search_builds == [2.0**j for j in range(n_builds)]
+    assert _ref_screened_walk(params, eta, grid) == (ref_result, built, formed)
     terms = barriers._super_terms(params, eta, rho, t)
     candidates = {}
     for C, eps in ref_tried if ref_result is None else ref_tried[:-1]:
         if C not in candidates:
             candidates[C] = build(terms, C, params, d)
         assert subtract(candidates[C], eps).min() < -barriers.RESIDUAL_TOL, (C, eps)
-    return result
+    return result, built
 
 
 @pytest.mark.parametrize("eta", [0.1, 1.0])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
-def test_supersolution_search_matches_reference(p, d, eta, monkeypatch):
-    """Same (C, eps0) as the old loop, every residual formed bit-equal, at most
-    one P(C) build per C of the ladder, every rejected candidate still failing."""
+def test_supersolution_search_matches_reference(p, d, eta):
+    """Same (C, eps0) as the old loop, every residual formed bit-equal, the
+    builds of the screened walk, every rejected candidate still failing."""
     params = EquationParams(p=p, A=2.0, d=d)
-    _check_supersolution_search(params, eta, VerificationGrid(), monkeypatch)
+    _check_supersolution_search(params, eta, VerificationGrid())
 
 
 @pytest.mark.parametrize("eta", [0.01, 10.0])
@@ -219,21 +250,35 @@ def test_supersolution_search_matches_reference(p, d, eta, monkeypatch):
     (3.0, 1e8, (4096.0, 2.0**-3)),
     (2.0 + 1e-12, 2.0, None),  # no candidate passes: SearchFailed
 ])
-def test_supersolution_search_on_a_coarse_grid(p, A, expected, d, eta, monkeypatch):
+def test_supersolution_search_on_a_coarse_grid(p, A, expected, d, eta):
     """Large A needs C > 1; p this close to 2 exhausts the budget on both sides."""
     grid = VerificationGrid(nx=9, nt=9, t_min=1e-6)
-    result = _check_supersolution_search(EquationParams(p=p, A=A, d=d), eta, grid,
-                                         monkeypatch)
+    result, _ = _check_supersolution_search(EquationParams(p=p, A=A, d=d), eta, grid)
     if d == 1:
         assert result == expected
 
 
-def test_supersolution_search_stops_at_a_pass_with_eps0_one(monkeypatch):
+def test_supersolution_search_stops_at_a_pass_with_eps0_one():
     """A C that passes at eps0 = 1 ends the walk up the C ladder.  Off the
     origin (nx even) with t >= 1/2, C = 128 passes at eps0 = 1."""
     params = EquationParams(p=2.5, A=100.0, d=1)
     grid = VerificationGrid(nx=8, nt=9, t_min=0.5)
-    assert _check_supersolution_search(params, 1.0, grid, monkeypatch) == (128.0, 1.0)
+    result, built = _check_supersolution_search(params, 1.0, grid)
+    assert result == (128.0, 1.0)
+    assert [C for C, _ in built][-1] == 128.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(2.0, 10.0, exclude_min=True), A=st.floats(1e-2, 1e8),
+       d=st.sampled_from([1, 2]), eta=st.sampled_from([0.01, 0.1, 1.0, 10.0]),
+       nx=st.integers(1, 10), nt=st.integers(1, 6),
+       t_min=st.sampled_from([1e-6, 1e-3, 0.5]))
+def test_supersolution_search_matches_reference_anywhere(p, A, d, eta, nx, nt, t_min):
+    """Odd nx screens on rho = 0 and even nx off the origin; nx = 1 has one
+    radius, so its row is the whole grid."""
+    assume(d == 1 or nx >= 3)  # in 2-D no node of nx = 1 or 2 lies within |x| <= 2
+    grid = VerificationGrid(nx=nx, nt=nt, t_min=t_min)
+    _check_supersolution_search(EquationParams(p=p, A=A, d=d), eta, grid)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -281,36 +326,20 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("eta", [0.1, 1.0])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
-def test_supersolution_candidate_count(p, d, eta, monkeypatch):
-    """Each C of the ladder is built once.  At each C the search forms the
-    residuals at eps0 = 1, 1/2, ... in turn: up to the first pass for a C below
-    the certificate's, up to the certificate's eps0 at its C, and only the
-    eps0 with fewer halvings above it.  (perfbench/tracing.py still derives
+def test_supersolution_candidate_count(p, d, eta):
+    """On the default grid each C of the ladder is screened on the innermost
+    radius, rho = 0, where the residual is C times a function of t and eps.
+    That row sets the certificate's eps0, so no C above the certificate's
+    passes it with fewer halvings, and only the C up to the certificate's are
+    built on the whole grid.  (perfbench/tracing.py still derives
     barriers.candidates_per_certificate from the eps0-outer loop's count.)"""
-    build, subtract = barriers._super_candidate, barriers._super_residual
-    tried = {}  # C -> halving counts of the residuals formed, in order
-
-    def counted(terms, C, params_, d_):
-        assert C not in tried
-        tried[C] = []
-        return build(terms, C, params_, d_)
-
-    def logged(candidate, eps):
-        tried[max(tried)].append(round(-math.log2(eps / eta)))
-        return subtract(candidate, eps)
-
-    monkeypatch.setattr(barriers, "_super_candidate", counted)
-    monkeypatch.setattr(barriers, "_super_residual", logged)
-    C, eps0 = find_supersolution_constants(EquationParams(p=p, A=2.0, d=d), eta)
-    h = round(-math.log2(eps0))
-    assert h > 0
-    assert list(tried) == [2.0**j for j in range(barriers._C_MAX_DOUBLINGS)]
-    for c, halvings in tried.items():
-        assert halvings == list(range(len(halvings)))
-        if c < C:
-            assert h < len(halvings) <= barriers._EPS0_MAX_HALVINGS
-        else:
-            assert len(halvings) == (h + 1 if c == C else h)
+    grid = VerificationGrid()
+    (C, eps0), built = _check_supersolution_search(EquationParams(p=p, A=2.0, d=d), eta, grid)
+    assert round(-math.log2(eps0)) > 0
+    rows = len(grid.radii(d))
+    ladder = [2.0**j for j in range(barriers._C_MAX_DOUBLINGS)]
+    assert [c for c, n in built if n == 1] == ladder
+    assert [c for c, n in built if n == rows] == [c for c in ladder if c <= C]
 
 
 @pytest.mark.parametrize("d", [1, 2])

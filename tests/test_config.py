@@ -128,6 +128,23 @@ def test_defaults_live_in_the_consumers():
     assert np.array_equal(u.values, np.full((9, 65), 0.5))  # constant 0.5, frozen on the faces
 
 
+def test_d_defaults_to_the_grid_axis_count():
+    """A 2-D grid without equation.d solves in 2-D, and an explicit d equal to
+    the grid's gives the same solution; a d that disagrees exits 2."""
+    grid = {"xmin": [-1, -1], "xmax": [1, 1], "nx": [9, 9], "t1": 0.1, "nt": 3}
+    outs = []
+    for eq in ({}, {"d": 2}):
+        u, spec, _ = cli.solve_from_config({"grid": grid, "equation": eq})
+        assert spec.params.d == 2
+        outs.append(u.values.tobytes())
+    assert outs[0] == outs[1]
+    assert _run_config("solve", {"grid": grid})[0] == 0
+    for d in (1, 3):
+        code, _, err = _run_config("solve", {"grid": grid, "equation": {"d": d}})
+        assert code == 2
+        assert f"config dim 2 != params dim {d}" in err
+
+
 def test_explicit_defaults_give_the_same_objects():
     explicit = {
         "seed": 0,

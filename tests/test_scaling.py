@@ -179,6 +179,11 @@ class TestAdmissibleAlpha:
         with pytest.raises(Infeasible):
             admissible_alpha(3.0, 1.3, 2, 0.5, 0.1)
 
+    @pytest.mark.parametrize("p", [math.inf, math.nan, 1.0])
+    def test_rejects_p_that_is_not_a_finite_number_above_one(self, p):
+        with pytest.raises(DomainError, match="p must be a finite number > 1"):
+            admissible_alpha(p, None, 1, 0.5, 0.1)
+
 
 class TestBetaWindow:
     def test_worked_example(self):

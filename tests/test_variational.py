@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,18 @@ from hjholder.variational import (
 
 def brute_radius(p, A, q):
     return 2.0 * (max(abs(q), 1e-3) / (p * A)) ** (1.0 / (p - 1.0))
+
+
+def _ref_legendre_brute(p, A, shift, q, search_radius, n_samples):
+    """The scan of the whole line [-R, R]: its value, or the message of the
+    WindowTooSmall it raises."""
+    qnorm = float(np.linalg.norm(np.atleast_1d(np.asarray(q, dtype=float))))
+    s = np.linspace(-search_radius, search_radius, int(n_samples))
+    vals = qnorm * s - (shift + A * np.abs(s) ** p)
+    k = int(np.argmax(vals))
+    if k in (0, len(s) - 1) and qnorm > 0.0:
+        return f"maximizer on the window edge; |xi*|={(qnorm / (p * A)) ** (1.0 / (p - 1.0)):g}"
+    return repr(float(vals[k]))  # repr compares bits, and nan equal to nan
 
 
 class TestLegendreClosed:
@@ -60,6 +74,22 @@ class TestLegendreBrute:
     def test_window_too_small(self):
         with pytest.raises(WindowTooSmall):
             legendre_brute(2.0, 1.0, 0.0, 10.0, 1.0, 1001)
+
+    @pytest.mark.parametrize("shift", [0.0, 0.4, -2.5, 1e20, -1e20, math.nan])
+    def test_half_line_scan_matches_the_whole_line(self, shift):
+        """The same value, or the same window-edge message, as a scan of the
+        whole line: with q = 0 or nan, and with shifts that swamp every sample,
+        the half-line does not decide and the whole line is scanned."""
+        for q in (0.0, 1e-300, 1e-3, -0.7, 3.0, [3.0, -4.0], np.array([[0.0, 1e-3]]), math.nan):
+            for p, A in ((1.5, 1.0), (2.0, 0.5), (3.0, 2.0), (7.0, 1.0)):
+                for radius in (1e-3, 0.5, 4.0, 50.0):
+                    for n in (100, 101, 10_001):
+                        ref = _ref_legendre_brute(p, A, shift, q, radius, n)
+                        try:
+                            got = repr(legendre_brute(p, A, shift, q, radius, n))
+                        except WindowTooSmall as exc:
+                            got = str(exc)
+                        assert got == ref, (shift, q, p, A, radius, n)
 
     def test_rejects_few_samples(self):
         with pytest.raises(DomainError):
