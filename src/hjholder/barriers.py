@@ -412,14 +412,18 @@ def make_subsolution_barrier(
     grid = grid or VerificationGrid()
     bump = BumpFunction()
     C_b = 2.0 * bump.sup_db + bump.sup_d2b / R
-    theta_cap = (R**params.p / (4.0 * params.A * bump.sup_db ** (params.p - 1.0))) ** (
-        1.0 / (params.p - 1.0)
-    )
-    theta = min(0.25 - _THETA_MARGIN, theta_cap)
-    if theta <= 0:
-        raise SearchFailed(f"no admissible theta for R={R}, p={params.p}, A={params.A}")
-    rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
-    terms = _sub_terms(theta, R, bump, params, rho, t, params.d)
+    try:  # R**p, ||b'||**(p-1) and R**2 are Python float powers
+        theta_cap = (R**params.p / (4.0 * params.A * bump.sup_db ** (params.p - 1.0))) ** (
+            1.0 / (params.p - 1.0)
+        )
+        theta = min(0.25 - _THETA_MARGIN, theta_cap)
+        if theta <= 0:
+            raise SearchFailed(f"no admissible theta for R={R}, p={params.p}, A={params.A}")
+        rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
+        terms = _sub_terms(theta, R, bump, params, rho, t, params.d)
+    except OverflowError:
+        raise DomainError(f"R={R}, p={params.p}, A={params.A} overflow the float powers "
+                          "of the subsolution barrier") from None
     eps = min(theta / 2.0, 0.5 / C_b)
     for _ in range(_EPS_MAX_HALVINGS):
         bar = SubsolutionBarrier(theta, R, eps, C_b, bump)

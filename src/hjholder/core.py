@@ -10,6 +10,7 @@ grid nodes only, with no interpolation.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 
@@ -300,38 +301,53 @@ def _save_binary(u: GridFunction, path: str) -> None:
         fh.write(np.asarray(u.spacing_x, dtype="<f8").tobytes())
         fh.write(struct.pack("<dd", u.t0, u.spacing_t))
         fh.write(np.asarray(u.values.shape, dtype="<i8").tobytes())
-        fh.write(np.ascontiguousarray(u.values, dtype="<f8").tobytes())
+        # the array's own buffer: a copy only when values are not C-ordered <f8
+        fh.write(np.ascontiguousarray(u.values, dtype="<f8").data)
 
 
 def _load_binary(path: str) -> GridFunction:
+    """Read the header with bounded reads, check the size it promises against
+    the file's, then read the values straight into their array."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(_MAGIC):
-        raise DomainError(f"{path} is not a grid file")
-    pos = len(_MAGIC)
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise DomainError(f"{path} is not a grid file")
+        pos = len(_MAGIC)
 
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if len(data) - pos < n:
-            raise DomainError(f"{path}: grid file ends {n - (len(data) - pos)} bytes "
-                              "short of what its header promises")
-        pos += n
-        return data[pos - n:pos]
+        def short(n: int, got: int) -> DomainError:
+            return DomainError(f"{path}: grid file ends {n - got} bytes "
+                               "short of what its header promises")
 
-    (d,) = struct.unpack("<q", take(8))
-    if d < 1:
-        raise DomainError(f"{path}: grid dimension must be >= 1, got {d}")
-    origin = np.frombuffer(take(8 * d), dtype="<f8")
-    spacing = np.frombuffer(take(8 * d), dtype="<f8")
-    t0, dt = struct.unpack("<dd", take(16))
-    extent = np.frombuffer(take(8 * (d + 1)), dtype="<i8")
-    if np.any(extent < 1):
-        raise DomainError(f"{path}: grid extent must be positive, got {tuple(extent)}")
-    count = math.prod(int(n) for n in extent)
-    vals = np.frombuffer(take(8 * count), dtype="<f8").reshape(tuple(extent))
-    if pos != len(data):
-        raise DomainError(f"{path}: {len(data) - pos} bytes after the grid values")
-    return GridFunction(tuple(origin), tuple(spacing), t0, dt, vals.copy())
+        def take(n: int) -> bytes:
+            nonlocal pos
+            if size - pos < n:
+                raise short(n, size - pos)
+            data = fh.read(n)
+            if len(data) < n:  # the file shrank since fstat
+                raise short(n, len(data))
+            pos += n
+            return data
+
+        (d,) = struct.unpack("<q", take(8))
+        if d < 1:
+            raise DomainError(f"{path}: grid dimension must be >= 1, got {d}")
+        origin = np.frombuffer(take(8 * d), dtype="<f8")
+        spacing = np.frombuffer(take(8 * d), dtype="<f8")
+        t0, dt = struct.unpack("<dd", take(16))
+        extent = np.frombuffer(take(8 * (d + 1)), dtype="<i8")
+        if np.any(extent < 1):
+            raise DomainError(f"{path}: grid extent must be positive, got {tuple(extent)}")
+        count = math.prod(int(n) for n in extent)
+        n_bytes = 8 * count
+        if size - pos < n_bytes:
+            raise short(n_bytes, size - pos)
+        if size - pos > n_bytes:
+            raise DomainError(f"{path}: {size - pos - n_bytes} bytes after the grid values")
+        vals = np.empty(tuple(extent), dtype="<f8")
+        got = fh.readinto(vals.data)
+        if got < n_bytes:  # the file shrank since fstat
+            raise short(n_bytes, got)
+    return GridFunction(tuple(origin), tuple(spacing), t0, dt, vals)
 
 
 def _save_csv(u: GridFunction, path: str) -> None:

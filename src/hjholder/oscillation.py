@@ -184,9 +184,18 @@ def holder_modulus_check(
     n_sp = pts.shape[0]
     nt = len(ts)
     vals = u.values.reshape(n_sp, nt)
+    # each block of ratios is reduced as soon as it is built, to its shape,
+    # its first argmax and that top value (-inf for an empty block)
+    shapes, firsts, tops = [], [], []
 
-    def ratio(du, dxs, dts):
-        return du / (C * (dxs**alpha + dts**texp))
+    def reduce(du, dxs, dts):
+        """Turn du = u(a) - u(b) into the ratios in place, and reduce them."""
+        np.abs(du, out=du)
+        np.divide(du, C * (dxs**alpha + dts**texp), out=du)
+        k = int(np.argmax(du)) if du.size else -1
+        shapes.append(du.shape)
+        firsts.append(k)
+        tops.append(du.flat[k] if du.size else -np.inf)
 
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, n_sp, n_random_pairs)
@@ -194,10 +203,17 @@ def holder_modulus_check(
     ib = rng.integers(0, n_sp, n_random_pairs)
     nb = rng.integers(0, nt, n_random_pairs)
     keep = (ia != ib) | (na != nb)
-    ia, na, ib, nb = ia[keep], na[keep], ib[keep], nb[keep]
-    ratios = [ratio(np.abs(vals[ia, na] - vals[ib, nb]),
-                    np.linalg.norm(pts[ia] - pts[ib], axis=-1),
-                    np.abs(ts[na] - ts[nb]))]
+    ia = ia[keep]
+    na = na[keep]
+    ib = ib[keep]
+    nb = nb[keep]
+    du = vals[ia, na]
+    np.subtract(du, vals[ib, nb], out=du)
+    reduce(du, np.linalg.norm(pts[ia] - pts[ib], axis=-1), np.abs(ts[na] - ts[nb]))
+    del du
+    k = firsts[0]
+    random_pair = ((pts[ia[k]], ts[na[k]]), (pts[ib[k]], ts[nb[k]])) if k >= 0 else None
+    del ia, na, ib, nb
 
     # nearest neighbours along each space axis and in time, as shifted slices;
     # a neighbour pair is 0 apart in time or in space, and 0**alpha = 0**texp = 0
@@ -205,26 +221,25 @@ def holder_modulus_check(
         lo = [slice(None)] * (u.dim + 1)
         hi = list(lo)
         lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-        du = np.abs(u.values[tuple(lo)] - u.values[tuple(hi)])
+        du = np.subtract(u.values[tuple(lo)], u.values[tuple(hi)])
         if axis < u.dim:
             dxs = np.linalg.norm(space[tuple(lo[:-1])] - space[tuple(hi[:-1])], axis=-1)
-            ratios.append(ratio(du, dxs[..., None], 0.0))
+            reduce(du, dxs[..., None], 0.0)
         else:
-            ratios.append(ratio(du, 0.0, np.abs(ts[:-1] - ts[1:])))
+            reduce(du, 0.0, np.abs(ts[:-1] - ts[1:]))
+        del du
 
-    n_pairs = sum(r.size for r in ratios)
+    n_pairs = sum(math.prod(shape) for shape in shapes)
     if n_pairs == 0:
         raise DomainError("the grid has no two distinct nodes to compare")
     # np.argmax over the concatenated blocks: the first block holding the
     # largest (or a NaN) ratio, at that block's first occurrence of it
-    firsts = [int(np.argmax(r)) if r.size else -1 for r in ratios]
-    tops = [r.flat[k] if r.size else -np.inf for r, k in zip(ratios, firsts)]
     block = int(np.argmax(tops))
     k = firsts[block]
     if block == 0:
-        a, b = (pts[ia[k]], ts[na[k]]), (pts[ib[k]], ts[nb[k]])
+        a, b = random_pair
     else:
-        ma = np.unravel_index(k, ratios[block].shape)
+        ma = np.unravel_index(k, shapes[block])
         mb = list(ma)
         mb[block - 1] += 1
         a, b = [(space[tuple(m[:-1])], ts[m[-1]]) for m in (ma, mb)]
@@ -297,11 +312,11 @@ def iterate_scales(
 ) -> IterationReport:
     """Run the decay induction  osc_{Q_{r_k}} u <= r_k^alpha  on measured data.
 
-    Requires lambda and theta in (0, 1), alpha in (0, 1] and the selection
-    rule lambda^alpha >= 1 - theta.  The function is renormalized so the
-    outer oscillation is at most one at every center, the cylinder time depth
-    follows beta = p - alpha(p-1), and levels stop at the grid floor of 4
-    spacings or after MAX_LEVELS.  On a full pass the implied two-point
+    Requires lambda and theta in (0, 1), alpha in (0, 1], r0 finite and > 0
+    and the selection rule lambda^alpha >= 1 - theta.  The function is
+    renormalized so the outer oscillation is at most one at every center, the
+    cylinder time depth follows beta = p - alpha(p-1), and levels stop at the
+    grid floor of 4 spacings or after MAX_LEVELS.  On a full pass the implied two-point
     constant is lambda^{-alpha}.
     """
     if not 0.0 < lam < 1.0:
@@ -310,6 +325,8 @@ def iterate_scales(
         raise DomainError(f"theta must lie in (0,1), got {theta}")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    if not (math.isfinite(r0) and r0 > 0.0):
+        raise DomainError(f"r0 must be a finite number > 0, got {r0}")
     if lam**alpha < 1.0 - theta:
         raise PreconditionFailed(
             f"lambda^alpha = {lam ** alpha:g} < 1 - theta = {1 - theta:g}; "

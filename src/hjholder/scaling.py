@@ -102,13 +102,17 @@ def calpha_scale(r: float, alpha: float, p: float, params: EquationParams) -> Sc
 
 
 def delta_exponent(p: float, m: float, d: int, alpha: float) -> float:
-    """delta = (1/m)(p(m-1) - d) + (alpha/m)((m-1)p + 1)."""
+    """delta = (1/m)(p(m-1) - d) + (alpha/m)((m-1)p + 1); DomainError when
+    that is not finite."""
     _require_dimension(d)
     if not m > 1.0:
         raise DomainError(f"m must be > 1, got {m}")
     if not p > 1.0:
         raise DomainError(f"p must be > 1, got {p}")
-    return (p * (m - 1.0) - d) / m + alpha * ((m - 1.0) * p + 1.0) / m
+    delta = (p * (m - 1.0) - d) / m + alpha * ((m - 1.0) * p + 1.0) / m
+    if not math.isfinite(delta):
+        raise DomainError(f"delta is not finite for p={p}, m={m}, d={d}, alpha={alpha}")
+    return delta
 
 
 def lm_scaling_exponent(p: float, m: float, d: int) -> float:

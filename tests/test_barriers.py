@@ -362,6 +362,19 @@ class TestSubsolution:
         with pytest.raises(DomainError):
             subsolution_residual(bar, params, [0.1], 1.5)
 
+    @pytest.mark.parametrize("p, A, R", [
+        (1e12, 1.0, 0.25),  # ||b'||**(p-1)
+        (3.0, 1.0, 1e308),  # R**p
+        (3.0, 1.0, 1e154),
+        (1.0001, 1e-308, 1e308),  # theta caps at 1/4 - 0.01, then R**2
+    ])
+    def test_float_power_overflow_names_the_input(self, p, A, R):
+        params = EquationParams(p=p, A=A, d=1)
+        with pytest.raises(DomainError) as err:
+            make_subsolution_barrier(params, R, QUICK_GRID)
+        assert str(err.value) == (f"R={R}, p={p}, A={A} overflow the float powers "
+                                  "of the subsolution barrier")
+
 
 class TestFirstOrderConstants:
     def test_worked_triple(self):

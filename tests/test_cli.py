@@ -365,6 +365,36 @@ class TestBadInputExit2:
                                    "--A", "1"] + extra, capsys)
         assert message in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--p", "1e12"], "R=0.25, p=1000000000000.0, A=1.0 overflow"),
+        (["--p", "3", "--R", "1e308"], "R=1e+308, p=3.0, A=1.0 overflow"),
+    ])
+    def test_barrier_verify_sub_overflow(self, capsys, extra, message):
+        err = self._expect_exit_2(["barrier", "verify", "--kind", "sub", "--A", "1",
+                                   "--nx", "9", "--nt", "9"] + extra, capsys)
+        assert message in err
+
+    @pytest.mark.parametrize("r0", ["-1", "-1e-308", "-1e308", "0"])
+    def test_oscillate_r0_not_positive(self, tmp_path, capsys, r0):
+        err = self._expect_exit_2(["oscillate", "--in", self._grid_file(tmp_path),
+                                   f"--r0={r0}"], capsys)
+        assert f"r0 must be a finite number > 0, got {float(r0)}" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--alpha", "0.3"]])
+    def test_scale_delta_not_finite(self, capsys, extra):
+        err = self._expect_exit_2(["scale", "--p", "3", "--m", "1e308"] + extra, capsys)
+        assert "delta is not finite for p=3.0, m=1e+308" in err
+        assert "PASS" not in capsys.readouterr().out
+
+    def test_grid_header_promising_more_than_the_file_holds(self, tmp_path, capsys):
+        path = tmp_path / "huge.hjg"
+        head = (b"HJGRID1\n" + np.array([1], dtype="<i8").tobytes()
+                + np.array([-1.0, 0.5, 0.0, 0.1]).astype("<f8").tobytes()
+                + np.array([2**20, 2**20], dtype="<i8").tobytes())
+        path.write_bytes(head + bytes(100 - len(head)))
+        err = self._expect_exit_2(["oscillate", "--in", str(path)], capsys)
+        assert f"ends {8 * 2**40 - (100 - len(head))} bytes short" in err
+
     @pytest.mark.parametrize("extra", [["--m", "2"], ["--m", "2", "--alpha", "0.3"], []])
     @pytest.mark.parametrize("d", ["0", "-1"])
     def test_scale_dimension_below_one(self, capsys, extra, d):

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,17 @@ from hjholder.core import (
     shift_normalize,
 )
 from hjholder.errors import DomainError, EmptyIntersection
+
+
+def traced_peak(fn):
+    """(result, peak bytes traced while fn runs, above what was traced before)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def grid_1d(values, xmin=-1.0, xmax=1.0, t0=-1.0, t1=0.0):
@@ -192,3 +206,118 @@ class TestSerialization:
         xs = u.axis_coords(0)
         assert xs[3] == u.origin[0] + 3 * u.spacing_x[0]
         assert u.times()[2] == u.t0 + 2 * u.spacing_t
+
+
+def old_hjg_bytes(u):
+    """The .hjg bytes as the format's first writer built them, through tobytes()."""
+    d = u.dim
+    return b"".join([
+        b"HJGRID1\n",
+        struct.pack("<q", d),
+        np.asarray(u.origin, dtype="<f8").tobytes(),
+        np.asarray(u.spacing_x, dtype="<f8").tobytes(),
+        struct.pack("<dd", u.t0, u.spacing_t),
+        np.asarray(u.values.shape, dtype="<i8").tobytes(),
+        np.ascontiguousarray(u.values, dtype="<f8").tobytes(),
+    ])
+
+
+class TestBinaryFormat:
+    """.hjg files are read and written without copies of the values, and
+    their bytes and errors are those of the format's first reader and writer."""
+
+    def _grid(self, shape=(129, 129, 33)):
+        vals = np.random.default_rng(3).normal(size=shape)
+        d = len(shape) - 1
+        return GridFunction((-1.0,) * d, (2.0 / (shape[0] - 1),) * d, -1.0, 0.03125, vals)
+
+    @pytest.mark.parametrize("values", [
+        lambda v: v,
+        lambda v: v[:, ::2],          # strided
+        lambda v: np.asfortranarray(v),
+        lambda v: v.T.copy().T,       # transposed layout
+        lambda v: v.astype(">f8"),    # big-endian input
+        lambda v: v.astype(np.float32),
+    ], ids=["contiguous", "strided", "fortran", "transposed", "big-endian", "float32"])
+    def test_saved_bytes_equal_the_old_writer(self, tmp_path, values):
+        base = np.random.default_rng(5).normal(size=(9, 8, 6))
+        u = GridFunction((-1.0, 0.5), (0.25, 0.125), 0.0, 0.2, values(base))
+        path = tmp_path / "u.hjg"
+        save_grid(u, str(path))
+        assert path.read_bytes() == old_hjg_bytes(u)
+        assert np.array_equal(load_grid(str(path)).values, u.values)
+
+    def test_load_allocates_at_most_a_quarter_more_than_the_payload(self, tmp_path):
+        u = self._grid()
+        path = str(tmp_path / "u.hjg")
+        save_grid(u, path)
+        payload = u.values.nbytes
+        v, peak = traced_peak(lambda: load_grid(path))
+        assert np.array_equal(v.values, u.values)
+        assert peak <= 1.25 * payload, peak / payload
+
+    def test_save_allocates_at_most_a_quarter_of_the_payload(self, tmp_path):
+        u = self._grid()
+        path = str(tmp_path / "u.hjg")
+        payload = u.values.nbytes
+        _, peak = traced_peak(lambda: save_grid(u, path))
+        assert peak <= 0.25 * payload, peak / payload
+
+    def test_huge_header_fails_before_allocating(self, tmp_path):
+        # a header that promises 2**40 values, in a 100-byte file
+        head = (b"HJGRID1\n" + struct.pack("<q", 1) + struct.pack("<4d", -1.0, 0.5, 0.0, 0.1)
+                + struct.pack("<2q", 2**20, 2**20))
+        path = tmp_path / "huge.hjg"
+        path.write_bytes(head + bytes(100 - len(head)))
+        payload = 100 - len(head)
+
+        def load_error():
+            with pytest.raises(DomainError) as err:
+                load_grid(str(path))
+            return str(err.value)
+
+        message, peak = traced_peak(load_error)
+        assert message == (f"{path}: grid file ends {8 * 2**40 - payload} bytes "
+                           "short of what its header promises")
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("cut, message", [
+        (8 + 4, "grid file ends 4 bytes short of what its header promises"),
+        (8 + 8 + 8, "grid file ends 8 bytes short of what its header promises"),
+        (8 + 8 + 8 * 4 + 16 - 1, "grid file ends 1 bytes short of what its header promises"),
+        (-8, "grid file ends 8 bytes short of what its header promises"),
+        (-1, "grid file ends 1 bytes short of what its header promises"),
+    ])
+    def test_truncated_file(self, tmp_path, cut, message):
+        u = GridFunction((-1.0, 0.5), (0.25, 0.125), 0.0, 0.2, np.ones((3, 4, 5)))
+        data = old_hjg_bytes(u)
+        path = tmp_path / "cut.hjg"
+        path.write_bytes(data[:cut])
+        with pytest.raises(DomainError, match="^" + str(path) + ": " + message + "$"):
+            load_grid(str(path))
+
+    @pytest.mark.parametrize("extra", [1, 8, 1000])
+    def test_bytes_after_the_values(self, tmp_path, extra):
+        u = GridFunction((-1.0,), (0.25,), 0.0, 0.2, np.ones((3, 5)))
+        path = tmp_path / "long.hjg"
+        path.write_bytes(old_hjg_bytes(u) + bytes(extra))
+        with pytest.raises(DomainError, match=f"^{path}: {extra} bytes after the grid values$"):
+            load_grid(str(path))
+
+    @pytest.mark.parametrize("d, extent, message", [
+        (0, None, "grid dimension must be >= 1, got 0"),
+        (-3, None, "grid dimension must be >= 1, got -3"),
+        (1, (3, 0), "grid extent must be positive, got {}"),
+        (1, (-1, 5), "grid extent must be positive, got {}"),
+    ])
+    def test_bad_header(self, tmp_path, d, extent, message):
+        head = b"HJGRID1\n" + struct.pack("<q", d)
+        if extent is not None:
+            head += struct.pack("<4d", -1.0, 0.5, 0.0, 0.1) + struct.pack("<2q", *extent)
+        path = tmp_path / "bad.hjg"
+        path.write_bytes(head + bytes(64))
+        with pytest.raises(DomainError) as err:
+            load_grid(str(path))
+        # the extent prints as a tuple of numpy integers, as it always has
+        extent = tuple(np.array(extent or (), dtype="<i8"))
+        assert str(err.value) == f"{path}: {message.format(extent)}"

@@ -1,9 +1,15 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hjholder.core import EquationParams, GridFunction
 from hjholder.errors import DegenerateData, DomainError, EmptyIntersection, PreconditionFailed
 from hjholder.oscillation import (
+    ModulusReport,
     check_improvement,
     default_centers,
     fit_holder,
@@ -11,6 +17,7 @@ from hjholder.oscillation import (
     iterate_scales,
     measure_oscillations,
 )
+from hjholder.scaling import time_exponent
 
 
 def grid_of(fn, nx=513, nt=17, half=1.0, t0=-1.0, t1=0.0):
@@ -164,6 +171,167 @@ class TestModulus:
         assert r1 == r2
 
 
+def all_blocks_modulus(u, alpha, C, p, n_random_pairs=100_000, seed=0):
+    """The two-point check as first written: every block of ratios is kept
+    until the end, then the first largest (or NaN) ratio is picked."""
+    texp = time_exponent(p, alpha)
+    space = u.space_points()
+    pts = space.reshape(-1, u.dim)
+    ts = u.times()
+    n_sp = pts.shape[0]
+    nt = len(ts)
+    vals = u.values.reshape(n_sp, nt)
+
+    def ratio(du, dxs, dts):
+        return du / (C * (dxs**alpha + dts**texp))
+
+    rng = np.random.default_rng(seed)
+    ia = rng.integers(0, n_sp, n_random_pairs)
+    na = rng.integers(0, nt, n_random_pairs)
+    ib = rng.integers(0, n_sp, n_random_pairs)
+    nb = rng.integers(0, nt, n_random_pairs)
+    keep = (ia != ib) | (na != nb)
+    ia, na, ib, nb = ia[keep], na[keep], ib[keep], nb[keep]
+    ratios = [ratio(np.abs(vals[ia, na] - vals[ib, nb]),
+                    np.linalg.norm(pts[ia] - pts[ib], axis=-1),
+                    np.abs(ts[na] - ts[nb]))]
+    for axis in range(u.dim + 1):
+        lo = [slice(None)] * (u.dim + 1)
+        hi = list(lo)
+        lo[axis], hi[axis] = slice(None, -1), slice(1, None)
+        du = np.abs(u.values[tuple(lo)] - u.values[tuple(hi)])
+        if axis < u.dim:
+            dxs = np.linalg.norm(space[tuple(lo[:-1])] - space[tuple(hi[:-1])], axis=-1)
+            ratios.append(ratio(du, dxs[..., None], 0.0))
+        else:
+            ratios.append(ratio(du, 0.0, np.abs(ts[:-1] - ts[1:])))
+    n_pairs = sum(r.size for r in ratios)
+    if n_pairs == 0:
+        raise DomainError("the grid has no two distinct nodes to compare")
+    firsts = [int(np.argmax(r)) if r.size else -1 for r in ratios]
+    tops = [r.flat[k] if r.size else -np.inf for r, k in zip(ratios, firsts)]
+    block = int(np.argmax(tops))
+    k = firsts[block]
+    if block == 0:
+        a, b = (pts[ia[k]], ts[na[k]]), (pts[ib[k]], ts[nb[k]])
+    else:
+        ma = np.unravel_index(k, ratios[block].shape)
+        mb = list(ma)
+        mb[block - 1] += 1
+        a, b = [(space[tuple(m[:-1])], ts[m[-1]]) for m in (ma, mb)]
+    return ModulusReport(
+        max_ratio=float(tops[block]),
+        argmax_a=(tuple(float(v) for v in a[0]), float(a[1])),
+        argmax_b=(tuple(float(v) for v in b[0]), float(b[1])),
+        alpha=alpha,
+        time_exp=texp,
+        C=C,
+        n_pairs=n_pairs,
+    )
+
+
+def bits(obj):
+    """obj with every float replaced by its hex form: NaN equals NaN, and
+    0.0 differs from -0.0."""
+    if isinstance(obj, (tuple, list)):
+        return tuple(bits(v) for v in obj)
+    if isinstance(obj, ModulusReport):
+        return bits(tuple(vars(obj).values()))
+    return float.hex(obj) if isinstance(obj, float) else obj
+
+
+def assert_matches_all_blocks(u, *args, **kwargs):
+    got = holder_modulus_check(u, *args, **kwargs)
+    assert bits(got) == bits(all_blocks_modulus(u, *args, **kwargs))
+    return got
+
+
+def sample_grid(shape, seed=0, spacing=None, levels=None):
+    """A grid of the given (*n_space, n_time) shape with random values, or
+    random integers below `levels`, which makes ties likely."""
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=shape) if levels is None else rng.integers(0, levels, shape) * 1.0
+    d = len(shape) - 1
+    hx, ht = spacing or (0.5 / max(shape[0] - 1, 1), 0.25 / max(shape[-1] - 1, 1))
+    return GridFunction((-0.25,) * d, (hx,) * d, -0.25, ht, vals)
+
+
+class TestModulusStreamedBlocks:
+    """holder_modulus_check reduces each block as it is built; its report is
+    the all-blocks check's, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(33, 9), (2, 7), (9, 2), (1, 5), (6, 1),
+                                       (9, 7, 5), (2, 9, 4), (7, 2, 3), (5, 4, 2), (1, 1, 6)])
+    @pytest.mark.parametrize("n_random_pairs", [0, 1, 50, 3000])
+    def test_random_values(self, shape, n_random_pairs):
+        u = sample_grid(shape, seed=sum(shape))
+        assert_matches_all_blocks(u, 0.4, 0.7, 3.0, n_random_pairs=n_random_pairs, seed=5)
+
+    @pytest.mark.parametrize("shape", [(17, 9), (6, 5, 4)])
+    @pytest.mark.parametrize("n_random_pairs", [0, 400])
+    def test_ties_across_blocks(self, shape, n_random_pairs):
+        # unit spacings and 0/1 values: the largest ratio, 1/C, sits in every
+        # block, so the first block holding it is the one reported
+        u = sample_grid(shape, spacing=(1.0, 1.0), levels=2)
+        rep = assert_matches_all_blocks(u, 0.5, 2.0, 3.0, n_random_pairs=n_random_pairs)
+        assert rep.max_ratio == 0.5
+
+    @pytest.mark.parametrize("n_random_pairs", [0, 200])
+    def test_constant_values_tie_everywhere(self, n_random_pairs):
+        u = sample_grid((5, 4, 3), levels=1)
+        rep = assert_matches_all_blocks(u, 0.5, 1.0, 3.0, n_random_pairs=n_random_pairs)
+        assert rep.max_ratio == 0.0
+
+    @pytest.mark.parametrize("shape", [(9, 6), (5, 4, 3)])
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "two"])
+    @pytest.mark.parametrize("n_random_pairs", [0, 300])
+    def test_nan_values(self, shape, where, n_random_pairs):
+        u = sample_grid(shape, seed=2)
+        flat = u.values.reshape(-1)  # GridFunction rejects NaN, so it is put in afterwards
+        spots = {"first": [0], "middle": [flat.size // 2], "last": [flat.size - 1],
+                 "two": [3, flat.size - 4]}[where]
+        flat[spots] = np.nan
+        rep = assert_matches_all_blocks(u, 0.3, 1.0, 2.5, n_random_pairs=n_random_pairs)
+        assert math.isnan(rep.max_ratio)
+
+    def test_no_two_nodes(self):
+        u = sample_grid((1, 1))
+        with pytest.raises(DomainError, match="no two distinct nodes"):
+            holder_modulus_check(u, 0.5, 1.0, 3.0, n_random_pairs=10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 6), min_size=2, max_size=3).filter(
+            lambda s: math.prod(s) > 1),
+        levels=st.one_of(st.none(), st.integers(1, 3)),
+        nans=st.lists(st.integers(0, 10**6), max_size=2),
+        n_random_pairs=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.05, 1.0),
+        p=st.floats(1.5, 6.0),
+    )
+    def test_matches_all_blocks_anywhere(self, shape, levels, nans, n_random_pairs, seed,
+                                         alpha, p):
+        u = sample_grid(tuple(shape), seed=seed % 1000, levels=levels)
+        flat = u.values.reshape(-1)
+        flat[[i % flat.size for i in nans]] = np.nan
+        assert_matches_all_blocks(u, alpha, 1.3, p, n_random_pairs=n_random_pairs, seed=seed)
+
+    @pytest.mark.parametrize("shape", [(129, 129, 33), (4097, 129)])
+    def test_peak_memory_is_about_twice_the_grid(self, shape):
+        # the default 100,000 random pairs on grids of about 4.3 MB
+        u = sample_grid(shape)
+        grid = u.values.nbytes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            holder_modulus_check(u, 0.3, 1.0, 3.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * grid, peak / grid
+
+
 class TestIterateScales:
     def _params(self):
         return EquationParams(p=3.0, A=1.0, d=1)
@@ -227,6 +395,14 @@ class TestIterateScales:
         u = grid_of(lambda x, t: 0.4 * x + 0.0 * t, half=2.0, t0=-2.0)
         with pytest.raises(DomainError, match=f"{name} must lie in"):
             iterate_scales(u, self._params(), lam, theta, alpha)
+
+    @pytest.mark.parametrize("r0", [-1.0, -1e-308, -1e308, 0.0, -0.0, math.inf, -math.inf,
+                                    math.nan])
+    def test_r0_that_is_not_a_finite_positive_number_rejected(self, r0):
+        # a negative r0 turned r0**beta complex; -1e308 overflowed
+        u = grid_of(lambda x, t: 0.4 * x + 0.0 * t, half=2.0, t0=-2.0)
+        with pytest.raises(DomainError, match="r0 must be a finite number > 0"):
+            iterate_scales(u, self._params(), 0.5, 0.05, 0.5, r0=r0)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_samples_are_the_raw_measurement(self, d):

@@ -142,6 +142,22 @@ class TestDeltaExponent:
         with pytest.raises(DomainError):
             delta_exponent(3.0, 1.0, 2, 0.0)
 
+    @pytest.mark.parametrize("p, m, alpha", [
+        (3.0, 1e308, 0.0),  # p(m-1) and ((m-1)p+1) overflow: inf/m - inf/m
+        (3.0, 1e308, 0.5),
+        (1e308, 1e200, 0.0),
+    ])
+    def test_rejects_a_result_that_is_not_finite(self, p, m, alpha):
+        with pytest.raises(DomainError, match="delta is not finite"):
+            delta_exponent(p, m, 1, alpha)
+
+    @pytest.mark.parametrize("p, m, d, alpha", [
+        (3.0, 2.0, 2, 0.0), (2.5, 1.5, 1, 0.3), (1e308, 2.0, 1, 0.0), (3.0, 1e300, 3, 0.0),
+    ])
+    def test_finite_results_keep_the_formula(self, p, m, d, alpha):
+        assert delta_exponent(p, m, d, alpha) == (
+            (p * (m - 1.0) - d) / m + alpha * ((m - 1.0) * p + 1.0) / m)
+
 
 class TestAdmissibleAlpha:
     def test_lambda_theta_binding(self):
