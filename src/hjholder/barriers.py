@@ -135,10 +135,6 @@ class SupersolutionBarrier:
         if not self.C > 0 or not self.eta > 0:
             raise DomainError("need C > 0 and eta > 0")
 
-    def as_dict(self) -> dict:
-        return {"C": self.C, "eta": self.eta, "p": self.params.p,
-                "A": self.params.A, "d": self.params.d}
-
 
 def supersolution_eval(bar: SupersolutionBarrier, x, t: float):
     """(value, gradient, hessian, time derivative) from the closed form.
@@ -314,9 +310,6 @@ class SubsolutionBarrier:
         """Coefficient of -t in L: C_b*eps*theta^2/R^2 + eps."""
         return self.C_b * self.eps * self.theta**2 / self.R**2 + self.eps
 
-    def as_dict(self) -> dict:
-        return {"theta": self.theta, "R": self.R, "eps": self.eps, "C_b": self.C_b}
-
 
 def subsolution_eval(bar: SubsolutionBarrier, x, t: float):
     """(value, gradient, hessian, time derivative), exact piecewise forms.
@@ -467,20 +460,6 @@ class FirstOrderConstants:
             self.theta - self.eps * self.T,
         )
 
-    def as_dict(self) -> dict:
-        return {
-            "T": self.T,
-            "theta": self.theta,
-            "eps": self.eps,
-            "p": self.params.p,
-            "A": self.params.A,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FirstOrderConstants":
-        params = EquationParams(p=data["p"], A=data["A"])
-        return cls(data["T"], data["theta"], data["eps"], params)
-
 
 def _first_order_costs(params: EquationParams, T: float) -> tuple[float, float]:
     """The left sides c_p (T-1)^{1-p'} A^{p'-1} 3^{p'} and c_p T^{1-p'} A^{p'-1}
@@ -510,7 +489,10 @@ def first_order_constants(params: EquationParams) -> FirstOrderConstants:
     lhs1, lhs2 = _first_order_costs(params, T)
     theta = min((1.0 - lhs1) / 4.0, lhs2 / 2.0)
     eps = theta / (2.0 * T)
-    return FirstOrderConstants(T, theta, eps, params)
+    try:  # rounding can leave a computed margin below 0: a failed verification
+        return FirstOrderConstants(T, theta, eps, params)
+    except DomainError as exc:
+        raise SearchFailed(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

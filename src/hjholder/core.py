@@ -107,17 +107,6 @@ class ParabolicCylinder:
             raise DomainError(f"scale factor must be positive, got {lam}")
         return replace(self, radius=lam * self.radius)
 
-    def contains(self, points: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Boolean membership mask for points (..., d) and matching times."""
-        pts = np.asarray(points, dtype=float)
-        ts = np.asarray(times, dtype=float)
-        center = np.asarray(self.center_x)
-        dist2 = np.sum((pts - center) ** 2, axis=-1)
-        tol = _TIME_TOL * (1.0 + abs(self.top_t) + abs(self.t_bottom))
-        in_ball = dist2 < self.radius**2
-        in_slab = (ts >= self.t_bottom - tol) & (ts <= self.top_t + tol)
-        return in_ball & in_slab
-
 
 def _span(mask: np.ndarray) -> slice:
     """The shortest slice of a 1-D mask that holds all its True entries."""
@@ -334,16 +323,16 @@ def _load_binary(path: str) -> GridFunction:
         origin = np.frombuffer(take(8 * d), dtype="<f8")
         spacing = np.frombuffer(take(8 * d), dtype="<f8")
         t0, dt = struct.unpack("<dd", take(16))
-        extent = np.frombuffer(take(8 * (d + 1)), dtype="<i8")
-        if np.any(extent < 1):
-            raise DomainError(f"{path}: grid extent must be positive, got {tuple(extent)}")
-        count = math.prod(int(n) for n in extent)
+        extent = tuple(int(n) for n in np.frombuffer(take(8 * (d + 1)), dtype="<i8"))
+        if any(n < 1 for n in extent):
+            raise DomainError(f"{path}: grid extent must be positive, got {extent}")
+        count = math.prod(extent)
         n_bytes = 8 * count
         if size - pos < n_bytes:
             raise short(n_bytes, size - pos)
         if size - pos > n_bytes:
             raise DomainError(f"{path}: {size - pos - n_bytes} bytes after the grid values")
-        vals = np.empty(tuple(extent), dtype="<f8")
+        vals = np.empty(extent, dtype="<f8")
         got = fh.readinto(vals.data)
         if got < n_bytes:  # the file shrank since fstat
             raise short(n_bytes, got)

@@ -37,18 +37,6 @@ class ScaleReport:
     lm_factor_exponent: float | None = None
     delta: float | None = None
 
-    def as_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "grad_coeff_factor": self.grad_coeff_factor,
-            "diff_coeff_factor": self.diff_coeff_factor,
-            "rhs_factor": self.rhs_factor,
-            "lm_factor_exponent": self.lm_factor_exponent,
-            "delta": self.delta,
-        }
-
 
 def transform_coeffs(a: float, b: float, c: float, params: EquationParams) -> ScaleReport:
     """Coefficient factors of the scaled inequality for v = c*u(ax, bt).

@@ -132,7 +132,6 @@ class SolveConfig:
     t1: float = 1.0
     nt: int = 65
     cfl: float = 0.8
-    lf_alpha_cap: float | None = None
     lf_alpha_floor: float = 0.0
 
     def __post_init__(self):
@@ -142,9 +141,8 @@ class SolveConfig:
             object.__setattr__(self, name, tuple(
                 as_number(v, f"grid {name}", integral=name == "nx") for v in values))
         object.__setattr__(self, "nt", as_number(self.nt, "grid nt", integral=True))
-        for name in ("t0", "t1", "cfl", "lf_alpha_cap", "lf_alpha_floor"):
-            if name != "lf_alpha_cap" or self.lf_alpha_cap is not None:
-                object.__setattr__(self, name, as_number(getattr(self, name), f"grid {name}"))
+        for name in ("t0", "t1", "cfl", "lf_alpha_floor"):
+            object.__setattr__(self, name, as_number(getattr(self, name), f"grid {name}"))
         if not (len(self.xmin) == len(self.xmax) == len(self.nx)):
             raise DomainError("xmin, xmax, nx must have one entry per axis")
         if any(b <= a for a, b in zip(self.xmin, self.xmax)):
@@ -489,7 +487,11 @@ def solve_hj(spec, init, bc, cfg: SolveConfig):
 
     init is a callable init(*coords) or an array on the spatial grid; bc is a
     Dirichlet callable bc(*coords, t) applied on the box faces every substep.
-    The step satisfies dt <= cfl * min(dx/(2 d alpha), dx^2/(2 d Lambda)).
+    The step satisfies dt <= cfl * min(dx/(2 d alpha), dx^2/(2 d Lambda)) and
+    dt <= 1/(alpha sum_i 1/dx_i + 2 Lambda sum_i 1/dx_i^2), so that a substep
+    weighs each node's own value by >= 0; in 1-D that makes the substep
+    monotone.  In 2-D the centred cross difference of m+/- and of an
+    off-diagonal trace term is not monotone at any dt.
 
     Given sequences of specs, inits and bcs (one row each), the rows are
     solved together, on a leading array axis of the same loop, and a list
@@ -529,6 +531,10 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
             raise DomainError("rows solved together must share diffusion and shift")
     dx = cfg.spacings()
     dx_min = min(dx)
+    # a substep weighs its own node by 1 - dt * (alpha * inv_dx + 2 Lambda * inv_dx2)
+    # through the LF and axis diffusion terms; dt keeps that weight >= 0
+    inv_dx = sum(1.0 / h for h in dx)
+    inv_dx2 = sum(1.0 / h**2 for h in dx)
     coords = cfg.coords()
     shape = tuple(cfg.nx)
     st = _Stencil(shape, dx)
@@ -575,7 +581,6 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
         outs[r][..., 0] = u_all[r]
     times_out = cfg.out_times()
     clock = [cfg.t0] * n_all
-    warned_cap = [False] * n_all
     failed = [None] * n_all
     # active row set -> (coefficient, forcing, exponent), built once per set
     blocks = {}
@@ -609,14 +614,6 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     p = ps[r]
                     alpha = p * amax * qmax ** (p - 1.0) if qmax > 0 else 0.0
                     alpha = max(alpha, cfg.lf_alpha_floor)
-                    if cfg.lf_alpha_cap is not None and alpha > cfg.lf_alpha_cap:
-                        alpha = cfg.lf_alpha_cap
-                        if not warned_cap[r]:
-                            logger.warning(
-                                "LF dissipation capped at %g; scheme leaves its "
-                                "provably monotone regime", alpha,
-                            )
-                            warned_cap[r] = True
                     half_alphas.append(0.5 * alpha)
 
                     dt_stab = math.inf
@@ -625,6 +622,9 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     if lam > 0:
                         dt_stab = min(dt_stab, dx_min**2 / (2.0 * d * lam))
                     dt_stab *= cfg.cfl
+                    rate = alpha * inv_dx + 2.0 * lam * inv_dx2
+                    if rate > 0:
+                        dt_stab = min(dt_stab, 1.0 / rate)
                     if dt_stab < DT_FLOOR:
                         failed[r] = CflViolation(f"stable step {dt_stab:g} below floor "
                                                  f"{DT_FLOOR:g} at t={clock[r]:g}")

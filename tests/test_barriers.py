@@ -405,12 +405,6 @@ class TestFirstOrderConstants:
         with pytest.raises(DomainError):
             FirstOrderConstants(4.0, 0.2, 0.3, EquationParams(p=2.0, A=1.0))
 
-    def test_serialization_round_trip(self):
-        fo = first_order_constants(EquationParams(p=3.0, A=2.0))
-        back = FirstOrderConstants.from_dict(fo.as_dict())
-        assert back == fo
-        assert min(back.margins()) >= 0.0
-
 
 class TestTwoCase:
     def _grid(self, fn, nx=65, nt=17):

@@ -69,9 +69,12 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, message", [
         (["constants", "first-order", "--p", "1.001", "--A", "1"], "leave the float range"),
         (["legendre", "--p", "1.001", "--A", "1"], "cannot be sampled"),
+        (["constants", "first-order", "--p", "1.0061299927457592", "--A", "0.023464062039672207"],
+         "first-order constant system violated"),
     ])
     def test_float_overflow_is_a_failed_verification(self, argv, message, capsys):
-        # p' = 1001: 3^{p'} and the Legendre search window overflow a float
+        # p' = 1001: 3^{p'} and the Legendre search window overflow a float;
+        # at p' = 164 a computed margin rounds to the subnormal -5e-324
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("verification failed: ")

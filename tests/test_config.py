@@ -91,6 +91,7 @@ def _sweep(**blocks):
      "config.equation.eps must be a finite number, got inf"),
     ({"grid": GRID, "equation": {"shift": math.nan}},
      "config.equation.shift must be a finite number, got nan"),
+    ({"grid": {**GRID, "lf_alpha_cap": 0.3}}, "config.grid: unknown key 'lf_alpha_cap'"),
 ])
 def test_rejected_solve_config(cfg, message):
     code, _, err = _run_config("solve", cfg)
@@ -154,7 +155,7 @@ def test_explicit_defaults_give_the_same_objects():
                      "diffusion": {"kind": "extremal", "sign": "plus", "coeff": 0.0},
                      "forcing": {"kind": "inverse_power", "strength": 0.5, "gamma": 0.4,
                                  "center": 0.0, "cap_radius": 0.25}},
-        "grid": {**GRID, "cfl": 0.8, "lf_alpha_floor": 0.0, "lf_alpha_cap": None},
+        "grid": {**GRID, "cfl": 0.8, "lf_alpha_floor": 0.0},
         "initial": {"kind": "sinusoid", "level": 0.5, "amplitude": 0.4, "k": 2.0, "phase": 0.0},
         "boundary": {"kind": "frozen_initial"},
     }
@@ -272,7 +273,7 @@ GRID_BLOCK = st.integers(1, 2).flatmap(lambda d: _block(
      "nx": st.lists(st.sampled_from([5, 9, 3, 2]), min_size=d, max_size=d)},
     {"t0": st.sampled_from([0.0, 0.1]), "t1": st.sampled_from([0.1, 0.3]),
      "nt": st.integers(1, 4), "cfl": st.sampled_from([0.5, 0.9, 1.5]),
-     "lf_alpha_cap": SMALL | st.none(), "lf_alpha_floor": SMALL}))
+     "lf_alpha_floor": SMALL}))
 EQUATION = _block({}, {
     "p": st.sampled_from([1.5, 2.0, 3.0, 1.0]), "A": st.sampled_from([1.0, 2.0, 0.0]),
     "eps": SMALL, "d": st.sampled_from([1, 2, 0]), "m": st.sampled_from([1.5, 2.0]) | st.none(),

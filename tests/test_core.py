@@ -77,19 +77,25 @@ class TestParabolicCylinder:
     def test_scaled_nested(self):
         q = ParabolicCylinder((0.3,), 0.0, 1.0, 2.0)
         q2 = q.scaled(0.5)
-        pts = np.random.default_rng(0).uniform(-1, 1, (200, 1))
-        ts = np.random.default_rng(1).uniform(-1, 0, 200)
-        inner = q2.contains(pts, ts)
-        outer = q.contains(pts, ts)
+        u = GridFunction((-1.0,), (0.05,), -1.0, 0.05, np.zeros((41, 21)))
+        inner, outer = u.node_mask(q2), u.node_mask(q)
+        assert inner.any() and (outer & ~inner).any()
         assert not np.any(inner & ~outer)
 
     def test_membership_rules(self):
         q = ParabolicCylinder((0.0, 0.0), 0.0, 1.0, 1.0)
-        # open ball: boundary point excluded; closed time slab: endpoints kept
-        assert not q.contains(np.array([1.0, 0.0]), np.array(0.0))
-        assert q.contains(np.array([0.0, 0.0]), np.array(-1.0))
-        assert q.contains(np.array([0.0, 0.0]), np.array(0.0))
-        assert not q.contains(np.array([0.0, 0.0]), np.array(-1.5))
+        # nodes every 0.5 in space from -1.5, every 0.5 in time from -2
+        u = GridFunction((-1.5, -1.5), (0.5, 0.5), -2.0, 0.5, np.zeros((7, 7, 6)))
+        box, mask = u.cylinder_box(q)
+        inside = u.node_mask(q)
+        assert np.array_equal(inside[box], mask)
+        assert mask.shape == (3, 3, 3)  # |x_i| < 1 and t in [-1, 0]
+        # open ball: a node at exactly distance r is out
+        assert not inside[5, 3, 2:5].any()  # x = (1, 0)
+        # closed time slab: nodes on t_bottom = -1 and on top_t = 0 are in
+        assert inside[3, 3, 2] and inside[3, 3, 4]
+        assert not inside[3, 3, 1]  # t = -1.5
+        assert not inside[3, 3, 5]  # t = 0.5
 
 
 class TestOscillation:
@@ -318,6 +324,4 @@ class TestBinaryFormat:
         path.write_bytes(head + bytes(64))
         with pytest.raises(DomainError) as err:
             load_grid(str(path))
-        # the extent prints as a tuple of numpy integers, as it always has
-        extent = tuple(np.array(extent or (), dtype="<i8"))
-        assert str(err.value) == f"{path}: {message.format(extent)}"
+        assert str(err.value) == f"{path}: {message.format(extent)}"  # plain ints

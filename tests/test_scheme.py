@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hjholder import extremal
 from hjholder.core import EquationParams, GridFunction, ParabolicCylinder
@@ -109,6 +111,28 @@ class TestSolveBasics:
             bumped[k] += 0.05
             u1 = solve_hj(spec, bumped, bc, cfg)
             assert np.all(u1.values >= u0.values - 1e-14)
+
+    @settings(deadline=None, max_examples=60)
+    @given(p=st.floats(1.5, 4.0), ratio=st.floats(0.0, 4.0),
+           cfl=st.floats(0.01, 1.0, exclude_max=True), k=st.integers(1, 63))
+    @example(p=3.0, ratio=1.0, cfl=0.8, k=32)  # the rule alone: centre weight -0.2
+    def test_one_step_is_monotone(self, p, ratio, cfl, k):
+        # one step of the rule cfl * min(dx/(2 alpha), dx^2/(2 Lambda)) on convex data,
+        # with alpha fixed by the floor and m+ diffusion Lambda = ratio * alpha * dx;
+        # that rule alone weighs the centre by 1 - cfl * (1 + 2 ratio) / 2 at ratio <= 1
+        alpha, dx = 20.0, 2.0 / 64
+        lam = ratio * alpha * dx
+        dt = cfl * min(dx / (2.0 * alpha), dx**2 / (2.0 * lam) if lam > 0 else np.inf)
+        spec = HamiltonianSpec(params=EquationParams(p=p, A=2.0, d=1), coefficient=0.5,
+                               diffusion=ExtremalDiffusion(sign=1, coeff=lam))
+        cfg = cfg_1d(t1=dt, nt=2, lf_alpha_floor=alpha)  # p * 0.5 * max|u_x|^(p-1) <= 16
+        xs = np.linspace(-1.0, 1.0, 65)
+        bc = lambda x, t: x**2
+        u0 = solve_hj(spec, xs**2, bc, cfg)
+        raised = xs**2
+        raised[k] += 1e-4  # keeps the data convex: m+ stays the second difference
+        u1 = solve_hj(spec, raised, bc, cfg)
+        assert np.all(u1.values[:, -1] >= u0.values[:, -1] - 1e-14)
 
     def test_blowup_guard(self):
         params = EquationParams(p=2.0, A=1.0, d=1)

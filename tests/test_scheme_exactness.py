@@ -13,7 +13,6 @@ each row must match its one-at-a-time solve bit for bit and sample its
 callables as that solve does.
 """
 
-import logging
 import math
 
 import numpy as np
@@ -122,8 +121,6 @@ def _ref_solve(spec, init, bc, cfg, radius=_sqrt_radius):
                 qmax = max(qmax, float(np.max(np.abs(qb[i][tuple(sl)]))))
             alpha = p * float(np.max(a)) * qmax ** (p - 1.0) if qmax > 0 else 0.0
             alpha = max(alpha, cfg.lf_alpha_floor)
-            if cfg.lf_alpha_cap is not None and alpha > cfg.lf_alpha_cap:
-                alpha = cfg.lf_alpha_cap
             gnorm2 = sum(qc**2 for qc in q_center)
             hamil = a * gnorm2 ** (p / 2.0)
             for i in range(d):
@@ -136,6 +133,9 @@ def _ref_solve(spec, init, bc, cfg, radius=_sqrt_radius):
             if lam > 0:
                 dt_stab = min(dt_stab, dx_min**2 / (2.0 * d * lam))
             dt_stab *= cfg.cfl
+            rate = alpha * sum(1.0 / h for h in dx) + 2.0 * lam * sum(1.0 / h**2 for h in dx)
+            if rate > 0:
+                dt_stab = min(dt_stab, 1.0 / rate)
             dt = min(dt_stab, t_target - t)
             u = u + dt * rhs
             t_new = min(t + dt, t_target)
@@ -291,13 +291,6 @@ def _check(d, diffusion, coefficient, forcing, jump=0.0, **cfg_kw):
 @pytest.mark.parametrize("d", [1, 2])
 def test_stencil_matches_roll_reference(d, diffusion, coefficient, forcing):
     _check(d, diffusion, coefficient, forcing)
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_stencil_matches_reference_under_lf_cap(d, caplog):
-    with caplog.at_level(logging.WARNING, logger="hjholder.scheme"):
-        _check(d, "m+", "rough", "inverse_power", lf_alpha_cap=0.3)
-    assert any("LF dissipation capped" in r.getMessage() for r in caplog.records)
 
 
 @pytest.mark.parametrize("diffusion", ["m+", "m-", "trace_callable"])
@@ -541,23 +534,6 @@ def test_separable_rows_beside_opaque_rows(coefficients, forcings):
 def test_rows_share_each_diffusion_kind(diffusion):
     _check_rows(1, [(3.0, "rough", "inverse_power"), (2.5, "opaque", "none")], _cfg(1),
                 diffusion=diffusion)
-
-
-def test_rows_under_lf_cap_warn_once_each(caplog):
-    rows = [(4.0, "rough", "inverse_power"), (3.0, "rough", "none"), (2.5, "constant", "none")]
-    cfg = _cfg(1, lf_alpha_cap=0.3)
-    _check_rows(1, rows, cfg)
-
-    def cap_warnings(rows, first=0):
-        logs = [_Log() for _ in rows]
-        caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="hjholder.scheme"):
-            solve_hj(_row_specs(1, rows, logs, first=first), [_init] * len(rows),
-                     [_bc(log) for log in logs], cfg)
-        return sum("LF dissipation capped" in r.getMessage() for r in caplog.records)
-
-    alone = [cap_warnings([row], first=k) for k, row in enumerate(rows)]
-    assert cap_warnings(rows) == sum(alone) >= 2
 
 
 def test_failing_row_leaves_the_others():
