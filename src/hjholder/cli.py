@@ -425,12 +425,22 @@ def _given(**kw) -> dict:
 
 def _sweep_row(inst: dict, spec, u, lambda_: float = 0.5, R: float = 0.25) -> dict:
     """One sweep CSV row; u is the solution, or the error that stopped the solve,
-    which leaves passed = 0 and nan in the columns that need the solution."""
-    bar = barriers.make_subsolution_barrier(spec.params, R)
-    adm = scaling.admissible_alpha(spec.params.p, spec.params.m, spec.params.d, lambda_, bar.theta)
-    passed, alpha_hat, resid = False, float("nan"), float("nan")
-    if not isinstance(u, HJHolderError):
-        report = oscillation.iterate_scales(u, spec.params, lambda_, bar.theta, adm.alpha)
+    which leaves passed = 0 and nan in the columns that need the solution.  A
+    barrier or alpha search that fails leaves passed = 0 and nan alpha and
+    theta too, and is the row's "failure" (None otherwise)."""
+    nan = float("nan")
+    passed, alpha, theta, alpha_hat, resid, failure = False, nan, nan, nan, nan, None
+    try:
+        bar = barriers.make_subsolution_barrier(spec.params, R)
+        adm = scaling.admissible_alpha(spec.params.p, spec.params.m, spec.params.d,
+                                       lambda_, bar.theta)
+        theta, alpha = bar.theta, adm.alpha
+    except DomainError:
+        raise
+    except HJHolderError as exc:
+        failure = exc
+    if failure is None and not isinstance(u, HJHolderError):
+        report = oscillation.iterate_scales(u, spec.params, lambda_, theta, alpha)
         passed = report.passed
         try:
             est = _fit_first_center(report, u)
@@ -442,11 +452,12 @@ def _sweep_row(inst: dict, spec, u, lambda_: float = 0.5, R: float = 0.25) -> di
         "A": spec.params.A,
         **{key: float("nan") if inst.get(key) is None else inst[key]
            for key in ("k", "omega", "gamma", "m")},
-        "alpha": adm.alpha,
-        "theta": bar.theta,
+        "alpha": alpha,
+        "theta": theta,
         "passed": passed,
         "alpha_hat": alpha_hat,
         "fit_residual": resid,
+        "failure": failure,
     }
 
 
@@ -466,11 +477,12 @@ def _sweep(base: dict, instances: object, oscillate: dict | None = None, seed: i
     osc = _kwargs(_sweep_row, oscillate or {}, "config.oscillate", ("inst", "spec", "u"))
     n = len(specs)
     solutions = scheme.solve_hj(specs, [init] * n, [bc] * n, solve_cfg)
-    for i, u in enumerate(solutions):
-        if isinstance(u, HJHolderError):
-            print(f"verification failed: instance {i}: {u}", file=sys.stderr)
     results = [_sweep_row(inst, spec, u, **osc)
                for inst, spec, u in zip(instances, specs, solutions)]
+    for i, (u, r) in enumerate(zip(solutions, results)):
+        for failure in (u, r["failure"]):
+            if isinstance(failure, HJHolderError):
+                print(f"verification failed: instance {i}: {failure}", file=sys.stderr)
     cols = ["p", "A", "k", "omega", "gamma", "m", "alpha", "theta", "passed",
             "alpha_hat", "fit_residual"]
     rows = [tuple(r[c] for c in cols) for r in results]

@@ -93,7 +93,21 @@ def _windowed(level=0.5, amplitude=0.4, k=2.0, phase=0.0, half_width=2.0):
 def _frozen_initial(*, init):
     if init is None:
         raise DomainError("frozen_initial boundary needs the initial profile")
-    return lambda *args: init(*args[:-1])
+    last_key, last = None, None
+
+    def frozen(*args):
+        # g(*coords, t) = init(*coords) at every t.  The last sample is kept,
+        # read-only, and returned again while the coordinates keep their shape,
+        # dtype and bytes: a solver calls this on the same nodes every substep.
+        nonlocal last_key, last
+        key = [(c.shape, c.dtype.str, c.tobytes()) for c in map(np.asarray, args[:-1])]
+        if key != last_key:
+            last = np.array(init(*args[:-1]), dtype=float)
+            last.flags.writeable = False
+            last_key = key
+        return last
+
+    return frozen
 
 
 # kind -> factory of named initial data u(x, 0) and Dirichlet data g(x, t); a

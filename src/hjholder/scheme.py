@@ -275,7 +275,12 @@ class _Stencil:
 
     def face_diffs(self, f: np.ndarray) -> list:
         """One-sided differences (u[k+1] - u[k]) / dx along each axis, on every face."""
-        return [(f[self.face_hi[i]] - f[self.face_lo[i]]) / self.dx[i] for i in range(self.d)]
+        out = []
+        for i in range(self.d):
+            q = f[self.face_hi[i]] - f[self.face_lo[i]]
+            q /= self.dx[i]
+            out.append(q)
+        return out
 
     def face_jump(self, faces: list, i: int) -> np.ndarray:
         """Forward minus backward one-sided difference along axis i."""
@@ -283,16 +288,29 @@ class _Stencil:
 
     def centred(self, f: np.ndarray) -> list:
         """Centred first differences, the interior formula of np.gradient."""
-        return [(f[self.plus[i]] - f[self.minus[i]]) / (2. * self.dx[i]) for i in range(self.d)]
+        out = []
+        for i in range(self.d):
+            g = f[self.plus[i]] - f[self.minus[i]]
+            g /= 2. * self.dx[i]
+            out.append(g)
+        return out
 
     def second_diffs(self, f: np.ndarray) -> dict:
         """Centred second differences keyed (i, j) with i <= j."""
         dx = self.dx
+        two_mid = 2.0 * f[self.mid]
         out = {}
         for i in range(self.d):
-            out[(i, i)] = (f[self.plus[i]] - 2.0 * f[self.mid] + f[self.minus[i]]) / dx[i] ** 2
+            h = f[self.plus[i]] - two_mid
+            h += f[self.minus[i]]
+            h /= dx[i] ** 2
+            out[(i, i)] = h
         for (i, j), (pp, pm, mp, mm) in self.cross.items():
-            out[(i, j)] = (f[pp] - f[pm] - f[mp] + f[mm]) / (4.0 * dx[i] * dx[j])
+            h = f[pp] - f[pm]
+            h -= f[mp]
+            h += f[mm]
+            h /= 4.0 * dx[i] * dx[j]
+            out[(i, j)] = h
         return out
 
 
@@ -338,7 +356,7 @@ def _row_max(x, n_rows: int) -> list:
     """max of each leading row of x (x itself for one row) as Python floats."""
     if n_rows == 1:
         return [float(x.max())]
-    return x.max(axis=tuple(range(1, x.ndim))).tolist()
+    return x.max(axis=1 if x.ndim == 2 else tuple(range(1, x.ndim))).tolist()
 
 
 # ndarray ** number sends these exponents to square, sqrt, reciprocal, ...
@@ -390,7 +408,9 @@ class _Field:
         self.fixed = self.space = None
         declared = isinstance(field, SeparableField)
         if declared and field.time is not None:
-            self.space = field.space(*coords)
+            # on the whole grid, so that block samplers can take windows of it
+            self.space = np.broadcast_to(np.asarray(field.space(*coords), dtype=float),
+                                         coords[0].shape)
         elif not callable(field) or declared:
             self.fixed = sample(coords, t0)
 
@@ -420,21 +440,37 @@ def _block_sampler(fields: list, st: _Stencil):
         times = [f.field.time for f in fields]
 
         def separable(ts):
-            factor = _column([time(t) for time, t in zip(times, ts)], st.d)
-            full = np.asarray(base + space * factor, dtype=float)
-            return full, st.interior(full)
+            # the bits of base + space * factor
+            full = space * _column([time(t) for time, t in zip(times, ts)], st.d)
+            full += base
+            return full, st.flat(full)[st.mid]
 
         return separable
     return lambda ts: _stack_rows([f.at(t) for f, t in zip(fields, ts)], st)
 
 
+def _block_source(fields: list, st: _Stencil, shift: float):
+    """The block's forcing minus shift on the interior, as ts -> values; a
+    fixed forcing's is formed once."""
+    sample = _block_sampler(fields, st)
+    if all(f.fixed is not None for f in fields):
+        fixed = sample(None)[1] - shift
+        return lambda ts: fixed
+    return lambda ts: sample(ts)[1] - shift
+
+
 def _hamiltonian(a, grads: list, half):
     """a |Du|^p from the centred gradient, with half = p/2 a number or a
-    _RowExponent; shared by solver and residual."""
-    g2 = grads[0] ** 2  # the bits of sum(g**2 for g in grads): squares are >= +0
+    _RowExponent; shared by solver and residual.  Squares the arrays of
+    grads in place, so they are consumed."""
+    g2 = grads[0]
+    g2 *= g2  # the bits of sum(g**2 for g in grads): squares are >= +0
     for g in grads[1:]:
-        g2 += g**2
-    return a * (half.power(g2) if isinstance(half, _RowExponent) else g2 ** half)
+        g *= g
+        g2 += g
+    h = half.power(g2) if isinstance(half, _RowExponent) else g2 ** half
+    h *= a
+    return h
 
 
 def _diffusion_bounds(diff, coords, ts: list, d: int) -> tuple:
@@ -460,12 +496,14 @@ def _diffusion_term(diff, st: _Stencil, f, bs):
         return 0.0
     hess = st.second_diffs(f)
     if bs is None:
-        return diff.coeff * _extremal_field(hess, st.d, diff.sign)
+        m = _extremal_field(hess, st.d, diff.sign)
+        m *= diff.coeff
+        return m
     total = np.zeros(hess[(0, 0)].shape)
     for i in range(st.d):
         for j in range(st.d):
             bij = _stack_rows([b[i, j] for b in bs], st)[1]
-            total = total + bij * hess[(min(i, j), max(i, j))]
+            total += bij * hess[(min(i, j), max(i, j))]
     return total
 
 
@@ -500,6 +538,10 @@ def solve_hj(spec, init, bc, cfg: SolveConfig):
     share cfg and the specs' diffusion and shift (DomainError otherwise);
     each row keeps its own clock, dt, LF alpha, checks and warnings, and
     gets the bits it would get alone.
+
+    Initial data that is not finite on the grid is a DomainError, raised
+    before the first step.  An LF alpha that overflows a float is infinite,
+    so its row fails the CFL floor; a value that is nan is a Blowup.
     """
     if isinstance(spec, HamiltonianSpec):
         (u,) = _solve_rows([spec], [init], [bc], cfg)
@@ -544,12 +586,15 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
     coeffs, forcings = [], []
     for r, (spec, init) in enumerate(zip(specs, inits)):
         if callable(init):
-            u_all[r] = np.broadcast_to(init(*coords), shape)
+            with np.errstate(all="ignore"):  # an overflow is reported below
+                u_all[r] = np.broadcast_to(init(*coords), shape)
         else:
             u0 = np.asarray(init, dtype=float)
             if u0.shape != shape:
                 raise DomainError(f"init shape {u0.shape} != grid shape {shape}")
             u_all[r] = u0
+        if not np.isfinite(u_all[r]).all():
+            raise DomainError(f"initial data of row {r} is not finite on the grid")
         coeffs.append(_Field(spec.coefficient, spec.coeff_at, coords, cfg.t0))
         forcings.append(_Field(spec.forcing, spec.forcing_at, coords, cfg.t0))
         A = spec.params.A
@@ -593,9 +638,9 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
             n_rows = len(rows)
             if tuple(rows) not in blocks:
                 blocks[tuple(rows)] = (_block_sampler([coeffs[r] for r in rows], st),
-                                       _block_sampler([forcings[r] for r in rows], st),
+                                       _block_source([forcings[r] for r in rows], st, shift),
                                        _row_exponent([ps[r] / 2.0 for r in rows]))
-            coeff, forcing, half = blocks[tuple(rows)]
+            coeff, source, half = blocks[tuple(rows)]
             u, copied = _row_block(u_all, rows)
             f = st.flat(u)  # a view: u is contiguous
             flats = [f] if n_rows == 1 else list(f)
@@ -612,7 +657,10 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                 half_alphas, dts = [], []
                 for r, qmax, amax, lam in zip(rows, qmaxes, _row_max(a, n_rows), lams):
                     p = ps[r]
-                    alpha = p * amax * qmax ** (p - 1.0) if qmax > 0 else 0.0
+                    try:
+                        alpha = p * amax * qmax ** (p - 1.0) if qmax > 0 else 0.0
+                    except OverflowError:  # float ** float raises where ndarray ** gives inf
+                        alpha = math.inf
                     alpha = max(alpha, cfg.lf_alpha_floor)
                     half_alphas.append(0.5 * alpha)
 
@@ -628,31 +676,34 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     if dt_stab < DT_FLOOR:
                         failed[r] = CflViolation(f"stable step {dt_stab:g} below floor "
                                                  f"{DT_FLOOR:g} at t={clock[r]:g}")
-                        dts.append(0.0)
-                    else:
-                        dts.append(min(dt_stab, t_target - clock[r]))
+                        stepping = False
+                    dts.append(min(dt_stab, t_target - clock[r]))
+                if not stepping:
+                    # nothing moves: the other rows take this step from the same
+                    # state in the block without the failed one, with the same bits
+                    break
 
                 hamil = _hamiltonian(a_mid, st.centred(f), half)
                 jump_coeff = _column(half_alphas, 1)
                 for i in range(d):
-                    hamil = hamil - jump_coeff * st.face_jump(faces, i)
-                diff_term = _diffusion_term(diffusion, st, f, bs)
-                rhs = forcing(ts)[1] - shift - hamil + diff_term
+                    jump = st.face_jump(faces, i)
+                    jump *= jump_coeff
+                    hamil -= jump
+                rhs = source(ts) - hamil
+                rhs += _diffusion_term(diffusion, st, f, bs)
+                rhs *= _column(dts, 1)
                 # boundary-column positions of the window get written here and
                 # reset below, before anything reads them
-                f[st.mid] += _column(dts, 1) * rhs
+                f[st.mid] += rhs
 
                 for r, dt, flat in zip(rows, dts, flats):
-                    if failed[r] is None:
-                        clock[r] = min(clock[r] + dt, t_target)
-                        bvals = np.asarray(bcs[r](*bcoords, clock[r]), dtype=float)
-                        flat[bidx] = bvals
-                        data_bound[r] = max(data_bound[r], float(np.abs(bvals).max()))
+                    clock[r] = min(clock[r] + dt, t_target)
+                    flat[bidx] = bcs[r](*bcoords, clock[r])
                 # the block changes when a row fails or reaches the output time
-                for r, peak in zip(rows, _row_max(np.abs(u), n_rows)):
-                    if failed[r] is not None:
-                        stepping = False
-                    elif peak > BLOWUP_FACTOR * (1.0 + data_bound[r]):
+                bounds = _row_max(np.abs(f[..., bidx]), n_rows)
+                for r, bound, peak in zip(rows, bounds, _row_max(np.abs(u), n_rows)):
+                    data_bound[r] = max(data_bound[r], bound)
+                    if not peak <= BLOWUP_FACTOR * (1.0 + data_bound[r]):
                         failed[r] = Blowup(f"values exceeded {BLOWUP_FACTOR:g}*(1+data "
                                            f"bound) at t={clock[r]:g}")
                         stepping = False

@@ -62,6 +62,21 @@ class TestExitCodes:
         assert "delta(alpha=0) = 0.5" in out
         assert "beta_window = (0.333333333333, 0.5)" in out
 
+    @pytest.mark.parametrize("equation, scale", [({"p": 300}, 10), ({}, 1e307)])
+    def test_alpha_overflow_is_a_failed_verification(self, tmp_path, capsys, equation, scale):
+        path = solve_config(tmp_path, equation=equation,
+                            initial={"kind": "quadratic", "scale": scale},
+                            grid={"xmin": [-2], "xmax": [2], "nx": [33], "t1": 0.1, "nt": 5})
+        assert run(["solve", "--config", path, "--out", str(tmp_path / "u.hjg")]) == 1
+        assert capsys.readouterr().err == (
+            "verification failed: stable step 0 below floor 1e-09 at t=0\n")
+
+    def test_non_finite_initial_data_is_bad_input(self, tmp_path, capsys):
+        path = solve_config(tmp_path, initial={"kind": "quadratic", "scale": 1e308})
+        assert run(["solve", "--config", path, "--out", str(tmp_path / "u.hjg")]) == 2
+        assert capsys.readouterr().err == (
+            "error: initial data of row 0 is not finite on the grid\n")
+
     def test_scale_infeasible_is_failure(self):
         # m too close to 1 + d/p: the L^m theory has no admissible alpha
         assert run(["scale", "--p", "3", "--m", "1.3", "--d", "2"]) == 1
@@ -553,6 +568,29 @@ class TestSweep:
         assert (failed["gamma"], failed["passed"]) == ("0.3", "0")
         assert (failed["alpha_hat"], failed["fit_residual"]) == ("nan", "nan")
         assert failed["alpha"] not in ("nan", "") and failed["theta"] not in ("nan", "")
+
+    def test_overflowing_instance_keeps_its_row(self, tmp_path, capsys):
+        # p = 300: the LF alpha overflows at the first step, and the barrier's
+        # theta underflows to 0; the other rows are those of a sweep without it
+        cfg = json.loads(Path(self._config(tmp_path)).read_text())
+        ok_csv, mixed_csv = str(tmp_path / "ok.csv"), str(tmp_path / "mixed.csv")
+        cfg["base"]["initial"] = {"kind": "quadratic", "scale": 3}
+        cfg["base"]["grid"].update(nx=[65], nt=17)
+        assert run(["sweep", "--config", write_json(tmp_path / "ok.json", cfg),
+                    "--out", ok_csv]) == 0
+        cfg["instances"].insert(1, {"p": 300})
+        capsys.readouterr()
+        rc = run(["sweep", "--config", write_json(tmp_path / "mixed.json", cfg),
+                  "--out", mixed_csv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.splitlines() == [
+            "verification failed: instance 1: stable step 0 below floor 1e-09 at t=0",
+            "verification failed: instance 1: no admissible theta for R=0.25, p=300.0, A=2.0"]
+        ok_rows = Path(ok_csv).read_text().splitlines()
+        mixed_rows = Path(mixed_csv).read_text().splitlines()
+        assert ok_rows[3:] == mixed_rows[3:5] + mixed_rows[6:]
+        assert mixed_rows[5] == "300,2,nan,nan,nan,nan,nan,nan,0,nan,nan"
 
     def test_sweep_matches_one_solve_per_instance(self, tmp_path, monkeypatch):
         cfg = json.loads(Path(self._config(tmp_path)).read_text())

@@ -275,7 +275,7 @@ GRID_BLOCK = st.integers(1, 2).flatmap(lambda d: _block(
      "nt": st.integers(1, 4), "cfl": st.sampled_from([0.5, 0.9, 1.5]),
      "lf_alpha_floor": SMALL}))
 EQUATION = _block({}, {
-    "p": st.sampled_from([1.5, 2.0, 3.0, 1.0]), "A": st.sampled_from([1.0, 2.0, 0.0]),
+    "p": st.sampled_from([1.5, 2.0, 3.0, 1.0, 300.0]), "A": st.sampled_from([1.0, 2.0, 0.0]),
     "eps": SMALL, "d": st.sampled_from([1, 2, 0]), "m": st.sampled_from([1.5, 2.0]) | st.none(),
     "shift": SMALL,
     "coefficient": _block({}, {"value": SMALL, "k": SMALL, "omega": SMALL, "base": SMALL,
@@ -289,14 +289,15 @@ EQUATION = _block({}, {
                       ["none", "constant", "inverse_power"]),
 })
 INITIAL = _block({}, {"value": SMALL, "level": SMALL, "amplitude": SMALL, "k": SMALL,
-                      "phase": SMALL, "scale": SMALL, "depth": SMALL, "center": SMALL,
+                      "phase": SMALL, "scale": SMALL | st.just(1e308), "depth": SMALL,
+                      "center": SMALL,
                       "width": st.sampled_from([0.2, 1.0, 0.0]), "half_width": SMALL},
                  list(instances.INITIAL_PROFILES))
 BOUNDARY = _block({}, {"value": SMALL}, list(instances.BOUNDARY_PROFILES))
 SEED = _mostly(st.integers(0, 3))
 SOLVE = st.fixed_dictionaries({"grid": GRID_BLOCK}, optional={
     "equation": EQUATION, "initial": INITIAL, "boundary": BOUNDARY, "seed": SEED})
-INSTANCE = _block({}, {"p": st.sampled_from([2.5, 3.0]), "A": st.sampled_from([1.5, 2.0]),
+INSTANCE = _block({}, {"p": st.sampled_from([2.5, 3.0, 300.0]), "A": st.sampled_from([1.5, 2.0]),
                        "k": SMALL, "omega": SMALL, "gamma": st.sampled_from([0.2, 0.4]),
                        "strength": SMALL, "x0": SMALL, "m": st.sampled_from([2, 3])})
 SWEEP = st.fixed_dictionaries({"base": SOLVE,

@@ -557,6 +557,42 @@ def test_failing_row_leaves_the_others():
         assert logs[k].calls == alone_log.calls
 
 
+def test_alpha_overflow_fails_only_its_row():
+    # p = 300 on data of slope ~20: qmax ** 299 overflows a float; that row's
+    # alpha is infinite, its stable step 0, and no warning comes of it
+    rows = [(3.0, "rough", "inverse_power"), (300.0, "rough", "none"),
+            (2.5, "constant", "constant")]
+    specs = _row_specs(1, rows, [_Log() for _ in rows])
+    inits = [_row_init(0), lambda x: 10.0 * x**2, _row_init(2)]
+    cfg = _cfg(1)
+    got = solve_hj(specs, inits, [_bc(_Log()) for _ in rows], cfg)
+    with pytest.raises(CflViolation) as alone:
+        solve_hj(specs[1], inits[1], _bc(_Log()), cfg)
+    assert str(alone.value) == "stable step 0 below floor 1e-09 at t=0"
+    assert type(got[1]) is CflViolation and str(got[1]) == str(alone.value)
+    for k in (0, 2):
+        (spec,) = _row_specs(1, [rows[k]], [_Log()], first=k)
+        want = solve_hj(spec, inits[k], _bc(_Log()), cfg)
+        assert got[k].values.tobytes() == want.values.tobytes()
+
+
+def test_non_finite_initial_data_is_rejected_before_stepping():
+    specs = _row_specs(1, [(3.0, "rough", "none")] * 2, [_Log(), _Log()])
+    calls = []
+    bcs = [_Log().wrap("bc", lambda *a: calls.append(a) or _init(*a[:-1]))] * 2
+    with pytest.raises(DomainError, match="initial data of row 1 is not finite"):
+        solve_hj(specs, [_init, lambda x: 1e308 * (x + 3.0) ** 2], bcs, _cfg(1))
+    with pytest.raises(DomainError, match="row 0"):
+        solve_hj(specs[0], np.full(65, np.nan), bcs[0], _cfg(1))
+    assert calls == []
+
+
+def test_nan_values_are_a_blowup():
+    (spec,) = _row_specs(1, [(3.0, "rough", "none")], [_Log()])
+    with pytest.raises(Blowup):
+        solve_hj(spec, _init, lambda x, t: np.where(t > 0.0, np.nan, _init(x)), _cfg(1))
+
+
 def test_rows_must_share_grid_diffusion_and_shift():
     cfg = _cfg(1)
     base = _row_specs(1, [(3.0, "rough", "none"), (2.5, "rough", "none")], [_Log(), _Log()])
