@@ -405,10 +405,15 @@ def make_subsolution_barrier(
     grid = grid or VerificationGrid()
     bump = BumpFunction()
     C_b = 2.0 * bump.sup_db + bump.sup_d2b / R
+    p, A = params.p, params.A
     try:  # R**p, ||b'||**(p-1) and R**2 are Python float powers
-        theta_cap = (R**params.p / (4.0 * params.A * bump.sup_db ** (params.p - 1.0))) ** (
-            1.0 / (params.p - 1.0)
-        )
+        try:
+            theta_cap = (R**p / (4.0 * A * bump.sup_db ** (p - 1.0))) ** (1.0 / (p - 1.0))
+        except OverflowError:
+            theta_cap = 0.0
+        if theta_cap == 0.0:  # the quotient left the float range: the same cap in logs
+            theta_cap = math.exp((p * math.log(R) - math.log(4.0) - math.log(A)
+                                  - (p - 1.0) * math.log(bump.sup_db)) / (p - 1.0))
         theta = min(0.25 - _THETA_MARGIN, theta_cap)
         if theta <= 0:
             raise SearchFailed(f"no admissible theta for R={R}, p={params.p}, A={params.A}")
@@ -461,6 +466,11 @@ class FirstOrderConstants:
         )
 
 
+def _float_range_failure(params: EquationParams) -> SearchFailed:
+    return SearchFailed(f"first-order constants for p={params.p}, A={params.A} leave the "
+                        f"float range (p' = {params.p_prime:g})")
+
+
 def _first_order_costs(params: EquationParams, T: float) -> tuple[float, float]:
     """The left sides c_p (T-1)^{1-p'} A^{p'-1} 3^{p'} and c_p T^{1-p'} A^{p'-1}
     of the first two inequalities; SearchFailed when they leave the float range."""
@@ -471,21 +481,31 @@ def _first_order_costs(params: EquationParams, T: float) -> tuple[float, float]:
         return (c_p * (T - 1.0) ** (1.0 - pp) * A ** (pp - 1.0) * 3.0**pp,
                 c_p * T ** (1.0 - pp) * A ** (pp - 1.0))
     except OverflowError:
-        raise SearchFailed(
-            f"first-order constants for p={p}, A={A} leave the float range "
-            f"(p' = {pp:g})"
-        ) from None
+        raise _float_range_failure(params) from None
 
 
 def first_order_constants(params: EquationParams) -> FirstOrderConstants:
-    """Solve the system in the proof's order: grow T by doubling until the
-    left side of the first inequality drops below 1, take theta as the
-    largest value the first two inequalities allow, then eps = theta/(2T)."""
-    T = 2.0
-    while _first_order_costs(params, T)[0] >= 1.0:
-        T *= 2.0
-        if T > 2.0**200:
-            raise SearchFailed("first-order T search diverged")
+    """Solve the system in the proof's order: T = 2^k for the least k >= 1 that
+    puts the left side of the first inequality below 1, theta the largest value
+    the first two inequalities allow, then eps = theta/(2T).
+
+    Since 1 - p' = -1/(p-1), the first inequality holds iff T - 1 > K^{p-1}
+    with K = c_p A^{p'-1} 3^{p'}; k is worked out from log2 of that bound and
+    confirmed on the computed cost, which rounding may move by one step.  A T
+    beyond the float range raises SearchFailed.
+    """
+    p, A, pp = params.p, params.A, params.p_prime
+    c_p = legendre_closed(p, 1.0).c_p
+    log2_bound = (p - 1.0) * (math.log2(c_p) + (pp - 1.0) * math.log2(A) + pp * math.log2(3.0))
+    try:  # k is the least integer above log2(1 + K^{p-1}); k and 2.0**k can overflow
+        k = max(1, math.floor(np.logaddexp2(0.0, log2_bound)) + 1)
+        T = 2.0**k
+        if _first_order_costs(params, T)[0] >= 1.0:
+            T = 2.0 ** (k + 1)
+        elif k > 1 and _first_order_costs(params, T / 2.0)[0] < 1.0:
+            T /= 2.0
+    except OverflowError:
+        raise _float_range_failure(params) from None
     lhs1, lhs2 = _first_order_costs(params, T)
     theta = min((1.0 - lhs1) / 4.0, lhs2 / 2.0)
     eps = theta / (2.0 * T)

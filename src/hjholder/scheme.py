@@ -5,9 +5,9 @@ dissipation computed from the largest observed one-sided gradient each step;
 the diffusion D is either eps*m+/-(D^2 u) (extremal operators on the full
 discrete Hessian) or tr(B(x,t) D^2 u), both by centered second differences.
 Time stepping is explicit with a per-step stable dt; solutions land on a
-uniform output grid.  Several problems on one grid can be solved together,
-stacked on a leading array axis of the same loop, each with its own clock
-and dt and with the bits it would get alone.
+uniform output grid.  Every solve is a block of problems on one grid, stacked
+on a leading array axis (a lone problem is a block of one row), each with its
+own clock and dt and with the bits it would get alone.
 
 The discrete residual check evaluates the same differential inequality with
 one-sided time differences at the grid nodes.  For merely continuous
@@ -33,7 +33,7 @@ from .errors import (
     GridTooSmall,
     HJHolderError,
 )
-from .extremal import _mid_rad
+from .extremal import _mid_rad, sym_eigs
 from .instances import SeparableField
 
 logger = logging.getLogger(__name__)
@@ -324,39 +324,29 @@ def _extremal_field(hess: dict, d: int, sign: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rows: several problems on one grid, stacked on a leading axis
+# Rows: one or more problems on one grid, stacked on a leading axis
 # ---------------------------------------------------------------------------
 
 
-def _column(values: list, ndim: int):
+def _column(values: list, ndim: int) -> np.ndarray:
     """Per-row numbers as a column that broadcasts over rows of fields with
-    ndim axes per row: d on the grid, 1 in the stencil's flat windows.
-
-    A single row's number is returned as it is.
-    """
-    if len(values) == 1:
-        return values[0]
-    return np.array(values).reshape((len(values),) + (1,) * ndim)
+    ndim axes per row: d on the grid, 1 in the stencil's flat windows."""
+    return np.array(values, ndmin=ndim + 1).T
 
 
 def _stack_rows(values: list, st: _Stencil) -> tuple:
     """Per-row numbers or grid fields as one block: (grid values, interior values).
 
-    A single row's value is returned as it is; several are broadcast to the
-    grid and stacked on a leading row axis.  Either way each row holds the
-    values it would hold alone.
+    The values are broadcast to the grid and stacked on a leading row axis,
+    so each row holds the values it would hold alone.
     """
-    if len(values) == 1:
-        return values[0], st.interior(values[0])
     full = np.stack([np.broadcast_to(v, st.shape) for v in values])
     return full, st.interior(full)
 
 
-def _row_max(x, n_rows: int) -> list:
-    """max of each leading row of x (x itself for one row) as Python floats."""
-    if n_rows == 1:
-        return [float(x.max())]
-    return x.max(axis=1 if x.ndim == 2 else tuple(range(1, x.ndim))).tolist()
+def _row_max(x: np.ndarray) -> list:
+    """max of each leading row of x as Python floats."""
+    return np.maximum.reduce(x, axis=tuple(range(1, x.ndim))).tolist()
 
 
 # ndarray ** number sends these exponents to square, sqrt, reciprocal, ...
@@ -489,8 +479,8 @@ def _diffusion_bounds(diff, coords, ts: list, d: int) -> tuple:
 def _diffusion_term(diff, st: _Stencil, f, bs):
     """Interior diffusion term of u, with bs from _diffusion_bounds.
 
-    f is the stencil's flat view of one grid function, or of one row per
-    matrix in bs on a leading axis.
+    f is the stencil's flat view of a block: one row per matrix in bs on a
+    leading axis.
     """
     if diff is None:
         return 0.0
@@ -505,19 +495,6 @@ def _diffusion_term(diff, st: _Stencil, f, bs):
             bij = _stack_rows([b[i, j] for b in bs], st)[1]
             total += bij * hess[(min(i, j), max(i, j))]
     return total
-
-
-def _row_block(u_all: np.ndarray, rows: list) -> tuple:
-    """Rows of u_all as one array, and whether it is a copy to write back.
-
-    One row is a view of that row's grid; consecutive rows are a view of
-    the slab; other sets are gathered into a copy.
-    """
-    if len(rows) == 1:
-        return u_all[rows[0]], False
-    if rows[-1] - rows[0] == len(rows) - 1:
-        return u_all[rows[0]:rows[-1] + 1], False
-    return u_all[rows], True
 
 
 def solve_hj(spec, init, bc, cfg: SolveConfig):
@@ -607,11 +584,7 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
             )
     if isinstance(diffusion, TraceDiffusion):
         b0 = diffusion.matrix_at(coords, cfg.t0, d)
-        if d == 1:
-            lam_min = np.min(b0[0, 0])
-        else:
-            mid, rad = _mid_rad(b0[0, 0], b0[1, 1], 0.5 * (b0[0, 1] + b0[1, 0]))
-            lam_min = np.min(mid - rad)
+        lam_min = sym_eigs(np.moveaxis(b0, (0, 1), (-2, -1)))[..., 0].min()
         if lam_min < -1e-12:
             raise DomainError(f"trace diffusion matrix not nonnegative definite "
                               f"(min eigenvalue {float(lam_min):g} at t0)")
@@ -635,27 +608,26 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
         t_done = t_target - 1e-14 * (1.0 + abs(t_target))
         rows = [r for r in range(n_all) if failed[r] is None and clock[r] < t_done]
         while rows:
-            n_rows = len(rows)
             if tuple(rows) not in blocks:
                 blocks[tuple(rows)] = (_block_sampler([coeffs[r] for r in rows], st),
                                        _block_source([forcings[r] for r in rows], st, shift),
                                        _row_exponent([ps[r] / 2.0 for r in rows]))
             coeff, source, half = blocks[tuple(rows)]
-            u, copied = _row_block(u_all, rows)
+            u = u_all[rows]  # a copy, written back once the block changes
             f = st.flat(u)  # a view: u is contiguous
-            flats = [f] if n_rows == 1 else list(f)
+            flats = list(f)
             stepping = True
             while stepping:
                 ts = [clock[r] for r in rows]
                 a, a_mid = coeff(ts)
                 bs, lams = _diffusion_bounds(diffusion, coords, ts, d)
                 faces = st.face_diffs(f)
-                qmaxes = [0.0] * n_rows
+                qmaxes = [0.0] * len(rows)
                 for i, q in enumerate(faces):
-                    face_maxes = _row_max(st.face_view(np.abs(q), i), n_rows)
+                    face_maxes = _row_max(st.face_view(np.abs(q), i))
                     qmaxes = list(map(max, qmaxes, face_maxes))
                 half_alphas, dts = [], []
-                for r, qmax, amax, lam in zip(rows, qmaxes, _row_max(a, n_rows), lams):
+                for r, qmax, amax, lam in zip(rows, qmaxes, _row_max(a), lams):
                     p = ps[r]
                     try:
                         alpha = p * amax * qmax ** (p - 1.0) if qmax > 0 else 0.0
@@ -684,14 +656,14 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     break
 
                 hamil = _hamiltonian(a_mid, st.centred(f), half)
-                jump_coeff = _column(half_alphas, 1)
+                jump_coeff, dt_column = np.array((half_alphas, dts))[..., None]
                 for i in range(d):
                     jump = st.face_jump(faces, i)
                     jump *= jump_coeff
                     hamil -= jump
                 rhs = source(ts) - hamil
                 rhs += _diffusion_term(diffusion, st, f, bs)
-                rhs *= _column(dts, 1)
+                rhs *= dt_column
                 # boundary-column positions of the window get written here and
                 # reset below, before anything reads them
                 f[st.mid] += rhs
@@ -700,8 +672,8 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     clock[r] = min(clock[r] + dt, t_target)
                     flat[bidx] = bcs[r](*bcoords, clock[r])
                 # the block changes when a row fails or reaches the output time
-                bounds = _row_max(np.abs(f[..., bidx]), n_rows)
-                for r, bound, peak in zip(rows, bounds, _row_max(np.abs(u), n_rows)):
+                bounds = _row_max(np.abs(f[..., bidx]))
+                for r, bound, peak in zip(rows, bounds, _row_max(np.abs(u))):
                     data_bound[r] = max(data_bound[r], bound)
                     if not peak <= BLOWUP_FACTOR * (1.0 + data_bound[r]):
                         failed[r] = Blowup(f"values exceeded {BLOWUP_FACTOR:g}*(1+data "
@@ -709,8 +681,7 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                         stepping = False
                     elif clock[r] >= t_done:
                         stepping = False
-            if copied:
-                u_all[rows] = u
+            u_all[rows] = u
             rows = [r for r in rows if failed[r] is None and clock[r] < t_done]
         for r in range(n_all):
             if failed[r] is None:
@@ -763,9 +734,9 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
 
     worst = -math.inf if side == "sub" else math.inf
     worst_idx = None
-    prev = st.flat(u.values[..., 0])
+    prev = st.flat(u.values[None, ..., 0])
     for n in range(1, u.n_time):
-        fn = st.flat(u.values[..., n])  # a contiguous copy of the time slice
+        fn = st.flat(u.values[None, ..., n])  # a contiguous copy: one block row
         ut = (fn[st.mid] - prev[st.mid]) / u.spacing_t
         a = st.interior(coeff.at(ts[n]))
         bs, _ = _diffusion_bounds(spec.diffusion, coords, [ts[n]], d)
@@ -778,7 +749,7 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
         if (val > worst) if side == "sub" else (val < worst):
             worst = val
             # interior index -> grid index: one boundary layer per axis
-            worst_idx = tuple(i + 1 for i in idx) + (n,)
+            worst_idx = tuple(i + 1 for i in idx[1:]) + (n,)
         prev = fn
 
     violation = max(0.0, worst) if side == "sub" else max(0.0, -worst)

@@ -1,8 +1,13 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from hjholder import barriers
 from hjholder.barriers import (
     BumpFunction,
     FirstOrderConstants,
@@ -20,10 +25,30 @@ from hjholder.barriers import (
     two_case_oscillation_check,
 )
 from hjholder.core import EquationParams, GridFunction
-from hjholder.errors import DomainError
+from hjholder.errors import DomainError, SearchFailed
 from hjholder import extremal
 
 QUICK_GRID = VerificationGrid(nx=33, nt=33)
+
+
+def _decimal_theta_cap(p, A, R):
+    """(R^p / (4 A ||b'||^{p-1}))^{1/(p-1)} in 40-digit decimals, whose exponent range
+    holds every power here."""
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, decimal.MAX_EMAX, decimal.MIN_EMIN
+        p, A, R = Decimal(p), Decimal(A), Decimal(R)
+        q = R**p / (4 * A * Decimal(BumpFunction().sup_db) ** (p - 1))
+        return float(q ** (1 / (p - 1)))
+
+
+def _doubling_T(params):
+    """The first-order T as the doubling walk found it: None past 2**200."""
+    T = 2.0
+    while barriers._first_order_costs(params, T)[0] >= 1.0:
+        T *= 2.0
+        if T > 2.0**200:
+            return None
+    return T
 
 
 def fd_gradient(f, x, h=1e-6):
@@ -363,10 +388,9 @@ class TestSubsolution:
             subsolution_residual(bar, params, [0.1], 1.5)
 
     @pytest.mark.parametrize("p, A, R", [
-        (1e12, 1.0, 0.25),  # ||b'||**(p-1)
-        (3.0, 1.0, 1e308),  # R**p
-        (3.0, 1.0, 1e154),
+        (3.0, 1.0, 1e308),  # R**2
         (1.0001, 1e-308, 1e308),  # theta caps at 1/4 - 0.01, then R**2
+        (1.0001, 1e-300, 0.25),  # the quotient, then the exp of its log form
     ])
     def test_float_power_overflow_names_the_input(self, p, A, R):
         params = EquationParams(p=p, A=A, d=1)
@@ -374,6 +398,16 @@ class TestSubsolution:
             make_subsolution_barrier(params, R, QUICK_GRID)
         assert str(err.value) == (f"R={R}, p={p}, A={A} overflow the float powers "
                                   "of the subsolution barrier")
+
+    @pytest.mark.parametrize("p, A, R", [
+        (1e12, 1.0, 0.25),  # ||b'||**(p-1) overflows
+        (3.0, 1.0, 1e154),  # R**p overflows
+        (300.0, 2.0, 0.25),  # the quotient underflows to 0
+        (1000.0, 2.0, 0.25),  # ||b'||**(p-1) overflows
+    ])
+    def test_theta_cap_outside_the_float_range(self, p, A, R):
+        bar = make_subsolution_barrier(EquationParams(p=p, A=A, d=1), R, QUICK_GRID)
+        assert bar.theta == pytest.approx(min(0.24, _decimal_theta_cap(p, A, R)), rel=1e-12)
 
 
 class TestFirstOrderConstants:
@@ -404,6 +438,48 @@ class TestFirstOrderConstants:
     def test_violating_triple_rejected(self):
         with pytest.raises(DomainError):
             FirstOrderConstants(4.0, 0.2, 0.3, EquationParams(p=2.0, A=1.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.floats(1.05, 120.0), log_A=st.floats(-3.0, 3.0))
+    def test_closed_form_T_is_the_doubling_walks(self, p, log_A):
+        params = EquationParams(p=p, A=math.exp(log_A))
+        T = _doubling_T(params)
+        assume(T is not None)
+        assert first_order_constants(params).T == T
+
+    @pytest.mark.parametrize("p, k", [(150.0, 231), (200.0, 309), (300.0, 467)])
+    def test_T_beyond_the_doubling_budget(self, p, k):
+        fo = first_order_constants(EquationParams(p=p, A=2.0))
+        assert fo.T == 2.0**k
+        assert min(fo.margins()) >= 0.0
+
+    def test_T_beyond_the_float_range(self):
+        with pytest.raises(SearchFailed, match="leave the float range"):
+            first_order_constants(EquationParams(p=1000.0, A=2.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.floats(2.0, 1000.0, exclude_min=True), A=st.floats(1.0, 100.0),
+       R=st.floats(0.01, 10.0), d=st.sampled_from([1, 2]))
+def test_superquadratic_constants_hold_up_to_the_float_range(p, A, R, d):
+    """Each system certifies on its grid or names the float range; a theta
+    whose direct cap is a positive float keeps that cap's bits."""
+    params = EquationParams(p=p, A=A, d=d)
+    bar = make_subsolution_barrier(params, R)
+    try:
+        direct = (R**p / (4.0 * A * BumpFunction().sup_db ** (p - 1.0))) ** (1.0 / (p - 1.0))
+    except OverflowError:
+        direct = 0.0
+    if direct > 0.0:
+        assert bar.theta == min(0.24, direct)
+    else:
+        assert bar.theta == pytest.approx(min(0.24, _decimal_theta_cap(p, A, R)), rel=1e-12)
+    try:
+        fo = first_order_constants(params)
+    except SearchFailed as exc:
+        assert "leave the float range" in str(exc)
+    else:
+        assert min(fo.margins()) >= 0.0
 
 
 class TestTwoCase:

@@ -77,6 +77,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: initial data of row 0 is not finite on the grid\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["barrier", "verify", "--kind", "sub", "--p", "300", "--A", "2"],
+        ["barrier", "verify", "--kind", "sub", "--p", "1e12", "--A", "1", "--nx", "9", "--nt", "9"],
+        ["constants", "first-order", "--p", "150", "--A", "2"],
+        ["constants", "first-order", "--p", "300", "--A", "2"],
+    ])
+    def test_far_superquadratic_constants_pass(self, argv, capsys):
+        assert run(argv) == 0
+        assert capsys.readouterr().out.endswith("PASS\n")
+
     def test_scale_infeasible_is_failure(self):
         # m too close to 1 + d/p: the L^m theory has no admissible alpha
         assert run(["scale", "--p", "3", "--m", "1.3", "--d", "2"]) == 1
@@ -86,10 +96,12 @@ class TestExitCodes:
         (["legendre", "--p", "1.001", "--A", "1"], "cannot be sampled"),
         (["constants", "first-order", "--p", "1.0061299927457592", "--A", "0.023464062039672207"],
          "first-order constant system violated"),
+        (["constants", "first-order", "--p", "1000", "--A", "2"], "leave the float range"),
     ])
     def test_float_overflow_is_a_failed_verification(self, argv, message, capsys):
         # p' = 1001: 3^{p'} and the Legendre search window overflow a float;
-        # at p' = 164 a computed margin rounds to the subnormal -5e-324
+        # at p' = 164 a computed margin rounds to the subnormal -5e-324; at
+        # p = 1000 the first-order T is above 2**1023
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("verification failed: ")
@@ -384,7 +396,7 @@ class TestBadInputExit2:
         assert message in err
 
     @pytest.mark.parametrize("extra, message", [
-        (["--p", "1e12"], "R=0.25, p=1000000000000.0, A=1.0 overflow"),
+        (["--p", "1.0001", "--A", "1e-300"], "R=0.25, p=1.0001, A=1e-300 overflow"),
         (["--p", "3", "--R", "1e308"], "R=1e+308, p=3.0, A=1.0 overflow"),
     ])
     def test_barrier_verify_sub_overflow(self, capsys, extra, message):
@@ -570,8 +582,9 @@ class TestSweep:
         assert failed["alpha"] not in ("nan", "") and failed["theta"] not in ("nan", "")
 
     def test_overflowing_instance_keeps_its_row(self, tmp_path, capsys):
-        # p = 300: the LF alpha overflows at the first step, and the barrier's
-        # theta underflows to 0; the other rows are those of a sweep without it
+        # p = 300: the LF alpha overflows at the first step, while the barrier's
+        # theta cap, whose direct quotient underflows, comes from its log form;
+        # the other rows are those of a sweep without it
         cfg = json.loads(Path(self._config(tmp_path)).read_text())
         ok_csv, mixed_csv = str(tmp_path / "ok.csv"), str(tmp_path / "mixed.csv")
         cfg["base"]["initial"] = {"kind": "quadratic", "scale": 3}
@@ -585,12 +598,11 @@ class TestSweep:
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.err.splitlines() == [
-            "verification failed: instance 1: stable step 0 below floor 1e-09 at t=0",
-            "verification failed: instance 1: no admissible theta for R=0.25, p=300.0, A=2.0"]
+            "verification failed: instance 1: stable step 0 below floor 1e-09 at t=0"]
         ok_rows = Path(ok_csv).read_text().splitlines()
         mixed_rows = Path(mixed_csv).read_text().splitlines()
         assert ok_rows[3:] == mixed_rows[3:5] + mixed_rows[6:]
-        assert mixed_rows[5] == "300,2,nan,nan,nan,nan,nan,nan,0,nan,nan"
+        assert mixed_rows[5] == "300,2,nan,nan,nan,nan,0.0655,0.0329491942636,0,nan,nan"
 
     def test_sweep_matches_one_solve_per_instance(self, tmp_path, monkeypatch):
         cfg = json.loads(Path(self._config(tmp_path)).read_text())

@@ -153,6 +153,17 @@ class TestSolveBasics:
         with pytest.raises(DomainError):
             solve_hj(spec, lambda x: np.cos(x), lambda x, t: np.cos(x), cfg_1d())
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rejects_non_finite_trace_matrix(self, d):
+        b = np.eye(d)
+        b[-1, 0] = np.nan  # nan compares false against any eigenvalue bound
+        spec = HamiltonianSpec(params=EquationParams(p=2.0, A=1.0, d=d), coefficient=0.0,
+                               diffusion=TraceDiffusion(b))
+        cfg = SolveConfig(xmin=(-1.0,) * d, xmax=(1.0,) * d, nx=(17,) * d, t1=0.05, nt=3)
+        cos = lambda *x: np.cos(x[0])
+        with pytest.raises(DomainError, match="matrix entries must be finite"):
+            solve_hj(spec, cos, lambda *xt: cos(*xt[:-1]), cfg)
+
     def test_grid_counts_must_be_whole_numbers(self):
         for nx, nt in (((np.int64(33),), np.int32(5)), ((33.0,), 5.0), ([33], 5)):
             cfg = SolveConfig(xmin=(-1.0,), xmax=(1.0,), nx=nx, t0=0.0, t1=0.1, nt=nt)
