@@ -553,10 +553,7 @@ def two_case_oscillation_check(
     """
     d = u.dim
     center = np.zeros(d) if center is None else np.atleast_1d(np.asarray(center, float))
-    ts = u.times()
-    cover_box, cover_sp = u.ball_box(center, R + r)
-    cover_t = (ts >= -1e-12) & (ts <= 1.0 + 1e-12)
-    cover = cover_sp[..., None] & cover_t
+    cover_box, cover = u.region_box(center, R + r, 0.0, 1.0)
     if not cover.any():
         raise EmptyIntersection("covering cylinder misses the grid")
     covered = u.values[cover_box][cover]
@@ -566,6 +563,7 @@ def two_case_oscillation_check(
             f"[{covered.min():g}, {covered.max():g}]"
         )
 
+    ts = u.times()
     i_bottom = int(np.argmin(np.abs(ts)))
     if abs(ts[i_bottom]) > 0.5 * u.spacing_t + 1e-12:
         raise DomainError("grid has no time slice near t = 0")
@@ -575,32 +573,21 @@ def two_case_oscillation_check(
     bottom_vals = u.values[..., i_bottom][bottom_box][bottom_mask]
     bottom_min = float(bottom_vals.min())
 
-    upper_t = (ts >= 0.5 - 1e-12) & (ts <= 1.0 + 1e-12)
+    # case 1 bounds the maximum on B_R from above, case 2 the minimum on
+    # B_{R/2} from below: sign = -1 turns case 2 into the form of case 1
     case1 = bottom_min <= theta
-    if case1:
-        region_box, region_sp = bottom_box, bottom_mask
-        threshold = 1.0 - theta
-    else:
-        region_box, region_sp = u.ball_box(center, R / 2.0)
-        threshold = theta / 2.0
-    region = region_sp[..., None] & upper_t
+    radius, threshold, sign = (R, 1.0 - theta, 1.0) if case1 else (R / 2.0, theta / 2.0, -1.0)
+    region_box, region = u.region_box(center, radius, 0.5, 1.0)
     if not region.any():
         raise EmptyIntersection("conclusion region misses the grid")
     # within the box, whose C order is the grid's, the first extreme node is the grid's
-    vals = np.where(region, u.values[region_box], np.nan)
-    if case1:
-        flat = int(np.nanargmax(vals))
-        witness = float(np.nanmax(vals))
-        passed = witness <= threshold + 1e-12
-        margin = threshold - witness
-    else:
-        flat = int(np.nanargmin(vals))
-        witness = float(np.nanmin(vals))
-        passed = witness >= threshold - 1e-12
-        margin = witness - threshold
-    idx = np.unravel_index(flat, vals.shape)
+    vals = np.where(region, sign * u.values[region_box], np.nan)
+    idx = np.unravel_index(int(np.nanargmax(vals)), vals.shape)
+    witness = sign * float(vals[idx])
+    passed = sign * witness <= sign * threshold + 1e-12
+    margin = sign * (threshold - witness)
     wx = tuple(float(u.axis_coords(i)[region_box[i].start + idx[i]]) for i in range(d))
-    wt = float(ts[idx[-1]])
+    wt = float(ts[region_box[-1].start + idx[-1]])
     return TwoCaseReport(
         case=1 if case1 else 2,
         passed=bool(passed),

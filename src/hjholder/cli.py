@@ -348,7 +348,7 @@ def _cmd_scale(args) -> int:
 
 
 def _demo_solve(p, A, eps, init):
-    params = EquationParams(p=p, A=A, eps=eps, d=1)
+    params = EquationParams(p=p, A=A, d=1)
     diffusion = scheme.ExtremalDiffusion(1, eps) if eps > 0 else None
     spec = scheme.HamiltonianSpec(params, diffusion=diffusion)
     cfg = scheme.SolveConfig(xmin=(-1.0,), xmax=(1.0,), nx=(129,), t0=0.0, t1=1.0, nt=65)
@@ -609,7 +609,14 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed standard output shows here
+        return code
+    except BrokenPipeError:  # the reader of standard output went away, as `| head` does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit writes nowhere
+        os.close(devnull)
+        return 1
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,17 +41,16 @@ def as_number(value, what: str, integral: bool = False):
 
 @dataclass(frozen=True)
 class EquationParams:
-    """Exponents and coefficients (p, A, eps, d, m) of the model inequalities.
+    """Exponents and coefficients (p, A, d, m) of the model inequalities.
 
     p is the gradient-growth exponent (> 1), A the coercivity constant (> 0),
-    eps the diffusion/forcing scale (>= 0), d the spatial dimension and m the
-    optional Lebesgue exponent of the forcing (> 1 when present).  The
-    conjugate exponent p' = p/(p-1) is always derived from p, never stored.
+    d the spatial dimension and m the optional Lebesgue exponent of the
+    forcing (> 1 when present).  The conjugate exponent p' = p/(p-1) is
+    always derived from p, never stored.
     """
 
     p: float = 3.0
     A: float = 1.0
-    eps: float = 0.0
     d: int = 1
     m: float | None = None
 
@@ -60,8 +59,6 @@ class EquationParams:
             raise DomainError(f"p must be > 1, got {self.p}")
         if not self.A > 0.0:
             raise DomainError(f"A must be > 0, got {self.A}")
-        if self.eps < 0.0:
-            raise DomainError(f"eps must be >= 0, got {self.eps}")
         if int(self.d) != self.d or self.d < 1:
             raise DomainError(f"d must be a positive integer, got {self.d}")
         if self.m is not None and not self.m > 1.0:
@@ -200,18 +197,34 @@ class GridFunction:
             dist2 = dist2 + term[window].reshape(shape)
         return tuple(box), dist2 < r2
 
-    def cylinder_box(self, q: ParabolicCylinder) -> tuple:
-        """(box, mask) of the nodes inside the cylinder: box holds one slice
-        per axis of values and mask, of the box's shape, marks the nodes of
-        the box inside q, so u.values[box][mask] are the values in q."""
-        if q.dim != self.dim:
-            raise DomainError(f"cylinder dim {q.dim} != grid dim {self.dim}")
-        sp_box, sp_mask = self.ball_box(q.center_x, q.radius)
+    def region_box(self, center, radius: float, t_lo: float, t_hi: float) -> tuple:
+        """(box, mask) of the nodes in B_radius(center) x [t_lo, t_hi]: box holds a
+        slice per axis of values, and mask, of its shape, marks the nodes in the
+        region, so values[box][mask] are its values in C order; no node outside
+        the box is in the region.  The slab is widened on each end by
+        _TIME_TOL * (1 + |t_lo| + |t_hi|)."""
+        if len(center) != self.dim:
+            raise DomainError(f"cylinder dim {len(center)} != grid dim {self.dim}")
+        sp_box, sp_mask = self.ball_box(center, radius)
         ts = self.times()
-        tol = _TIME_TOL * (1.0 + abs(q.top_t) + abs(q.t_bottom))
-        t_mask = (ts >= q.t_bottom - tol) & (ts <= q.top_t + tol)
+        tol = _TIME_TOL * (1.0 + abs(t_hi) + abs(t_lo))
+        t_mask = (ts >= t_lo - tol) & (ts <= t_hi + tol)
         t_box = _span(t_mask)
         return sp_box + (t_box,), sp_mask[..., None] & t_mask[t_box]
+
+    def cylinder_box(self, q: ParabolicCylinder) -> tuple:
+        """region_box of the cylinder q = B_r(x) x [t - r^beta, t]."""
+        return self.region_box(q.center_x, q.radius, q.t_bottom, q.top_t)
+
+    def values_in(self, q: ParabolicCylinder) -> np.ndarray:
+        """The values at the nodes inside q, in the grid's C order.
+
+        Raises EmptyIntersection when no node lies in the cylinder.
+        """
+        box, mask = self.cylinder_box(q)
+        if not mask.any():
+            raise EmptyIntersection(f"no grid node inside cylinder {q}")
+        return self.values[box][mask]
 
     def node_mask(self, q: ParabolicCylinder) -> np.ndarray:
         """Boolean mask over values marking nodes inside the cylinder."""
@@ -239,19 +252,13 @@ def osc_over_cylinder(u: GridFunction, q: ParabolicCylinder) -> float:
 
     Raises EmptyIntersection when no node lies in the cylinder.
     """
-    box, mask = u.cylinder_box(q)
-    if not mask.any():
-        raise EmptyIntersection(f"no grid node inside cylinder {q}")
-    vals = u.values[box][mask]
+    vals = u.values_in(q)
     return float(vals.max() - vals.min())
 
 
 def shift_normalize(u: GridFunction, q: ParabolicCylinder) -> GridFunction:
     """u minus its minimum over q; the minimum of the result over q is 0."""
-    box, mask = u.cylinder_box(q)
-    if not mask.any():
-        raise EmptyIntersection(f"no grid node inside cylinder {q}")
-    return u.with_values(u.values - u.values[box][mask].min())
+    return u.with_values(u.values - u.values_in(q).min())
 
 
 # ---------------------------------------------------------------------------

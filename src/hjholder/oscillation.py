@@ -61,15 +61,15 @@ def measure_oscillations(
     out = []
     for k in range(levels + 1):
         r = r0 * lam**k
-        q = ParabolicCylinder(tuple(cx), ct, r, beta)
-        box, mask = u.cylinder_box(q)
-        n_nodes = int(mask.sum())
-        if k == 0 and n_nodes < 2:  # no oscillation to measure
-            raise EmptyIntersection(f"outer cylinder holds {n_nodes} grid node(s)")
-        if n_nodes < 2:
-            logger.info("truncating at level %d: cylinder holds %d node(s)", k, n_nodes)
+        try:
+            vals = u.values_in(ParabolicCylinder(tuple(cx), ct, r, beta))
+            if len(vals) < 2:  # no oscillation to measure
+                raise EmptyIntersection("outer cylinder holds 1 grid node(s)")
+        except EmptyIntersection:
+            if k == 0:
+                raise
+            logger.info("truncating at level %d: cylinder holds fewer than 2 nodes", k)
             break
-        vals = u.values[box][mask]
         out.append((r, float(vals.max() - vals.min())))
     return out
 
@@ -317,7 +317,8 @@ def iterate_scales(
     renormalized so the outer oscillation is at most one at every center, the
     cylinder time depth follows beta = p - alpha(p-1), and levels stop at the
     grid floor of 4 spacings or after MAX_LEVELS.  On a full pass the implied two-point
-    constant is lambda^{-alpha}.
+    constant is lambda^{-alpha}.  An r0 that leaves a default centre's outer
+    cylinder without a node is a DomainError.
     """
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must lie in (0,1), got {lam}")
@@ -333,7 +334,8 @@ def iterate_scales(
             f"alpha violates the selection rule"
         )
     beta = params.p - alpha * (params.p - 1.0)
-    if centers is None:
+    default = centers is None
+    if default:
         centers = default_centers(u, r0, beta)
     floor = GRID_FLOOR_SPACINGS * max(u.spacing_x)
     if floor < r0:
@@ -345,7 +347,13 @@ def iterate_scales(
     reports = []
     all_pass = True
     for center in centers:
-        samples = measure_oscillations(u, center, lam, beta, k_max, r0=r0)
+        try:
+            samples = measure_oscillations(u, center, lam, beta, k_max, r0=r0)
+        except EmptyIntersection:  # no node in a default centre's cylinder: r0 too small
+            q0 = ParabolicCylinder(tuple(center[:-1]), center[-1], r0, beta)
+            if default and not u.cylinder_box(q0)[1].any():
+                raise DomainError(f"r0 = {r0:g} is below the grid's resolution") from None
+            raise
         truncated = len(samples) < k_max + 1
         osc0 = samples[0][1]
         scale = 1.0 / osc0 if osc0 > 1.0 else 1.0

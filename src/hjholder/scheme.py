@@ -790,33 +790,32 @@ def comparison_check(
     """
     if lower.values.shape != upper.values.shape:
         raise DomainError("lower and upper must live on the same grid")
-    mask = lower.node_mask(on)
+    box, mask = lower.cylinder_box(on)
     if not mask.any():
         raise EmptyIntersection("cylinder misses the grid")
+    # every neighbour of a box-edge node outside the box is outside q, and the
+    # slab fills the box's time axis: a node off the box's edges is interior
+    # when its two neighbours on each space axis are in q
     d = lower.dim
-    inter = mask.copy()
-    inter[..., 0] = False
-    inter[..., 1:] &= mask[..., :-1]
+    inner = (slice(1, -1),) * d + (slice(1, None),)
+    inter = np.zeros_like(mask)
+    inter[inner] = mask[inner]
     for axis in range(d):
-        inter &= np.roll(mask, 1, axis=axis) & np.roll(mask, -1, axis=axis)
-        sl = [slice(None)] * (d + 1)
-        sl[axis] = 0
-        inter[tuple(sl)] = False
-        sl[axis] = -1
-        inter[tuple(sl)] = False
+        lo, hi = list(inner), list(inner)
+        lo[axis], hi[axis] = slice(None, -2), slice(2, None)
+        inter[inner] &= mask[tuple(lo)] & mask[tuple(hi)]
     boundary = mask & ~inter
 
-    excess = lower.values - upper.values
-    b_excess = float(excess[boundary].max()) if boundary.any() else -math.inf
+    excess = lower.values[box] - upper.values[box]
+    b_excess = float(excess[boundary].max())  # the box's first time slice is boundary
     if b_excess > BOUNDARY_TOL:
         raise BoundaryOrderingFailed(
             f"lower exceeds upper by {b_excess:g} on the parabolic boundary"
         )
     if inter.any():
-        flat = np.where(inter, excess, -math.inf)
-        k = int(np.argmax(flat))
-        i_excess = float(flat.ravel()[k])
-        worst = tuple(int(i) for i in np.unravel_index(k, excess.shape))
+        idx = np.unravel_index(int(np.argmax(np.where(inter, excess, -math.inf))), excess.shape)
+        i_excess = float(excess[idx])
+        worst = tuple(int(s.start + i) for s, i in zip(box, idx))
     else:
         i_excess = -math.inf
         worst = None
@@ -833,8 +832,5 @@ def lm_norm(f: GridFunction, m: float, q: ParabolicCylinder) -> float:
     """Riemann-sum approximation of (integral over q of |f|^m)^(1/m)."""
     if not m >= 1.0:
         raise DomainError(f"m must be >= 1, got {m}")
-    mask = f.node_mask(q)
-    if not mask.any():
-        raise EmptyIntersection("cylinder misses the grid")
     cell = float(np.prod(f.spacing_x)) * f.spacing_t
-    return float((np.sum(np.abs(f.values[mask]) ** m) * cell) ** (1.0 / m))
+    return float((np.sum(np.abs(f.values_in(q)) ** m) * cell) ** (1.0 / m))

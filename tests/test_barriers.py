@@ -460,10 +460,12 @@ class TestFirstOrderConstants:
 
 @settings(max_examples=150, deadline=None)
 @given(p=st.floats(2.0, 1000.0, exclude_min=True), A=st.floats(1.0, 100.0),
-       R=st.floats(0.01, 10.0), d=st.sampled_from([1, 2]))
-def test_superquadratic_constants_hold_up_to_the_float_range(p, A, R, d):
+       R=st.floats(0.01, 10.0), d=st.sampled_from([1, 2]), eta=st.sampled_from([0.1, 1.0]))
+def test_superquadratic_constants_hold_up_to_the_float_range(p, A, R, d, eta):
     """Each system certifies on its grid or names the float range; a theta
-    whose direct cap is a positive float keeps that cap's bits."""
+    whose direct cap is a positive float keeps that cap's bits.  From p = 2.5
+    the supersolution search certifies too, and its certificate holds at
+    nodes of its grid by the pointwise closed form."""
     params = EquationParams(p=p, A=A, d=d)
     bar = make_subsolution_barrier(params, R)
     try:
@@ -480,6 +482,14 @@ def test_superquadratic_constants_hold_up_to_the_float_range(p, A, R, d):
         assert "leave the float range" in str(exc)
     else:
         assert min(fo.margins()) >= 0.0
+    if p >= 2.5:  # nearer 2 the supersolution search fails by design
+        C, eps0 = find_supersolution_constants(params, eta)
+        sup = SupersolutionBarrier(C, eta, params)
+        grid = VerificationGrid()
+        for rho in grid.radii(d)[::16]:
+            for t in grid.times()[::16]:
+                x = [rho] + [0.0] * (d - 1)
+                assert supersolution_residual(sup, x, t, eta * eps0) >= -1e-10
 
 
 class TestTwoCase:

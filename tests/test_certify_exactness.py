@@ -6,7 +6,8 @@ once-per-search terms, the screened C-outer supersolution search, the sliced
 neighbour blocks and the cylinder boxes replaced: the supersolution and
 subsolution residuals recomputed whole for every candidate, both searches'
 eps-outer candidate loops, the modulus check built on (N, 2) pair-index
-arrays, and the ball and cylinder masks built over the whole grid.  The same
+arrays, the ball and cylinder masks built over the whole grid, and the
+comparison check and L^m norm built on those masks and their rolled copies.  The same
 float operations run in the same order, so every residual array, every
 certificate, every mask and every report must agree bit for bit.
 """
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hjholder import barriers, oscillation
+from hjholder import barriers, oscillation, scheme
 from hjholder.barriers import (
     BumpFunction,
     SubsolutionBarrier,
@@ -31,7 +32,8 @@ from hjholder.barriers import (
     two_case_oscillation_check,
 )
 from hjholder.core import EquationParams, GridFunction, ParabolicCylinder
-from hjholder.errors import DomainError, EmptyIntersection, SearchFailed
+from hjholder.errors import (BoundaryOrderingFailed, DomainError, EmptyIntersection,
+                             SearchFailed)
 from hjholder.oscillation import ModulusReport, holder_modulus_check, iterate_scales
 from hjholder.scaling import time_exponent
 
@@ -655,6 +657,72 @@ def test_node_mask_matches_the_full_grid_formula(case):
     full = np.zeros(u.n_space, dtype=bool)
     full[ball_box] = ball
     assert _same_bits(full, _ref_dist2(u, np.asarray(q.center_x)) < q.radius**2)
+
+
+def _ref_comparison_check(lower, upper, on):
+    mask = _ref_node_mask(lower, on)
+    if not mask.any():
+        raise EmptyIntersection("cylinder misses the grid")
+    d = lower.dim
+    inter = mask.copy()
+    inter[..., 0] = False
+    inter[..., 1:] &= mask[..., :-1]
+    for axis in range(d):
+        inter &= np.roll(mask, 1, axis=axis) & np.roll(mask, -1, axis=axis)
+        sl = [slice(None)] * (d + 1)
+        sl[axis] = 0
+        inter[tuple(sl)] = False
+        sl[axis] = -1
+        inter[tuple(sl)] = False
+    boundary = mask & ~inter
+    excess = lower.values - upper.values
+    b_excess = float(excess[boundary].max()) if boundary.any() else -math.inf
+    if b_excess > scheme.BOUNDARY_TOL:
+        raise BoundaryOrderingFailed(
+            f"lower exceeds upper by {b_excess:g} on the parabolic boundary"
+        )
+    if inter.any():
+        flat = np.where(inter, excess, -math.inf)
+        k = int(np.argmax(flat))
+        i_excess = float(flat.ravel()[k])
+        worst = tuple(int(i) for i in np.unravel_index(k, excess.shape))
+    else:
+        i_excess = -math.inf
+        worst = None
+    return scheme.ComparisonReport(b_excess, i_excess, worst, int(boundary.sum()),
+                                   int(inter.sum()))
+
+
+def _ref_lm_norm(f, m, q):
+    mask = _ref_node_mask(f, q)
+    if not mask.any():
+        raise EmptyIntersection("cylinder misses the grid")
+    cell = float(np.prod(f.spacing_x)) * f.spacing_t
+    return float((np.sum(np.abs(f.values[mask]) ** m) * cell) ** (1.0 / m))
+
+
+def _result(fn, *args):
+    """What fn returned, by repr, or the type of what it raised."""
+    try:
+        return repr(fn(*args))
+    except (BoundaryOrderingFailed, EmptyIntersection) as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_and_cylinder(), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from([1.0, 2.0, 3.5]))
+def test_comparison_and_lm_norm_match_the_full_grid_forms(case, seed, ordered, m):
+    """Cylinders inside the grid, cut by its edge or off it; small integer
+    values make ties, so the worst interior node must be the first in C order."""
+    u, q = case
+    rng = np.random.default_rng(seed)
+    lower = u.with_values(rng.integers(0, 4, u.values.shape).astype(float))
+    upper = u.with_values(rng.integers(0, 4, u.values.shape) + (3.0 if ordered else 0.0))
+    assert (_result(scheme.comparison_check, lower, upper, q)
+            == _result(_ref_comparison_check, lower, upper, q))
+    f = u.with_values(rng.normal(size=u.values.shape))
+    assert _result(scheme.lm_norm, f, m, q) == _result(_ref_lm_norm, f, m, q)
 
 
 def _rough_grid(d, shape, half=1.0, t1=1.0):

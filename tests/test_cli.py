@@ -134,6 +134,22 @@ def fresh_process(argv, env):
     return proc.returncode, proc.stdout
 
 
+def test_closed_stdout_is_not_bad_input():
+    """A reader that closed the pipe (as `| head` does) ends the run with exit 1,
+    no error line and no traceback at exit."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the child starts, so its first write fails
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hjholder.cli", "constants",
+                               "first-order", "--p", "300", "--A", "2"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
 def test_parser_reused_within_a_process(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "100")
     argvs = [
@@ -409,6 +425,11 @@ class TestBadInputExit2:
         err = self._expect_exit_2(["oscillate", "--in", self._grid_file(tmp_path),
                                    f"--r0={r0}"], capsys)
         assert f"r0 must be a finite number > 0, got {float(r0)}" in err
+
+    def test_oscillate_r0_below_the_grid_resolution(self, tmp_path, capsys):
+        err = self._expect_exit_2(["oscillate", "--in", self._grid_file(tmp_path),
+                                   "--r0", "1e-308"], capsys)
+        assert "r0 = 1e-308 is below the grid's resolution" in err
 
     @pytest.mark.parametrize("extra", [[], ["--alpha", "0.3"]])
     def test_scale_delta_not_finite(self, capsys, extra):

@@ -87,8 +87,7 @@ def _sweep(**blocks):
      "config.equation.p must be a finite number, got inf"),
     ({"grid": GRID, "equation": {"A": math.inf}},
      "config.equation.A must be a finite number, got inf"),
-    ({"grid": GRID, "equation": {"eps": math.inf}},
-     "config.equation.eps must be a finite number, got inf"),
+    ({"grid": GRID, "equation": {"eps": 0.01}}, "config.equation: unknown key 'eps'"),
     ({"grid": GRID, "equation": {"shift": math.nan}},
      "config.equation.shift must be a finite number, got nan"),
     ({"grid": {**GRID, "lf_alpha_cap": 0.3}}, "config.grid: unknown key 'lf_alpha_cap'"),
@@ -125,7 +124,7 @@ def test_defaults_live_in_the_consumers():
     assert grid == scheme.SolveConfig(xmin=(-1.0,), xmax=(1.0,), nx=(9,))
     assert (grid.t0, grid.t1, grid.nt, grid.cfl, grid.lf_alpha_floor) == (0.0, 1.0, 65, 0.8, 0.0)
     assert spec == scheme.HamiltonianSpec(EquationParams())
-    assert spec.params == EquationParams(p=3.0, A=1.0, eps=0.0, d=1, m=None)
+    assert spec.params == EquationParams(p=3.0, A=1.0, d=1, m=None)
     assert np.array_equal(u.values, np.full((9, 65), 0.5))  # constant 0.5, frozen on the faces
 
 
@@ -149,7 +148,7 @@ def test_d_defaults_to_the_grid_axis_count():
 def test_explicit_defaults_give_the_same_objects():
     explicit = {
         "seed": 0,
-        "equation": {"p": 3.0, "A": 1.0, "eps": 0.0, "d": 1, "shift": 0.0,
+        "equation": {"p": 3.0, "A": 1.0, "d": 1, "shift": 0.0,
                      "coefficient": {"kind": "rough", "k": 10.0, "omega": 7.0, "base": 1.0,
                                      "amplitude": 0.5},
                      "diffusion": {"kind": "extremal", "sign": "plus", "coeff": 0.0},
@@ -276,7 +275,7 @@ GRID_BLOCK = st.integers(1, 2).flatmap(lambda d: _block(
      "lf_alpha_floor": SMALL}))
 EQUATION = _block({}, {
     "p": st.sampled_from([1.5, 2.0, 3.0, 1.0, 300.0]), "A": st.sampled_from([1.0, 2.0, 0.0]),
-    "eps": SMALL, "d": st.sampled_from([1, 2, 0]), "m": st.sampled_from([1.5, 2.0]) | st.none(),
+    "d": st.sampled_from([1, 2, 0]), "m": st.sampled_from([1.5, 2.0]) | st.none(),
     "shift": SMALL,
     "coefficient": _block({}, {"value": SMALL, "k": SMALL, "omega": SMALL, "base": SMALL,
                                "amplitude": SMALL}, ["constant", "rough", "wavy"]),

@@ -54,7 +54,7 @@ class TestEquationParams:
             dict(p=0.5, A=1.0),
             dict(p=2.0, A=0.0),
             dict(p=2.0, A=-1.0),
-            dict(p=2.0, A=1.0, eps=-0.1),
+            dict(p=2.0, A=1.0, d=1.5),
             dict(p=2.0, A=1.0, d=0),
             dict(p=2.0, A=1.0, m=1.0),
         ],

@@ -404,6 +404,19 @@ class TestIterateScales:
         with pytest.raises(DomainError, match="r0 must be a finite number > 0"):
             iterate_scales(u, self._params(), 0.5, 0.05, 0.5, r0=r0)
 
+    @pytest.mark.parametrize("r0", [1e-308, 1e-200])
+    def test_r0_below_the_grid_resolution_rejected(self, r0):
+        # the default centres' outer cylinders hold no node: a bad r0, not a failed check
+        u = grid_of(lambda x, t: 0.4 * x + 0.0 * t, half=2.0, t0=-2.0)
+        with pytest.raises(DomainError, match=f"r0 = {r0:g} is below the grid's resolution"):
+            iterate_scales(u, self._params(), 0.5, 0.5, 0.5, r0=r0)
+
+    def test_explicit_centre_off_the_grid_is_an_empty_intersection(self):
+        u = grid_of(lambda x, t: 0.4 * x + 0.0 * t, half=2.0, t0=-2.0)
+        with pytest.raises(EmptyIntersection):
+            iterate_scales(u, self._params(), 0.5, 0.5, 0.5, r0=1e-308,
+                           centers=[(5.0, u.t1)])
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_samples_are_the_raw_measurement(self, d):
         # values up to 3, so the outer oscillation exceeds one and the levels
