@@ -64,7 +64,7 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-def _mid_rad(h00, h11, h01):
+def _mid_rad(h00, h11, h01, work=None):
     """Centre and radius of the eigenvalues of [[h00, h01], [h01, h11]], elementwise.
 
     The eigenvalues are mid - rad and mid + rad.  With x = h00/2 - h11/2 the
@@ -76,18 +76,31 @@ def _mid_rad(h00, h11, h01):
     Each entry's radius depends on that entry alone, so a matrix gets the
     same bits alone and inside a stack.  x and the centre a + b cannot
     overflow, since |h00/2| and |h11/2| are at most half the float range.
+
+    A stack given work = (x, rad), two arrays of its shape, allocates
+    nothing: h00 and h11 are overwritten, the centre comes back in h00 and
+    the radius in rad.  Without work the entries are left as they were.
     """
-    a, b = 0.5 * h00, 0.5 * h11
-    x = a - b
-    if isinstance(x, np.ndarray):
+    if work is None:
+        a, b = 0.5 * h00, 0.5 * h11
+    else:
+        a, b = np.multiply(h00, 0.5, out=h00), np.multiply(h11, 0.5, out=h11)
+    if isinstance(a, np.ndarray):
+        x, rad = (np.empty_like(a), np.empty_like(a)) if work is None else work
+        np.subtract(a, b, out=x)
+        mid = np.add(a, b, out=a)
         # a square that overflows is inf, and so is a radius above the float range
         with np.errstate(over="ignore"):
-            s = x * x + h01 * h01
-            rad = np.sqrt(s)
+            s = np.multiply(x, x, out=b)
+            s += np.multiply(h01, h01, out=rad)  # the bits of x * x + h01 * h01
+            outside = None
             if not (_SQ_MIN <= s.min() and s.max() < math.inf):
-                np.hypot(x, h01, out=rad, where=~((s >= _SQ_MIN) & (s < math.inf)))
-        return a + b, rad
-    x, y = float(x), float(h01)  # Python floats overflow to inf without a warning
+                outside = ~((s >= _SQ_MIN) & (s < math.inf))
+            np.sqrt(s, out=rad)
+            if outside is not None:
+                np.hypot(x, h01, out=rad, where=outside)
+        return mid, rad
+    x, y = float(a - b), float(h01)  # Python floats overflow to inf without a warning
     s = x * x + y * y
     if _SQ_MIN <= s < math.inf:
         return a + b, math.sqrt(s)

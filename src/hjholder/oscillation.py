@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,8 +167,8 @@ def holder_modulus_check(
     itself is dropped), then every node and its next neighbour along space
     axis 0, ..., d-1, then in time; n_pairs counts them all.  The reported
     pair is the first largest ratio in that order, a NaN ratio counting as
-    largest.  Needs p > 1, C finite and > 0, alpha in (0, 1] and
-    n_random_pairs >= 0.
+    largest.  Needs p > 1, C finite and > 0, alpha in (0, 1],
+    n_random_pairs >= 0 and seed a non-negative integer.
     """
     if not p > 1.0:
         raise DomainError(f"p must be > 1, got {p}")
@@ -177,6 +178,8 @@ def holder_modulus_check(
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if n_random_pairs < 0:
         raise DomainError(f"n_random_pairs must be >= 0, got {n_random_pairs}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     texp = time_exponent(p, alpha)
     space = u.space_points()
     pts = space.reshape(-1, u.dim)
@@ -209,8 +212,18 @@ def holder_modulus_check(
     nb = nb[keep]
     du = vals[ia, na]
     np.subtract(du, vals[ib, nb], out=du)
-    reduce(du, np.linalg.norm(pts[ia] - pts[ib], axis=-1), np.abs(ts[na] - ts[nb]))
-    del du
+    # |x_a - x_b| axis by axis, with no pairs x axes temporaries: the squares
+    # are summed in axis order
+    dxs = np.zeros(len(ia))
+    for axis in range(u.dim):
+        step = pts[ia, axis]
+        step -= pts[ib, axis]
+        step *= step
+        dxs += step
+        del step
+    np.sqrt(dxs, out=dxs)
+    reduce(du, dxs, np.abs(ts[na] - ts[nb]))
+    del du, dxs
     k = firsts[0]
     random_pair = ((pts[ia[k]], ts[na[k]]), (pts[ib[k]], ts[nb[k]])) if k >= 0 else None
     del ia, na, ib, nb

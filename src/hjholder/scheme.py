@@ -7,7 +7,8 @@ discrete Hessian) or tr(B(x,t) D^2 u), both by centered second differences.
 Time stepping is explicit with a per-step stable dt; solutions land on a
 uniform output grid.  Every solve is a block of problems on one grid, stacked
 on a leading array axis (a lone problem is a block of one row), each with its
-own clock and dt and with the bits it would get alone.
+own clock and dt and with the bits it would get alone.  The arrays a substep
+writes live in one workspace per solve, so the steps allocate none of them.
 
 The discrete residual check evaluates the same differential inequality with
 one-sided time differences at the grid nodes.  For merely continuous
@@ -227,6 +228,7 @@ class _Stencil:
         self.strides = [math.prod(self.shape[i + 1:]) for i in range(d)]
         lo = sum(self.strides)
         hi = self.size - lo
+        self.window = hi - lo
 
         def at(k: int) -> tuple:
             """Index of the window at offset k: the flat values k away from each position."""
@@ -273,54 +275,93 @@ class _Stencil:
             field = np.broadcast_to(field, self.shape)
         return self.flat(field)[self.mid]
 
-    def face_diffs(self, f: np.ndarray) -> list:
+    def face_diffs(self, f: np.ndarray, ws: _Workspace) -> list:
         """One-sided differences (u[k+1] - u[k]) / dx along each axis, on every face."""
-        out = []
-        for i in range(self.d):
-            q = f[self.face_hi[i]] - f[self.face_lo[i]]
+        for i, q in enumerate(ws.faces):
+            np.subtract(f[self.face_hi[i]], f[self.face_lo[i]], out=q)
             q /= self.dx[i]
-            out.append(q)
-        return out
+        return ws.faces
 
-    def face_jump(self, faces: list, i: int) -> np.ndarray:
+    def face_jump(self, faces: list, i: int, out: np.ndarray) -> np.ndarray:
         """Forward minus backward one-sided difference along axis i."""
-        return faces[i][self.mid] - faces[i][self.minus[i]]
+        return np.subtract(faces[i][self.mid], faces[i][self.minus[i]], out=out)
 
-    def centred(self, f: np.ndarray) -> list:
+    def centred(self, f: np.ndarray, ws: _Workspace) -> list:
         """Centred first differences, the interior formula of np.gradient."""
-        out = []
-        for i in range(self.d):
-            g = f[self.plus[i]] - f[self.minus[i]]
+        for i, g in enumerate(ws.grads):
+            np.subtract(f[self.plus[i]], f[self.minus[i]], out=g)
             g /= 2. * self.dx[i]
-            out.append(g)
-        return out
+        return ws.grads
 
-    def second_diffs(self, f: np.ndarray) -> dict:
+    def second_diffs(self, f: np.ndarray, ws: _Workspace) -> dict:
         """Centred second differences keyed (i, j) with i <= j."""
         dx = self.dx
-        two_mid = 2.0 * f[self.mid]
-        out = {}
+        two_mid = np.multiply(f[self.mid], 2.0, out=ws.work[0])
         for i in range(self.d):
-            h = f[self.plus[i]] - two_mid
+            h = np.subtract(f[self.plus[i]], two_mid, out=ws.hess[(i, i)])
             h += f[self.minus[i]]
             h /= dx[i] ** 2
-            out[(i, i)] = h
         for (i, j), (pp, pm, mp, mm) in self.cross.items():
-            h = f[pp] - f[pm]
+            h = np.subtract(f[pp], f[pm], out=ws.hess[(i, j)])
             h -= f[mp]
             h += f[mm]
             h /= 4.0 * dx[i] * dx[j]
-            out[(i, j)] = h
-        return out
+        return ws.hess
 
 
-def _extremal_field(hess: dict, d: int, sign: int) -> np.ndarray:
-    """m+ (sign > 0) or m- of the discrete Hessian at every node, for d in {1, 2}."""
-    if d == 1:
-        h = hess[(0, 0)]
-        return np.maximum(h, 0.0) if sign > 0 else np.minimum(h, 0.0)
-    mid, rad = _mid_rad(hess[(0, 0)], hess[(1, 1)], hess[(0, 1)])
-    return np.maximum(mid + rad, 0.0) if sign > 0 else np.minimum(mid - rad, 0.0)
+class _Workspace:
+    """Every array a substep writes, for up to n rows on a leading axis.
+
+    One is made per solve, sized for all its rows; a block of k rows works
+    in rows(k), the leading [:k] of each array, which is contiguous.  So a
+    substep allocates nothing the size of the grid, and every value gets the
+    float operations it got when each array was new.
+    """
+
+    def __init__(self, st: _Stencil, n: int):
+        window = (n, st.window)
+        grid = (n,) + st.shape
+        self.grads = [np.empty(window) for _ in range(st.d)]  # grads[0] ends as a|Du|^p
+        self.faces = [np.empty((n, st.size - s)) for s in st.strides]
+        self.hess = {key: np.empty(window)
+                     for key in [(i, i) for i in range(st.d)] + list(st.cross)}
+        self.work = (np.empty(window), np.empty(window))  # 2 u, m+/- radius, trace terms
+        self.rhs = np.empty(window)  # also the LF jump and the power's held rows
+        self.coeff = np.empty(grid)  # samples of the coefficient and forcing
+        self.forcing = np.empty(grid)
+        self.grid = np.empty(grid)  # |q| and |u| for the row maxima, trace entries
+        # |q| of each face array, on the grid scratch, and the faces of it
+        self.abs_faces = [st.flat(self.grid)[:, :q.shape[-1]] for q in self.faces]
+        self.abs_face_views = [st.face_view(st.flat(self.grid), i) for i in range(st.d)]
+        self.u = np.empty(grid)  # the block's values
+        self.half_alpha = np.empty((n, 1))
+        self.dt = np.empty((n, 1))
+
+    def rows(self, k: int) -> _Workspace:
+        """The workspace of a block of the first k rows: views, no copies."""
+        view = object.__new__(_Workspace)
+        for name, value in vars(self).items():
+            if isinstance(value, dict):
+                value = {key: v[:k] for key, v in value.items()}
+            elif isinstance(value, (list, tuple)):
+                value = type(value)(v[:k] for v in value)
+            else:
+                value = value[:k]
+            setattr(view, name, value)
+        return view
+
+
+def _extremal_field(hess: dict, d: int, sign: int, work: tuple) -> np.ndarray:
+    """m+ (sign > 0) or m- of the discrete Hessian at every node, for d in {1, 2}.
+
+    Written over hess[(0, 0)], with work as _mid_rad's scratch: the entries
+    are consumed.
+    """
+    h = hess[(0, 0)]
+    if d == 2:
+        h, rad = _mid_rad(h, hess[(1, 1)], hess[(0, 1)], work)
+        (np.add if sign > 0 else np.subtract)(h, rad, out=h)
+    return np.maximum(h, 0.0, out=h) if sign > 0 else np.minimum(h, 0.0, out=h)
 
 
 # ---------------------------------------------------------------------------
@@ -360,18 +401,23 @@ class _RowExponent:
     The exponents stay a broadcast column.  numpy's power with a column gives
     the bits of power with a number, but ndarray ** number special-cases a
     few exponents (_POWER_FAST_PATHS); the rows with those are redone with
-    the number.
+    the number, from their values before the power.
     """
 
     def __init__(self, exponents: list):
         self.column = _column(exponents, 1)
         self.redo = [(r, e) for r, e in enumerate(exponents) if e in _POWER_FAST_PATHS]
 
-    def power(self, x: np.ndarray) -> np.ndarray:
-        y = x ** self.column
+    def power(self, x: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """x ** e in place; held, shaped like x, keeps the redone rows meanwhile."""
+        for r, _ in self.redo:
+            held[r] = x[r]
+        x **= self.column
         for r, e in self.redo:
-            y[r] = x[r] ** e
-        return y
+            row = x[r]
+            row[...] = held[r]
+            row **= e
+        return x
 
 
 def _row_exponent(exponents: list):
@@ -413,54 +459,66 @@ class _Field:
         return self.sample(self.coords, t)
 
 
-def _block_sampler(fields: list, st: _Stencil):
+def _block_sampler(fields: list, st: _Stencil, full: np.ndarray):
     """The fields of a block's rows as ts -> (grid values, interior values), one time per row.
 
-    Fixed fields are stacked once.  Separable fields with a time factor cost
-    base + space * time for all rows at once, with a column of bases, the
-    stacked space factors and a column of time factors.  Any other mix is
-    sampled row by row and stacked.
+    Fixed fields are stacked once.  Every other kind is written into full,
+    one grid per row: separable fields with a time factor as base + space *
+    time for all rows at once, with a column of bases, the stacked space
+    factors and a column of time factors; any other mix row by row.
     """
     if all(f.fixed is not None for f in fields):
         fixed = _stack_rows([f.fixed for f in fields], st)
         return lambda ts: fixed
+    mid = st.interior(full)
     if all(f.space is not None for f in fields):
         base = _column([f.field.base for f in fields], st.d)
         space = _stack_rows([f.space for f in fields], st)[0]
         times = [f.field.time for f in fields]
+        factors = np.empty(base.shape)
 
         def separable(ts):
+            factors.flat = [time(t) for time, t in zip(times, ts)]
             # the bits of base + space * factor
-            full = space * _column([time(t) for time, t in zip(times, ts)], st.d)
-            full += base
-            return full, st.flat(full)[st.mid]
+            np.multiply(space, factors, out=full)
+            return np.add(full, base, out=full), mid
 
         return separable
-    return lambda ts: _stack_rows([f.at(t) for f, t in zip(fields, ts)], st)
+
+    def by_row(ts):
+        for row, f, t in zip(full, fields, ts):
+            row[...] = f.at(t)
+        return full, mid
+
+    return by_row
 
 
-def _block_source(fields: list, st: _Stencil, shift: float):
-    """The block's forcing minus shift on the interior, as ts -> values; a
-    fixed forcing's is formed once."""
-    sample = _block_sampler(fields, st)
+def _block_source(fields: list, st: _Stencil, shift: float, full: np.ndarray):
+    """The block's forcing minus shift on the interior, as (ts, out) -> values;
+    a fixed forcing's is formed once, any other is written into out."""
+    sample = _block_sampler(fields, st, full)
     if all(f.fixed is not None for f in fields):
         fixed = sample(None)[1] - shift
-        return lambda ts: fixed
-    return lambda ts: sample(ts)[1] - shift
+        return lambda ts, out: fixed
+    return lambda ts, out: np.subtract(sample(ts)[1], shift, out=out)
 
 
-def _hamiltonian(a, grads: list, half):
+def _hamiltonian(a, grads: list, half, held: np.ndarray):
     """a |Du|^p from the centred gradient, with half = p/2 a number or a
-    _RowExponent; shared by solver and residual.  Squares the arrays of
-    grads in place, so they are consumed."""
+    _RowExponent (held is its scratch); shared by solver and residual.
+    Works in place on the arrays of grads, so they are consumed; the result
+    is grads[0]."""
     g2 = grads[0]
     g2 *= g2  # the bits of sum(g**2 for g in grads): squares are >= +0
     for g in grads[1:]:
         g *= g
         g2 += g
-    h = half.power(g2) if isinstance(half, _RowExponent) else g2 ** half
-    h *= a
-    return h
+    if isinstance(half, _RowExponent):
+        half.power(g2, held)
+    else:
+        g2 **= half  # ndarray **= number takes the fast paths of ndarray ** number
+    g2 *= a
+    return g2
 
 
 def _diffusion_bounds(diff, coords, ts: list, d: int) -> tuple:
@@ -472,28 +530,32 @@ def _diffusion_bounds(diff, coords, ts: list, d: int) -> tuple:
         return None, [abs(diff.coeff)] * len(ts)
     if isinstance(diff, TraceDiffusion):
         bs = [diff.matrix_at(coords, t, d) for t in ts]
-        return bs, [float(np.max(np.abs(b))) * d for b in bs]
+        # max |b| as max(max b, -min b): the same number, without an |b| array
+        return bs, [max(float(np.max(b)), -float(np.min(b))) * d for b in bs]
     raise DomainError(f"unknown diffusion spec {type(diff)!r}")
 
 
-def _diffusion_term(diff, st: _Stencil, f, bs):
-    """Interior diffusion term of u, with bs from _diffusion_bounds.
+def _diffusion_term(diff, st: _Stencil, f, bs, ws: _Workspace):
+    """Interior diffusion term of u, with bs from _diffusion_bounds, in ws.
 
     f is the stencil's flat view of a block: one row per matrix in bs on a
     leading axis.
     """
     if diff is None:
         return 0.0
-    hess = st.second_diffs(f)
+    hess = st.second_diffs(f, ws)
     if bs is None:
-        m = _extremal_field(hess, st.d, diff.sign)
+        m = _extremal_field(hess, st.d, diff.sign, ws.work)
         m *= diff.coeff
         return m
-    total = np.zeros(hess[(0, 0)].shape)
+    total, term = ws.work
+    total.fill(0.0)
+    bij = st.interior(ws.grid)
     for i in range(st.d):
         for j in range(st.d):
-            bij = _stack_rows([b[i, j] for b in bs], st)[1]
-            total += bij * hess[(min(i, j), max(i, j))]
+            for row, b in zip(ws.grid, bs):
+                row[...] = b[i, j]
+            total += np.multiply(bij, hess[(min(i, j), max(i, j))], out=term)
     return total
 
 
@@ -600,7 +662,8 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
     times_out = cfg.out_times()
     clock = [cfg.t0] * n_all
     failed = [None] * n_all
-    # active row set -> (coefficient, forcing, exponent), built once per set
+    ws = _Workspace(st, n_all)
+    # active row set -> (coefficient, forcing, exponent, workspace), built once per set
     blocks = {}
 
     for n in range(1, cfg.nt):
@@ -609,11 +672,13 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
         rows = [r for r in range(n_all) if failed[r] is None and clock[r] < t_done]
         while rows:
             if tuple(rows) not in blocks:
-                blocks[tuple(rows)] = (_block_sampler([coeffs[r] for r in rows], st),
-                                       _block_source([forcings[r] for r in rows], st, shift),
-                                       _row_exponent([ps[r] / 2.0 for r in rows]))
-            coeff, source, half = blocks[tuple(rows)]
-            u = u_all[rows]  # a copy, written back once the block changes
+                bws = ws.rows(len(rows))
+                blocks[tuple(rows)] = (
+                    _block_sampler([coeffs[r] for r in rows], st, bws.coeff),
+                    _block_source([forcings[r] for r in rows], st, shift, bws.forcing),
+                    _row_exponent([ps[r] / 2.0 for r in rows]), bws)
+            coeff, source, half, bws = blocks[tuple(rows)]
+            u = np.take(u_all, rows, axis=0, out=bws.u)  # written back once the block changes
             f = st.flat(u)  # a view: u is contiguous
             flats = list(f)
             stepping = True
@@ -621,11 +686,11 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                 ts = [clock[r] for r in rows]
                 a, a_mid = coeff(ts)
                 bs, lams = _diffusion_bounds(diffusion, coords, ts, d)
-                faces = st.face_diffs(f)
+                faces = st.face_diffs(f, bws)
                 qmaxes = [0.0] * len(rows)
-                for i, q in enumerate(faces):
-                    face_maxes = _row_max(st.face_view(np.abs(q), i))
-                    qmaxes = list(map(max, qmaxes, face_maxes))
+                for q, absq, absq_faces in zip(faces, bws.abs_faces, bws.abs_face_views):
+                    np.abs(q, out=absq)
+                    qmaxes = list(map(max, qmaxes, _row_max(absq_faces)))
                 half_alphas, dts = [], []
                 for r, qmax, amax, lam in zip(rows, qmaxes, _row_max(a), lams):
                     p = ps[r]
@@ -655,15 +720,17 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     # state in the block without the failed one, with the same bits
                     break
 
-                hamil = _hamiltonian(a_mid, st.centred(f), half)
-                jump_coeff, dt_column = np.array((half_alphas, dts))[..., None]
+                rhs = bws.rhs
+                hamil = _hamiltonian(a_mid, st.centred(f, bws), half, rhs)
+                bws.half_alpha[:, 0] = half_alphas
+                bws.dt[:, 0] = dts
                 for i in range(d):
-                    jump = st.face_jump(faces, i)
-                    jump *= jump_coeff
+                    jump = st.face_jump(faces, i, rhs)
+                    jump *= bws.half_alpha
                     hamil -= jump
-                rhs = source(ts) - hamil
-                rhs += _diffusion_term(diffusion, st, f, bs)
-                rhs *= dt_column
+                np.subtract(source(ts, rhs), hamil, out=rhs)
+                rhs += _diffusion_term(diffusion, st, f, bs, bws)
+                rhs *= bws.dt
                 # boundary-column positions of the window get written here and
                 # reset below, before anything reads them
                 f[st.mid] += rhs
@@ -673,7 +740,7 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     flat[bidx] = bcs[r](*bcoords, clock[r])
                 # the block changes when a row fails or reaches the output time
                 bounds = _row_max(np.abs(f[..., bidx]))
-                for r, bound, peak in zip(rows, bounds, _row_max(np.abs(u))):
+                for r, bound, peak in zip(rows, bounds, _row_max(np.abs(u, out=bws.grid))):
                     data_bound[r] = max(data_bound[r], bound)
                     if not peak <= BLOWUP_FACTOR * (1.0 + data_bound[r]):
                         failed[r] = Blowup(f"values exceeded {BLOWUP_FACTOR:g}*(1+data "
@@ -728,29 +795,40 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
     coords = list(np.meshgrid(*axes, indexing="ij"))
     ts = u.times()
     st = _Stencil(u.n_space, list(u.spacing_x))
-    coeff = _Field(spec.coefficient, spec.coeff_at, coords, ts[0])
-    forcing = _Field(spec.forcing, spec.forcing_at, coords, ts[0])
+    ws = _Workspace(st, 1)  # one block row
+    coeff = _block_sampler([_Field(spec.coefficient, spec.coeff_at, coords, ts[0])], st,
+                           ws.coeff)
+    forcing = _block_sampler([_Field(spec.forcing, spec.forcing_at, coords, ts[0])], st,
+                             ws.forcing)
     half = spec.params.p / 2.0
 
     worst = -math.inf if side == "sub" else math.inf
     worst_idx = None
-    prev = st.flat(u.values[None, ..., 0])
+    # time slices n - 1 and n as contiguous rows, and the interior nodes of a residual
+    slices = np.empty((2, 1) + st.shape)
+    res_inner = np.empty((1,) + st.inner_box)
+    np.copyto(slices[0], u.values[None, ..., 0])
     for n in range(1, u.n_time):
-        fn = st.flat(u.values[None, ..., n])  # a contiguous copy: one block row
-        ut = (fn[st.mid] - prev[st.mid]) / u.spacing_t
-        a = st.interior(coeff.at(ts[n]))
+        prev, fn = st.flat(slices[(n - 1) % 2]), st.flat(slices[n % 2])
+        np.copyto(slices[n % 2], u.values[None, ..., n])
+        res = np.subtract(fn[st.mid], prev[st.mid], out=ws.rhs)
+        res /= u.spacing_t
+        a = coeff([ts[n]])[1]
         bs, _ = _diffusion_bounds(spec.diffusion, coords, [ts[n]], d)
-        diff_term = _diffusion_term(spec.diffusion, st, fn, bs)
-        res = ut + _hamiltonian(a, st.centred(fn), half) - diff_term
-        res = st.inner(res - st.interior(forcing.at(ts[n])) + spec.shift)
-        k = int(np.argmax(res) if side == "sub" else np.argmin(res))
-        idx = np.unravel_index(k, res.shape)
-        val = float(res[idx])
+        diff_term = _diffusion_term(spec.diffusion, st, fn, bs, ws)
+        res += _hamiltonian(a, st.centred(fn, ws), half, None)
+        res -= diff_term
+        res -= forcing([ts[n]])[1]
+        res += spec.shift
+        # argmin/argmax copy a strided array first: take the copy here
+        np.copyto(res_inner, st.inner(res))
+        k = int(np.argmax(res_inner) if side == "sub" else np.argmin(res_inner))
+        idx = np.unravel_index(k, res_inner.shape)
+        val = float(res_inner[idx])
         if (val > worst) if side == "sub" else (val < worst):
             worst = val
             # interior index -> grid index: one boundary layer per axis
             worst_idx = tuple(i + 1 for i in idx[1:]) + (n,)
-        prev = fn
 
     violation = max(0.0, worst) if side == "sub" else max(0.0, -worst)
     xc = tuple(float(axes[i][worst_idx[i]]) for i in range(d))

@@ -95,7 +95,10 @@ def legendre_brute(
     qnorm = float(np.linalg.norm(qv))
     s = np.linspace(-search_radius, search_radius, int(n_samples))
     for m in (int(np.searchsorted(s, 0.0)), 0):  # the half-line s >= 0, then the line
-        vals = qnorm * s[m:] - (shift + A * np.abs(s[m:]) ** p)
+        # a penalty that overflows is inf, a sample that is never the maximum;
+        # a maximum on the window edge is reported below
+        with np.errstate(over="ignore"):
+            vals = qnorm * s[m:] - (shift + A * np.abs(s[m:]) ** p)
         k = int(np.argmax(vals))
         if vals[k] > -shift:
             break

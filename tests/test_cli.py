@@ -150,6 +150,18 @@ def test_closed_stdout_is_not_bad_input():
     assert (proc.returncode, proc.stderr) == (1, b"")
 
 
+def test_legendre_overflow_writes_one_stderr_line():
+    """A search window whose penalty overflows fails on its edge, and stderr
+    holds that one line: no RuntimeWarning and no source line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hjholder.cli", "legendre", "--p", "3",
+                           "--A", "1e-300"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("verification failed: maximizer on the window edge; "
+                           "|xi*|=1.52753e+150\n")
+
+
 def test_parser_reused_within_a_process(monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "100")
     argvs = [
@@ -291,6 +303,7 @@ class TestBadInputExit2:
         ("--alpha", "0", "alpha must lie in (0, 1]"),
         ("--pairs", "-1", "n_random_pairs must be >= 0"),
         ("--p", "1", "p must be > 1"),
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
     ])
     def test_modulus_bad_constants(self, tmp_path, capsys, flag, value, message):
         args = {"--alpha": "0.5", "--C": "1", "--p": "3", "--pairs": "100"}

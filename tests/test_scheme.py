@@ -19,6 +19,7 @@ from hjholder.scheme import (
     TraceDiffusion,
     _extremal_field,
     _Stencil,
+    _Workspace,
     comparison_check,
     discrete_residual,
     grid_from_callable,
@@ -231,7 +232,9 @@ class TestDiscreteResidual:
         u = solve_hj(spec, lambda x: x**2, lambda x, t: x**2 / (1 + 4 * t), cfg)
         # a-posteriori bound: LF dissipation + one-sided-time truncation
         dx, dt = u.spacing_x[0], u.spacing_t
-        d2x = np.abs(_Stencil(u.n_space, [dx]).second_diffs(u.values[:, 1])[(0, 0)]).max()
+        stencil = _Stencil(u.n_space, [dx])
+        hess = stencil.second_diffs(u.values[None, :, 1], _Workspace(stencil, 1))
+        d2x = np.abs(hess[(0, 0)]).max()
         qmax = np.abs(np.diff(u.values, axis=0) / dx).max()
         alpha = 2.0 * qmax
         d2t = np.abs(np.diff(u.values, n=2, axis=1)).max() / dt
@@ -379,8 +382,10 @@ class TestVectorizedExtremal:
             if d == 2:
                 hess[(1, 1)] = rng.normal(size=shape)
                 hess[(0, 1)] = rng.normal(size=shape)
-            mp = _extremal_field(hess, d, 1)
-            mm = _extremal_field(hess, d, -1)
+            # each call writes over the entries it is given, and over work
+            work = (np.empty(shape), np.empty(shape))
+            mp = _extremal_field({k: v.copy() for k, v in hess.items()}, d, 1, work)
+            mm = _extremal_field({k: v.copy() for k, v in hess.items()}, d, -1, work)
             for idx in np.ndindex(*shape):
                 if d == 1:
                     mat = np.array([[hess[(0, 0)][idx]]])

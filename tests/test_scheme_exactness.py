@@ -618,3 +618,81 @@ def test_rows_must_share_grid_diffusion_and_shift():
                                diffusion=TraceDiffusion(np.array([[0.04]])), shift=0.1)
     with pytest.raises(DomainError):
         solve_hj(trace, two, bcs, cfg)
+
+
+# ---------------------------------------------------------------------------
+# One workspace per solve: its buffers are reused from step to step and from
+# block to block, and every value must still match the frozen reference
+# ---------------------------------------------------------------------------
+
+
+def _check_rows_with_reference(d, rows, cfg, diffusion):
+    """_check_rows, then each row against the roll/gradient reference, with its
+    residual reports."""
+    got, substeps = _check_rows(d, rows, cfg, diffusion=diffusion)
+    for k, row in enumerate(rows):
+        (spec,) = _row_specs(d, [row], [_Log()], diffusion, first=k)
+        want = _ref_solve(spec, _row_init(k), _bc(_Log()), cfg)
+        assert got[k].values.tobytes() == want.tobytes(), row
+        for side in ("sub", "super"):
+            assert discrete_residual(got[k], spec, side) == _ref_residual(got[k], spec, side)
+    return got, substeps
+
+
+def test_two_2d_solves_in_one_process():
+    # a second solve, on another grid, then the first again: nothing of one
+    # solve's workspace may reach the next
+    for nx in [(25, 21), (17, 30), (25, 21)]:
+        _check(2, "m+", "rough", "inverse_power", nx=nx)
+        _check(2, "trace_callable", "rough", "constant", nx=nx)
+
+
+def test_rows_drop_out_partway_through_an_interval():
+    # the rows reach each output time after different numbers of substeps, and
+    # the middle row's boundary data turns nan at t = 0.12, inside the third
+    # interval: the block shrinks to rows 0 and 2 and keeps stepping
+    rows = [(2.5, "rough", "inverse_power"), (3.0, "opaque", "none"),
+            (4.0, "rough", "constant")]
+    cfg = _cfg(1)
+    logs = [_Log() for _ in rows]
+    specs = _row_specs(1, rows, logs)
+    inits = [_row_init(k) for k in range(len(rows))]
+    bcs = [_bc(log) for log in logs]
+    healthy = bcs[1]
+    bcs[1] = lambda *a: healthy(*a) + (np.nan if a[-1] >= 0.12 else 0.0)
+    got = solve_hj(specs, inits, bcs, cfg)
+    assert type(got[1]) is Blowup
+    assert 0.10 < float(str(got[1]).rsplit("t=", 1)[1]) < 0.15  # inside the third interval
+    substeps = []
+    for k in (0, 2):
+        (spec,) = _row_specs(1, [rows[k]], [_Log()], first=k)
+        ref_log = _Log()
+        want = _ref_solve(spec, inits[k], _bc(ref_log), cfg)
+        assert got[k].values.tobytes() == want.tobytes()
+        substeps.append(sum(name == "bc" for name, _, _ in ref_log.calls))
+    assert substeps[0] != substeps[1]
+    _check_rows_with_reference(1, rows[::2], cfg, ExtremalDiffusion(sign=1, coeff=0.04))
+
+
+@pytest.mark.parametrize("d, exponents", [
+    (1, (3.0, 2.0, 4.0, 3.0, 2.0)),
+    (1, (4.0, 3.0, 2.0)),
+    (2, (2.0, 3.0, 4.0)),
+])
+def test_rows_mix_fast_path_exponents_with_others(d, exponents):
+    # p = 2 and p = 4 put 1.0 and 2.0 in the exponent column, and those rows
+    # are redone from their values before the power; p = 3 rows are not
+    rows = [(p, "rough", "inverse_power") for p in exponents]
+    _check_rows_with_reference(d, rows, _cfg(d), ExtremalDiffusion(sign=-1, coeff=0.04))
+
+
+def test_2d_trace_rows_with_an_off_diagonal_term():
+    def entries(x, y, t):
+        b11 = 0.03 + 0.01 * np.sin(x) ** 2
+        b22 = 0.03 + 0.01 * np.cos(y) ** 2
+        b12 = 0.012 * np.cos(2.0 * x - y + t)  # nonzero, and larger than the diagonal's spread
+        return np.array([[b11, b12], [b12, b22]])
+
+    rows = [(3.0, "rough", "inverse_power"), (2.0, "constant", "none"),
+            (4.0, "opaque", "constant")]
+    _check_rows_with_reference(2, rows, _cfg(2, nx=(15, 13)), TraceDiffusion(entries))
