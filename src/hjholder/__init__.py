@@ -51,7 +51,6 @@ from .scheme import (
     solve_hj,
 )
 from .oscillation import (
-    check_improvement,
     fit_holder,
     holder_modulus_check,
     iterate_scales,

@@ -58,8 +58,8 @@ class BumpFunction:
     vanish at the gluing points and have closed-form sup norms.
     """
 
-    sup_db: float = 7.5  # max |b'| at s = 7/8
-    sup_d2b: float = 160.0 / math.sqrt(3.0)
+    sup_db = 7.5  # max |b'| at s = 7/8
+    sup_d2b = 160.0 / math.sqrt(3.0)
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
@@ -174,22 +174,24 @@ def _super_terms(params: EquationParams, eta: float, rho, t):
     With s = rho^2 + eta t and g(s) = s^{p'/2}: t^{-1/(p-1)}, g', the bracket
     -g/((p-1) t) + eta g' of U_t and the radial bracket 2g' + 4g'' rho^2.
     `_super_candidate` and `_super_residual` turn them into the residual of one
-    candidate (C, eps).
+    candidate (C, eps).  A term that overflows is inf or nan, which no
+    certificate passes, so no warning is raised.
     """
     rho = np.asarray(rho, dtype=float)
     t = np.asarray(t, dtype=float)
     p, pp = params.p, params.p_prime
-    s = rho**2 + eta * t
-    g = s ** (pp / 2.0)
-    dg = (pp / 2.0) * s ** (pp / 2.0 - 1.0)
-    d2g = (pp / 2.0) * (pp / 2.0 - 1.0) * s ** (pp / 2.0 - 2.0)
-    return (
-        rho,
-        t ** (-1.0 / (p - 1.0)),
-        dg,
-        -g / ((p - 1.0) * t) + eta * dg,
-        2.0 * dg + 4.0 * d2g * rho**2,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = rho**2 + eta * t
+        g = s ** (pp / 2.0)
+        dg = (pp / 2.0) * s ** (pp / 2.0 - 1.0)
+        d2g = (pp / 2.0) * (pp / 2.0 - 1.0) * s ** (pp / 2.0 - 2.0)
+        return (
+            rho,
+            t ** (-1.0 / (p - 1.0)),
+            dg,
+            -g / ((p - 1.0) * t) + eta * dg,
+            2.0 * dg + 4.0 * d2g * rho**2,
+        )
 
 
 def _super_candidate(terms, C: float, params: EquationParams, d: int):
@@ -450,6 +452,9 @@ class FirstOrderConstants:
     params: EquationParams
 
     def __post_init__(self):
+        if not (self.theta > 0.0 and self.eps > 0.0):
+            raise DomainError(f"first-order constants need theta > 0 and eps > 0, "
+                              f"got theta = {self.theta:g}, eps = {self.eps:g}")
         m1, m2, m3 = self.margins()
         if min(m1, m2, m3) < 0.0:
             raise DomainError(
@@ -471,12 +476,19 @@ def _float_range_failure(params: EquationParams) -> SearchFailed:
                         f"float range (p' = {params.p_prime:g})")
 
 
+def _c_p(params: EquationParams) -> float:
+    """c_p = (p-1) p^{-p'}; SearchFailed naming p and A when p' rounds to 1."""
+    try:
+        return legendre_closed(params.p, 1.0).c_p
+    except SearchFailed:
+        raise _float_range_failure(params) from None
+
+
 def _first_order_costs(params: EquationParams, T: float) -> tuple[float, float]:
     """The left sides c_p (T-1)^{1-p'} A^{p'-1} 3^{p'} and c_p T^{1-p'} A^{p'-1}
     of the first two inequalities; SearchFailed when they leave the float range."""
-    p, A = params.p, params.A
-    pp = params.p_prime
-    c_p = legendre_closed(p, 1.0).c_p
+    A, pp = params.A, params.p_prime
+    c_p = _c_p(params)
     try:
         return (c_p * (T - 1.0) ** (1.0 - pp) * A ** (pp - 1.0) * 3.0**pp,
                 c_p * T ** (1.0 - pp) * A ** (pp - 1.0))
@@ -492,10 +504,11 @@ def first_order_constants(params: EquationParams) -> FirstOrderConstants:
     Since 1 - p' = -1/(p-1), the first inequality holds iff T - 1 > K^{p-1}
     with K = c_p A^{p'-1} 3^{p'}; k is worked out from log2 of that bound and
     confirmed on the computed cost, which rounding may move by one step.  A T
-    beyond the float range raises SearchFailed.
+    beyond the float range, or a theta or eps that underflows to 0, raises
+    SearchFailed.
     """
     p, A, pp = params.p, params.A, params.p_prime
-    c_p = legendre_closed(p, 1.0).c_p
+    c_p = _c_p(params)
     log2_bound = (p - 1.0) * (math.log2(c_p) + (pp - 1.0) * math.log2(A) + pp * math.log2(3.0))
     try:  # k is the least integer above log2(1 + K^{p-1}); k and 2.0**k can overflow
         k = max(1, math.floor(np.logaddexp2(0.0, log2_bound)) + 1)
@@ -509,6 +522,8 @@ def first_order_constants(params: EquationParams) -> FirstOrderConstants:
     lhs1, lhs2 = _first_order_costs(params, T)
     theta = min((1.0 - lhs1) / 4.0, lhs2 / 2.0)
     eps = theta / (2.0 * T)
+    if not eps > 0.0:  # A^{p'-1} T^{1-p'} or theta / 2T underflowed to 0
+        raise _float_range_failure(params)
     try:  # rounding can leave a computed margin below 0: a failed verification
         return FirstOrderConstants(T, theta, eps, params)
     except DomainError as exc:

@@ -192,7 +192,7 @@ def solve_from_config(cfg: dict):
 
 
 def _cmd_legendre(args) -> int:
-    lag = variational.legendre_closed(args.p, args.A, args.shift)
+    lag = variational.legendre_closed(args.p, args.A)
     qs = np.linspace(-10.0, 10.0, 41)
     dev = 0.0
     brute_at = {}  # |q| -> brute-force value: the oracle and its window depend only on |q|
@@ -201,8 +201,7 @@ def _cmd_legendre(args) -> int:
         if r not in brute_at:
             with np.errstate(over="ignore"):  # an infinite window fails in the oracle
                 radius = 2.0 * (max(r, 1e-3) / (args.p * args.A)) ** (1.0 / (args.p - 1.0))
-            brute_at[r] = variational.legendre_brute(args.p, args.A, args.shift, q, radius,
-                                                     200_001)
+            brute_at[r] = variational.legendre_brute(args.p, args.A, 0.0, q, radius, 200_001)
         dev = max(dev, abs(lag(q) - brute_at[r]))
     print(f"c_p = {lag.c_p:.12g}")
     print(f"p_prime = {lag.p_prime:.12g}")
@@ -315,7 +314,7 @@ def _cmd_modulus(args) -> int:
         [(rep.alpha, rep.time_exp, rep.C, rep.max_ratio)],
     )
     print(f"max_ratio = {rep.max_ratio:.6g} at {rep.argmax_a} vs {rep.argmax_b}")
-    ok = rep.max_ratio <= 1.0 + args.slack
+    ok = rep.max_ratio <= 1.0
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -334,7 +333,7 @@ def _cmd_scale(args) -> int:
             print(f"delta(alpha={args.alpha:g}) = "
                   f"{scaling.delta_exponent(args.p, args.m, args.d, args.alpha):.12g}")
     if args.alpha is not None:
-        rep = scaling.calpha_scale(0.5, args.alpha, args.p, EquationParams(args.p, 1.0, d=args.d, m=args.m))
+        rep = scaling.calpha_scale(0.5, args.alpha, EquationParams(args.p, 1.0, d=args.d, m=args.m))
         print(f"diffusion_factor(r=1/2) = {rep.diff_coeff_factor:.12g}")
         print(f"rhs_factor(r=1/2) = {rep.rhs_factor:.12g}")
     try:
@@ -525,7 +524,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("legendre", help="closed-form Legendre transform vs brute force")
     sp.add_argument("--p", type=_finite, required=True)
     sp.add_argument("--A", type=_finite, required=True)
-    sp.add_argument("--shift", type=_finite, default=0.0)
     sp.set_defaults(func=_cmd_legendre)
 
     sp = sub.add_parser("constants", help="constant systems from the proofs")
@@ -572,7 +570,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=_finite, required=True)
     sp.add_argument("--pairs", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--slack", type=_finite, default=0.0)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=_cmd_modulus)
 

@@ -91,10 +91,6 @@ class ParabolicCylinder:
             raise DomainError(f"beta must be > 0, got {self.beta}")
 
     @property
-    def dim(self) -> int:
-        return len(self.center_x)
-
-    @property
     def t_bottom(self) -> float:
         return self.top_t - self.radius**self.beta
 
@@ -128,8 +124,6 @@ class GridFunction:
     def __post_init__(self):
         origin = tuple(float(c) for c in np.atleast_1d(self.origin))
         spacing = tuple(float(c) for c in np.atleast_1d(self.spacing_x))
-        if len(spacing) == 1 and len(origin) > 1:
-            spacing = spacing * len(origin)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing_x", spacing)
         vals = np.asarray(self.values, dtype=float)

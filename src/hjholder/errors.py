@@ -22,7 +22,8 @@ class EmptyBoundary(HJHolderError):
 
 
 class SearchFailed(HJHolderError):
-    """A constant search exhausted its iteration budget without a certificate."""
+    """A constant search ended without a certificate: its iteration budget ran
+    out, or its numbers left the float range."""
 
 
 class CflViolation(HJHolderError):

@@ -59,10 +59,6 @@ class SymMatrix:
             raise DomainError(f"expected a square matrix, got shape {a.shape}")
         object.__setattr__(self, "entries", a)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
 
 def _mid_rad(h00, h11, h01, work=None):
     """Centre and radius of the eigenvalues of [[h00, h01], [h01, h11]], elementwise.

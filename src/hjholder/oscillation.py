@@ -75,47 +75,6 @@ def measure_oscillations(
     return out
 
 
-@dataclass(frozen=True)
-class ImprovementLevel:
-    level: int
-    r: float
-    osc: float
-    premise_holds: bool
-    conclusion_holds: bool
-
-
-@dataclass(frozen=True)
-class ImprovementReport:
-    passed: bool
-    first_failure: int | None
-    levels: tuple
-
-
-def check_improvement(samples, alpha: float, lam: float) -> ImprovementReport:
-    """Level-by-level check of: osc_{r_k} <= r_k^alpha implies
-    osc_{lam r_k} <= (lam r_k)^alpha.  Levels with a false premise are
-    recorded as vacuous, not failed."""
-    if not (0.0 < lam < 1.0):
-        raise DomainError(f"lambda must lie in (0,1), got {lam}")
-    levels = []
-    passed = True
-    first_failure = None
-    for k in range(len(samples)):
-        r, osc = samples[k]
-        premise = osc <= r**alpha
-        if k + 1 < len(samples):
-            r_next, osc_next = samples[k + 1]
-            conclusion = osc_next <= r_next**alpha
-        else:
-            conclusion = True
-        ok = conclusion or not premise
-        if premise and not conclusion and first_failure is None:
-            first_failure = k + 1
-            passed = False
-        levels.append(ImprovementLevel(k, r, osc, premise, ok))
-    return ImprovementReport(passed, first_failure, tuple(levels))
-
-
 def fit_holder(samples, min_radius: float = 0.0) -> HolderEstimate:
     """Least-squares fit of log osc = alpha * log r + log c.
 

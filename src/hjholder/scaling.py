@@ -65,18 +65,17 @@ def transform_coeffs(a: float, b: float, c: float, params: EquationParams) -> Sc
     return ScaleReport(a, b, c, grad, diff, rhs, lm_exp, delta)
 
 
-def calpha_scale(r: float, alpha: float, p: float, params: EquationParams) -> ScaleReport:
+def calpha_scale(r: float, alpha: float, params: EquationParams) -> ScaleReport:
     """Factors of the C^alpha scaling u_r(x,t) = r^{-alpha} u(rx, r^beta t).
 
-    beta = p - alpha(p-1) is derived; the diffusion picks up
-    r^{-alpha(p-1)+p-2} and the right-hand side r^{p(1-alpha)}.
+    With p = params.p, beta = p - alpha(p-1) is derived; the diffusion picks
+    up r^{-alpha(p-1)+p-2} and the right-hand side r^{p(1-alpha)}.
     """
     if not (0.0 < r <= 1.0):
         raise DomainError(f"r must be in (0, 1], got {r}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-    if not p > 1.0:
-        raise DomainError(f"p must be > 1, got {p}")
+    p = params.p
     beta = p - alpha * (p - 1.0)
     a = r
     b = r**beta

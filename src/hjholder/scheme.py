@@ -190,13 +190,9 @@ def grid_from_callable(fn, cfg: SolveConfig) -> GridFunction:
 
 
 def _boundary_mask(shape: tuple) -> np.ndarray:
-    mask = np.zeros(shape, dtype=bool)
-    for axis in range(len(shape)):
-        sl = [slice(None)] * len(shape)
-        sl[axis] = 0
-        mask[tuple(sl)] = True
-        sl[axis] = -1
-        mask[tuple(sl)] = True
+    """The nodes on the box faces: all nodes, minus the interior box."""
+    mask = np.ones(shape, dtype=bool)
+    mask[(slice(1, -1),) * len(shape)] = False
     return mask
 
 
@@ -329,7 +325,7 @@ class _Workspace:
         self.rhs = np.empty(window)  # also the LF jump and the power's held rows
         self.coeff = np.empty(grid)  # samples of the coefficient and forcing
         self.forcing = np.empty(grid)
-        self.grid = np.empty(grid)  # |q| and |u| for the row maxima, trace entries
+        self.grid = np.empty(grid)  # |q| and |u| for the row maxima
         # |q| of each face array, on the grid scratch, and the faces of it
         self.abs_faces = [st.flat(self.grid)[:, :q.shape[-1]] for q in self.faces]
         self.abs_face_views = [st.face_view(st.flat(self.grid), i) for i in range(st.d)]
@@ -550,12 +546,12 @@ def _diffusion_term(diff, st: _Stencil, f, bs, ws: _Workspace):
         return m
     total, term = ws.work
     total.fill(0.0)
-    bij = st.interior(ws.grid)
     for i in range(st.d):
         for j in range(st.d):
-            for row, b in zip(ws.grid, bs):
-                row[...] = b[i, j]
-            total += np.multiply(bij, hess[(min(i, j), max(i, j))], out=term)
+            h = hess[(min(i, j), max(i, j))]
+            for r, b in enumerate(bs):  # a constant entry stays a number
+                np.multiply(st.interior(b[i, j]), h[r], out=term[r])
+            total += term
     return total
 
 

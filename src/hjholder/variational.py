@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EquationParams
-from .errors import DomainError, EmptyBoundary, WindowTooSmall
+from .errors import DomainError, EmptyBoundary, SearchFailed, WindowTooSmall
 
 TAU_MIN = 1e-9  # hopf_lax_eval skips candidates with t - s < TAU_MIN
 N_LATERAL_TIMES = 65  # lateral-boundary sample times
@@ -51,7 +51,9 @@ def legendre_closed(p: float, A: float, shift: float = 0.0) -> PowerLagrangian:
     """Legendre transform of xi -> shift + A|xi|^p in closed form.
 
     The coefficient c_p = (p-1) * p^{-p'} is validated against the
-    brute-force transform in the test suite rather than trusted.
+    brute-force transform in the test suite rather than trusted.  A p' that
+    rounds to 1, or an A^{1-p'} that overflows or underflows to 0, raises
+    SearchFailed.
     """
     if not p > 1.0:
         raise DomainError(f"p must be > 1, got {p}")
@@ -59,7 +61,14 @@ def legendre_closed(p: float, A: float, shift: float = 0.0) -> PowerLagrangian:
         raise DomainError(f"A must be > 0, got {A}")
     p_prime = p / (p - 1.0)
     c_p = (p - 1.0) * p ** (-p_prime)
-    return PowerLagrangian(c_p, p_prime, A ** (1.0 - p_prime), -shift)
+    try:
+        coeff = A ** (1.0 - p_prime)
+    except OverflowError:
+        coeff = math.inf
+    if not (p_prime > 1.0 and 0.0 < coeff < math.inf):
+        raise SearchFailed(f"the Legendre transform for p={p}, A={A} leaves the float "
+                           f"range (p' = {p_prime:g})")
+    return PowerLagrangian(c_p, p_prime, coeff, -shift)
 
 
 def legendre_brute(

@@ -457,6 +457,18 @@ class TestFirstOrderConstants:
         with pytest.raises(SearchFailed, match="leave the float range"):
             first_order_constants(EquationParams(p=1000.0, A=2.0))
 
+    @pytest.mark.parametrize("theta, eps", [(0.0, 0.0), (1.0 / 32.0, 0.0)])
+    def test_zero_theta_or_eps_rejected(self, theta, eps):
+        # both zeros satisfy the three inequalities, and improve no oscillation
+        with pytest.raises(DomainError, match="theta > 0 and eps > 0"):
+            FirstOrderConstants(4.0, theta, eps, EquationParams(p=2.0, A=1.0))
+
+    @pytest.mark.parametrize("p, A", [(1.5, 1e-300), (1.01, 1e-3)])
+    def test_theta_underflow_names_the_float_range(self, p, A):
+        # A^{p'-1} (1e-600) or c_p 2^{1-p'} A^{p'-1} (about 3e-333) underflows to 0
+        with pytest.raises(SearchFailed, match="leave the float range"):
+            first_order_constants(EquationParams(p=p, A=A))
+
 
 @settings(max_examples=150, deadline=None)
 @given(p=st.floats(2.0, 1000.0, exclude_min=True), A=st.floats(1.0, 100.0),

@@ -87,6 +87,13 @@ class TestExitCodes:
         assert run(argv) == 0
         assert capsys.readouterr().out.endswith("PASS\n")
 
+    def test_scale_with_alpha(self, capsys):
+        assert run(["scale", "--p", "3", "--m", "2", "--alpha", "0.3"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "delta(alpha=0.3) = 1.6" in out
+        assert "diffusion_factor(r=1/2) = 0.757858283255" in out
+        assert "rhs_factor(r=1/2) = 0.233258247884" in out
+
     def test_scale_infeasible_is_failure(self):
         # m too close to 1 + d/p: the L^m theory has no admissible alpha
         assert run(["scale", "--p", "3", "--m", "1.3", "--d", "2"]) == 1
@@ -97,20 +104,35 @@ class TestExitCodes:
         (["constants", "first-order", "--p", "1.0061299927457592", "--A", "0.023464062039672207"],
          "first-order constant system violated"),
         (["constants", "first-order", "--p", "1000", "--A", "2"], "leave the float range"),
+        (["legendre", "--p", "1.5", "--A", "1e-300"],
+         "the Legendre transform for p=1.5, A=1e-300 leaves the float range (p' = 3)"),
+        (["legendre", "--p", "1e17", "--A", "1"],
+         "the Legendre transform for p=1e+17, A=1.0 leaves the float range (p' = 1)"),
+        (["constants", "first-order", "--p", "1e17", "--A", "1"],
+         "first-order constants for p=1e+17, A=1.0 leave the float range (p' = 1)"),
+        (["constants", "first-order", "--p", "1.5", "--A", "1e-300"],
+         "first-order constants for p=1.5, A=1e-300 leave the float range (p' = 3)"),
     ])
     def test_float_overflow_is_a_failed_verification(self, argv, message, capsys):
         # p' = 1001: 3^{p'} and the Legendre search window overflow a float;
         # at p' = 164 a computed margin rounds to the subnormal -5e-324; at
-        # p = 1000 the first-order T is above 2**1023
+        # p = 1000 the first-order T is above 2**1023; A^{1-p'} = 1e600
+        # overflows, and p' = 1e17 / (1e17 - 1) rounds to 1; for the constants
+        # at A = 1e-300, A^{p'-1} underflows and theta would be 0
         assert run(argv) == 1
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         assert err.startswith("verification failed: ")
         assert message in err
         assert "Traceback" not in err
+        assert err.count("\n") == 1 and "PASS" not in captured.out
 
     def test_invalid_args_exit_2(self):
         assert run(["legendre", "--p", "2"]) == 2
         assert run(["nonsense"]) == 2
+        assert run(["legendre", "--p", "2", "--A", "1", "--shift", "1"]) == 2
+        assert run(["modulus", "--in", "u.hjg", "--alpha", "0.5", "--C", "1", "--p", "3",
+                    "--slack", "0.1"]) == 2
 
     def test_invalid_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -160,6 +182,20 @@ def test_legendre_overflow_writes_one_stderr_line():
     assert proc.returncode == 1
     assert proc.stderr == ("verification failed: maximizer on the window edge; "
                            "|xi*|=1.52753e+150\n")
+
+
+def test_super_barrier_overflow_writes_one_stderr_line():
+    """Residual terms that overflow fail the certificate, and stderr holds only
+    the failure line: no RuntimeWarning and no source line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "hjholder.cli", "barrier", "verify", "--kind",
+                           "super", "--p", "3", "--A", "2", "--eta", "1e-300"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ("verification failed: no supersolution certificate for p=3.0, "
+                           "A=2.0, eta=1e-300 within budget; p may be too close to 2 for "
+                           "this grid\n")
 
 
 def test_parser_reused_within_a_process(monkeypatch, capsys):
@@ -637,6 +673,32 @@ class TestSweep:
         mixed_rows = Path(mixed_csv).read_text().splitlines()
         assert ok_rows[3:] == mixed_rows[3:5] + mixed_rows[6:]
         assert mixed_rows[5] == "300,2,nan,nan,nan,nan,0.0655,0.0329491942636,0,nan,nan"
+
+    def test_failed_alpha_search_keeps_its_row(self, tmp_path, capsys):
+        # p(m-1) = 0.75 <= d: no admissible alpha for this instance, whose row
+        # gets nan alpha and theta; the other rows are those of a sweep without it
+        cfg = {"seed": 0, "base": {
+            "equation": {"p": 3, "A": 2},
+            "grid": {"xmin": [-2.0], "xmax": [2.0], "nx": [65], "t1": 1.5, "nt": 17},
+            "initial": {"kind": "windowed", "level": 0.5, "amplitude": 0.3, "k": 1.5,
+                        "phase": 0.7},
+            "boundary": {"kind": "frozen_initial"}},
+            "instances": [{"p": 3}, {"p": 2.5}]}
+        ok_csv, mixed_csv = str(tmp_path / "ok.csv"), str(tmp_path / "mixed.csv")
+        assert run(["sweep", "--config", write_json(tmp_path / "ok.json", cfg),
+                    "--out", ok_csv]) == 0
+        cfg["instances"].insert(1, {"p": 1.5, "m": 1.5})
+        capsys.readouterr()
+        rc = run(["sweep", "--config", write_json(tmp_path / "mixed.json", cfg),
+                  "--out", mixed_csv])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err == ("verification failed: instance 1: p(m-1) = 0.75 must exceed "
+                                "d = 1 for the L^m theory\n")
+        ok_rows = Path(ok_csv).read_text().splitlines()
+        mixed_rows = Path(mixed_csv).read_text().splitlines()
+        assert mixed_rows[5] == "1.5,2,nan,nan,nan,1.5,nan,nan,0,nan,nan"
+        assert ok_rows[3:] == mixed_rows[3:5] + mixed_rows[6:]
 
     def test_sweep_matches_one_solve_per_instance(self, tmp_path, monkeypatch):
         cfg = json.loads(Path(self._config(tmp_path)).read_text())

@@ -10,7 +10,6 @@ from hjholder.core import EquationParams, GridFunction
 from hjholder.errors import DegenerateData, DomainError, EmptyIntersection, PreconditionFailed
 from hjholder.oscillation import (
     ModulusReport,
-    check_improvement,
     default_centers,
     fit_holder,
     holder_modulus_check,
@@ -65,33 +64,6 @@ class TestMeasure:
         u = grid_of(lambda x, t: x + 0.0 * t)
         with pytest.raises(EmptyIntersection):
             measure_oscillations(u, (5.0, 0.0), 0.5, 2.0, 3)
-
-
-class TestCheckImprovement:
-    def test_exact_boundary_case_passes(self):
-        alpha, lam = 0.7, 0.5
-        samples = [(lam**k, (lam**k) ** alpha) for k in range(6)]
-        rep = check_improvement(samples, alpha, lam)
-        assert rep.passed and rep.first_failure is None
-
-    def test_stronger_decay_passes_weaker_alpha(self):
-        lam = 0.5
-        samples = [(lam**k, (lam**k) ** 0.8) for k in range(6)]
-        rep = check_improvement(samples, 0.5, lam)
-        assert rep.passed
-
-    def test_constant_oscillation_fails_at_level_one(self):
-        samples = [(0.5**k, 1.0) for k in range(4)]
-        rep = check_improvement(samples, 0.3, 0.5)
-        assert not rep.passed
-        assert rep.first_failure == 1
-
-    def test_vacuous_levels_reported_not_failed(self):
-        # premise false at level 0 (osc > 1): nothing to check there
-        samples = [(1.0, 2.0), (0.5, 1.9), (0.25, 1.8)]
-        rep = check_improvement(samples, 0.5, 0.5)
-        assert rep.passed
-        assert not rep.levels[0].premise_holds
 
     def test_shift_and_renormalization_invariance(self):
         u = grid_of(lambda x, t: np.abs(x) ** 0.6 + 0.0 * t, nx=1025)

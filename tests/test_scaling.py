@@ -104,18 +104,18 @@ class TestFunctionalConsistency:
 
 class TestCalphaScale:
     def test_unit_radius(self):
-        rep = calpha_scale(1.0, 0.3, 3.0, EquationParams(p=3.0, A=1.0))
+        rep = calpha_scale(1.0, 0.3, EquationParams(p=3.0, A=1.0))
         assert rep.diff_coeff_factor == 1.0
         assert rep.rhs_factor == 1.0
 
     def test_worked_example(self):
-        rep = calpha_scale(0.5, 0.25, 3.0, EquationParams(p=3.0, A=1.0))
+        rep = calpha_scale(0.5, 0.25, EquationParams(p=3.0, A=1.0))
         assert rep.diff_coeff_factor == pytest.approx(2.0**-0.5, rel=1e-14)
         assert rep.rhs_factor == pytest.approx(0.5 ** (3 * 0.75), rel=1e-14)
 
     def test_rhs_factor_below_one(self):
         for alpha in (0.1, 0.5, 0.9):
-            rep = calpha_scale(0.5, alpha, 2.5, EquationParams(p=2.5, A=1.0))
+            rep = calpha_scale(0.5, alpha, EquationParams(p=2.5, A=1.0))
             assert rep.rhs_factor < 1.0
 
 

@@ -696,3 +696,20 @@ def test_2d_trace_rows_with_an_off_diagonal_term():
     rows = [(3.0, "rough", "inverse_power"), (2.0, "constant", "none"),
             (4.0, "opaque", "constant")]
     _check_rows_with_reference(2, rows, _cfg(2, nx=(15, 13)), TraceDiffusion(entries))
+
+
+@pytest.mark.parametrize("entries", ["constant", "broadcast"])
+def test_2d_trace_rows_with_constant_and_broadcast_entries(entries):
+    # a constant B enters each row's product as a number, a (2, 2, nx, 1) B
+    # through its broadcast to the grid; both carry an off-diagonal term
+    cfg = _cfg(2, nx=(15, 13))
+    if entries == "constant":
+        b = np.array([[0.03, 0.012], [0.012, 0.025]])
+    else:
+        x = cfg.axes()[0][:, None]
+        b12 = 0.012 * np.cos(2.0 * x + 0.5)
+        b = np.array([[0.03 + 0.01 * np.sin(x + 0.3) ** 2, b12], [b12, np.full_like(x, 0.025)]])
+        assert b.shape == (2, 2, 15, 1)
+    rows = [(3.0, "rough", "inverse_power"), (2.0, "constant", "none"),
+            (4.0, "opaque", "constant")]
+    _check_rows_with_reference(2, rows, cfg, TraceDiffusion(b))

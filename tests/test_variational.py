@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from hjholder.core import EquationParams
-from hjholder.errors import DomainError, EmptyBoundary, WindowTooSmall
+from hjholder.errors import DomainError, EmptyBoundary, SearchFailed, WindowTooSmall
 from hjholder.variational import (
     hopf_lax_eval,
     legendre_brute,
@@ -57,6 +58,12 @@ class TestLegendreClosed:
             legendre_closed(1.0, 1.0)
         with pytest.raises(DomainError):
             legendre_closed(2.0, 0.0)
+
+    @pytest.mark.parametrize("p, A", [(1.5, 1e-300), (1.5, 1e300), (1e17, 1.0)])
+    def test_float_range(self, p, A):
+        # A^{1-p'} overflows, or underflows to 0, or p' rounds to 1
+        with pytest.raises(SearchFailed, match=re.escape(f"for p={p}, A={A} leaves the float range")):
+            legendre_closed(p, A)
 
 
 class TestLegendreBrute:
