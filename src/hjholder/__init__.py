@@ -29,7 +29,6 @@ from .barriers import (
     SubsolutionBarrier,
     SupersolutionBarrier,
     VerificationGrid,
-    bump_eval,
     find_supersolution_constants,
     first_order_constants,
     make_subsolution_barrier,

@@ -20,12 +20,12 @@ the grid and the worst margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import extremal
-from .core import EquationParams, GridFunction
+from .core import EquationParams, GridFunction, require_float64_count
 from .errors import DomainError, EmptyIntersection, SearchFailed
 from .variational import legendre_closed
 
@@ -72,10 +72,7 @@ class BumpFunction:
         return b, db, d2b
 
 
-def bump_eval(b: BumpFunction, s: float):
-    """(b, b', b'') at a single argument."""
-    val, dval, d2val = b.eval(s)
-    return float(val), float(dval), float(d2val)
+BUMP = BumpFunction()  # the bump of every subsolution barrier
 
 
 # ---------------------------------------------------------------------------
@@ -100,18 +97,22 @@ class VerificationGrid:
             raise DomainError(f"verification grid needs nx, nt >= 1, got {self.nx}, {self.nt}")
 
     def radii(self, d: int) -> np.ndarray:
+        """The node radii; DomainError before allocating when the nx^d x nt
+        nodes, which bound every array of a search, overflow an array."""
+        if d not in (1, 2):
+            raise DomainError(f"verification grid supports d in {{1, 2}}, got {d}")
+        require_float64_count((*[self.nx] * d, self.nt),
+                              f"the verification grid's nx^{d} x nt nodes")
         ax = np.linspace(-self.x_max, self.x_max, self.nx)
         if d == 1:
             return np.unique(np.abs(ax))
-        if d == 2:
-            gx, gy = np.meshgrid(ax, ax, indexing="ij")
-            rho = np.sqrt(gx**2 + gy**2).ravel()
-            rho = rho[rho <= self.x_max]
-            if rho.size == 0:
-                raise DomainError(f"no node of the verification grid (nx = {self.nx}) "
-                                  f"lies within |x| <= {self.x_max}")
-            return np.unique(rho)
-        raise DomainError(f"verification grid supports d in {{1, 2}}, got {d}")
+        gx, gy = np.meshgrid(ax, ax, indexing="ij")
+        rho = np.sqrt(gx**2 + gy**2).ravel()
+        rho = rho[rho <= self.x_max]
+        if rho.size == 0:
+            raise DomainError(f"no node of the verification grid (nx = {self.nx}) "
+                              f"lies within |x| <= {self.x_max}")
+        return np.unique(rho)
 
     def times(self) -> np.ndarray:
         return np.logspace(math.log10(self.t_min), math.log10(self.t_max), self.nt)
@@ -299,7 +300,6 @@ class SubsolutionBarrier:
     R: float
     eps: float
     C_b: float
-    bump: BumpFunction = field(default_factory=BumpFunction)
 
     def __post_init__(self):
         if not (0.0 < self.theta < 0.25):
@@ -326,7 +326,7 @@ def subsolution_eval(bar: SubsolutionBarrier, x, t: float):
     d = len(xv)
     rho = float(np.linalg.norm(xv))
     w = rho / bar.R + t / 4.0
-    b, db, d2b = bump_eval(bar.bump, w)
+    b, db, d2b = (float(v) for v in BUMP.eval(w))
     theta, R = bar.theta, bar.R
     value = theta * b - bar.drift * t
     dt = (theta / 4.0) * db - bar.drift
@@ -352,8 +352,7 @@ def subsolution_residual(
     return dt + params.A * gnorm ** params.p - bar.eps * extremal.m_minus(hess) + bar.eps
 
 
-def _sub_terms(theta: float, R: float, bump: BumpFunction, params: EquationParams,
-               rho, t, d: int):
+def _sub_terms(theta: float, R: float, params: EquationParams, rho, t, d: int):
     """The terms of the subsolution residual that do not depend on eps:
     (theta/4) b', A|DL|^p and the clamp min(m-(D^2 L), 0), where w = |x|/R + t/4
     and the Hessian eigenvalues are theta b''/R^2 (radial) and theta b'/(R rho)
@@ -361,7 +360,7 @@ def _sub_terms(theta: float, R: float, bump: BumpFunction, params: EquationParam
     rho = np.asarray(rho, dtype=float)
     t = np.asarray(t, dtype=float)
     w = rho / R + t / 4.0
-    _, db, d2b = bump.eval(w)
+    _, db, d2b = BUMP.eval(w)
     gnorm = (theta / R) * np.abs(db)
     eig_rad = theta * d2b / R**2
     if d >= 2:
@@ -381,7 +380,7 @@ def _sub_residual(terms, drift: float, eps: float):
 
 def _sub_residual_radial(bar: SubsolutionBarrier, params: EquationParams, rho, t, d: int):
     """Vectorized residual over radii/times."""
-    terms = _sub_terms(bar.theta, bar.R, bar.bump, params, rho, t, d)
+    terms = _sub_terms(bar.theta, bar.R, params, rho, t, d)
     return _sub_residual(terms, bar.drift, bar.eps)
 
 
@@ -405,28 +404,27 @@ def make_subsolution_barrier(
     if not R > 0:
         raise DomainError(f"R must be > 0, got {R}")
     grid = grid or VerificationGrid()
-    bump = BumpFunction()
-    C_b = 2.0 * bump.sup_db + bump.sup_d2b / R
+    C_b = 2.0 * BUMP.sup_db + BUMP.sup_d2b / R
     p, A = params.p, params.A
     try:  # R**p, ||b'||**(p-1) and R**2 are Python float powers
         try:
-            theta_cap = (R**p / (4.0 * A * bump.sup_db ** (p - 1.0))) ** (1.0 / (p - 1.0))
+            theta_cap = (R**p / (4.0 * A * BUMP.sup_db ** (p - 1.0))) ** (1.0 / (p - 1.0))
         except OverflowError:
             theta_cap = 0.0
         if theta_cap == 0.0:  # the quotient left the float range: the same cap in logs
             theta_cap = math.exp((p * math.log(R) - math.log(4.0) - math.log(A)
-                                  - (p - 1.0) * math.log(bump.sup_db)) / (p - 1.0))
+                                  - (p - 1.0) * math.log(BUMP.sup_db)) / (p - 1.0))
         theta = min(0.25 - _THETA_MARGIN, theta_cap)
         if theta <= 0:
             raise SearchFailed(f"no admissible theta for R={R}, p={params.p}, A={params.A}")
         rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
-        terms = _sub_terms(theta, R, bump, params, rho, t, params.d)
+        terms = _sub_terms(theta, R, params, rho, t, params.d)
     except OverflowError:
         raise DomainError(f"R={R}, p={params.p}, A={params.A} overflow the float powers "
                           "of the subsolution barrier") from None
     eps = min(theta / 2.0, 0.5 / C_b)
     for _ in range(_EPS_MAX_HALVINGS):
-        bar = SubsolutionBarrier(theta, R, eps, C_b, bump)
+        bar = SubsolutionBarrier(theta, R, eps, C_b)
         res = _sub_residual(terms, bar.drift, eps)
         if res.max() <= RESIDUAL_TOL:
             return bar

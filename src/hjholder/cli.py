@@ -614,8 +614,8 @@ def run(argv) -> int:
         os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit writes nowhere
         os.close(devnull)
         return 1
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (DomainError, OSError, MemoryError) as exc:  # MemoryError: an input too large
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except HJHolderError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)

@@ -39,13 +39,26 @@ def as_number(value, what: str, integral: bool = False):
     return int(x)
 
 
+def require_float64_count(factors, what: str) -> None:
+    """DomainError naming `what`, before anything is allocated, when the product
+    of the integer factors (>= 0) is more float64 values than an array can
+    hold; it stops at the first partial product over the limit."""
+    limit = np.iinfo(np.intp).max // 8
+    n = 1
+    for f in factors:
+        n *= f
+        if n > limit:
+            raise DomainError(f"{what}: more than {limit} float64 values, "
+                              "the most an array can hold")
+
+
 @dataclass(frozen=True)
 class EquationParams:
     """Exponents and coefficients (p, A, d, m) of the model inequalities.
 
-    p is the gradient-growth exponent (> 1), A the coercivity constant (> 0),
-    d the spatial dimension and m the optional Lebesgue exponent of the
-    forcing (> 1 when present).  The conjugate exponent p' = p/(p-1) is
+    p is the gradient-growth exponent (finite, > 1), A the coercivity constant
+    (finite, > 0), d the spatial dimension and m the optional Lebesgue exponent
+    of the forcing (> 1 when present).  The conjugate exponent p' = p/(p-1) is
     always derived from p, never stored.
     """
 
@@ -55,10 +68,10 @@ class EquationParams:
     m: float | None = None
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise DomainError(f"p must be > 1, got {self.p}")
-        if not self.A > 0.0:
-            raise DomainError(f"A must be > 0, got {self.A}")
+        if not 1.0 < self.p < math.inf:
+            raise DomainError(f"p must be > 1 and finite, got {self.p}")
+        if not 0.0 < self.A < math.inf:
+            raise DomainError(f"A must be > 0 and finite, got {self.A}")
         if int(self.d) != self.d or self.d < 1:
             raise DomainError(f"d must be a positive integer, got {self.d}")
         if self.m is not None and not self.m > 1.0:

@@ -25,6 +25,7 @@ from .core import (
     GridFunction,
     HolderEstimate,
     ParabolicCylinder,
+    require_float64_count,
 )
 from .errors import DegenerateData, DomainError, EmptyIntersection, PreconditionFailed
 from .scaling import time_exponent
@@ -137,6 +138,7 @@ def holder_modulus_check(
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if n_random_pairs < 0:
         raise DomainError(f"n_random_pairs must be >= 0, got {n_random_pairs}")
+    require_float64_count((n_random_pairs,), f"n_random_pairs = {n_random_pairs}")
     if not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     texp = time_exponent(p, alpha)
@@ -146,18 +148,22 @@ def holder_modulus_check(
     n_sp = pts.shape[0]
     nt = len(ts)
     vals = u.values.reshape(n_sp, nt)
-    # each block of ratios is reduced as soon as it is built, to its shape,
-    # its first argmax and that top value (-inf for an empty block)
-    shapes, firsts, tops = [], [], []
+    # each block of ratios is reduced as soon as it is built, and the first
+    # largest ratio so far (a NaN counting as largest) is kept with its pair (a, b)
+    n_pairs, top = 0, -np.inf
 
     def reduce(du, dxs, dts):
-        """Turn du = u(a) - u(b) into the ratios in place, and reduce them."""
+        """Turn du = u(a) - u(b) into the ratios in place; the index of their
+        first largest when it beats the ratio kept, which it replaces, else None."""
+        nonlocal n_pairs, top
         np.abs(du, out=du)
         np.divide(du, C * (dxs**alpha + dts**texp), out=du)
-        k = int(np.argmax(du)) if du.size else -1
-        shapes.append(du.shape)
-        firsts.append(k)
-        tops.append(du.flat[k] if du.size else -np.inf)
+        n_pairs += du.size
+        k = int(np.argmax(du)) if du.size else None
+        if k is None or np.isnan(top) or du.flat[k] <= top:
+            return None
+        top = du.flat[k]
+        return k
 
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, n_sp, n_random_pairs)
@@ -181,11 +187,10 @@ def holder_modulus_check(
         dxs += step
         del step
     np.sqrt(dxs, out=dxs)
-    reduce(du, dxs, np.abs(ts[na] - ts[nb]))
-    del du, dxs
-    k = firsts[0]
-    random_pair = ((pts[ia[k]], ts[na[k]]), (pts[ib[k]], ts[nb[k]])) if k >= 0 else None
-    del ia, na, ib, nb
+    k = reduce(du, dxs, np.abs(ts[na] - ts[nb]))
+    if k is not None:
+        a, b = (pts[ia[k]], ts[na[k]]), (pts[ib[k]], ts[nb[k]])
+    del du, dxs, ia, na, ib, nb
 
     # nearest neighbours along each space axis and in time, as shifted slices;
     # a neighbour pair is 0 apart in time or in space, and 0**alpha = 0**texp = 0
@@ -196,27 +201,20 @@ def holder_modulus_check(
         du = np.subtract(u.values[tuple(lo)], u.values[tuple(hi)])
         if axis < u.dim:
             dxs = np.linalg.norm(space[tuple(lo[:-1])] - space[tuple(hi[:-1])], axis=-1)
-            reduce(du, dxs[..., None], 0.0)
+            k = reduce(du, dxs[..., None], 0.0)
         else:
-            reduce(du, 0.0, np.abs(ts[:-1] - ts[1:]))
+            k = reduce(du, 0.0, np.abs(ts[:-1] - ts[1:]))
+        if k is not None:
+            ma = np.unravel_index(k, du.shape)
+            mb = list(ma)
+            mb[axis] += 1
+            a, b = [(space[tuple(m[:-1])], ts[m[-1]]) for m in (ma, mb)]
         del du
 
-    n_pairs = sum(math.prod(shape) for shape in shapes)
     if n_pairs == 0:
         raise DomainError("the grid has no two distinct nodes to compare")
-    # np.argmax over the concatenated blocks: the first block holding the
-    # largest (or a NaN) ratio, at that block's first occurrence of it
-    block = int(np.argmax(tops))
-    k = firsts[block]
-    if block == 0:
-        a, b = random_pair
-    else:
-        ma = np.unravel_index(k, shapes[block])
-        mb = list(ma)
-        mb[block - 1] += 1
-        a, b = [(space[tuple(m[:-1])], ts[m[-1]]) for m in (ma, mb)]
     return ModulusReport(
-        max_ratio=float(tops[block]),
+        max_ratio=float(top),
         argmax_a=(tuple(float(v) for v in a[0]), float(a[1])),
         argmax_b=(tuple(float(v) for v in b[0]), float(b[1])),
         alpha=alpha,

@@ -28,14 +28,9 @@ def _require_dimension(d: int) -> None:
 class ScaleReport:
     """Multiplicative factors picked up by each term under v = c*u(ax, bt)."""
 
-    a: float
-    b: float
-    c: float
     grad_coeff_factor: float
     diff_coeff_factor: float
     rhs_factor: float
-    lm_factor_exponent: float | None = None
-    delta: float | None = None
 
 
 def transform_coeffs(a: float, b: float, c: float, params: EquationParams) -> ScaleReport:
@@ -47,45 +42,22 @@ def transform_coeffs(a: float, b: float, c: float, params: EquationParams) -> Sc
     if a <= 0 or b <= 0 or c <= 0:
         raise DomainError(f"scaling parameters must be positive, got {(a, b, c)}")
     p = params.p
-    grad = (b / a**p) * c ** (1.0 - p)
-    diff = b / (a * a)
-    rhs = b * c
-    lm_exp = None
-    delta = None
-    if params.m is not None:
-        m = params.m
-        # ||b c f(a., b.)||_m = b*c*(a^{-d} b^{-1})^{1/m} ||f||_m; report the
-        # exponent of a when the whole factor is a power of a (a != 1).
-        lm_factor = b * c * (a ** (-params.d) / b) ** (1.0 / m)
-        if a != 1.0:
-            lm_exp = math.log(lm_factor) / math.log(a)
-        else:
-            lm_exp = 0.0 if lm_factor == 1.0 else None
-        delta = delta_exponent(p, m, params.d, 0.0)
-    return ScaleReport(a, b, c, grad, diff, rhs, lm_exp, delta)
+    return ScaleReport((b / a**p) * c ** (1.0 - p), b / (a * a), b * c)
 
 
 def calpha_scale(r: float, alpha: float, params: EquationParams) -> ScaleReport:
     """Factors of the C^alpha scaling u_r(x,t) = r^{-alpha} u(rx, r^beta t).
 
-    With p = params.p, beta = p - alpha(p-1) is derived; the diffusion picks
-    up r^{-alpha(p-1)+p-2} and the right-hand side r^{p(1-alpha)}.
+    With p = params.p and beta = p - alpha(p-1), the gradient term keeps its
+    coefficient, the diffusion picks up r^{-alpha(p-1)+p-2} and the
+    right-hand side r^{p(1-alpha)}.
     """
     if not (0.0 < r <= 1.0):
         raise DomainError(f"r must be in (0, 1], got {r}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     p = params.p
-    beta = p - alpha * (p - 1.0)
-    a = r
-    b = r**beta
-    c = r ** (-alpha)
-    diff = r ** (-alpha * (p - 1.0) + p - 2.0)
-    rhs = r ** (p * (1.0 - alpha))
-    delta = None
-    if params.m is not None:
-        delta = delta_exponent(p, params.m, params.d, alpha)
-    return ScaleReport(a, b, c, 1.0, diff, rhs, None, delta)
+    return ScaleReport(1.0, r ** (-alpha * (p - 1.0) + p - 2.0), r ** (p * (1.0 - alpha)))
 
 
 def delta_exponent(p: float, m: float, d: int, alpha: float) -> float:

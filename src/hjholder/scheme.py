@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EquationParams, GridFunction, ParabolicCylinder, as_number
+from .core import (EquationParams, GridFunction, ParabolicCylinder, as_number,
+                   require_float64_count)
 from .errors import (
     Blowup,
     BoundaryOrderingFailed,
@@ -154,6 +155,7 @@ class SolveConfig:
             raise DomainError("need t1 > t0 and nt >= 2")
         if not (0.0 < self.cfl < 1.0):
             raise DomainError(f"CFL factor must lie in (0,1), got {self.cfl}")
+        require_float64_count((*self.nx, self.nt), "the grid's prod(nx) x nt nodes")
 
     @property
     def dim(self) -> int:

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EquationParams
 from .errors import DomainError, EmptyBoundary, SearchFailed, WindowTooSmall
+
+if TYPE_CHECKING:  # barriers imports this module
+    from .barriers import SupersolutionBarrier
 
 TAU_MIN = 1e-9  # hopf_lax_eval skips candidates with t - s < TAU_MIN
 N_LATERAL_TIMES = 65  # lateral-boundary sample times
@@ -204,27 +207,32 @@ def hopf_lax_eval(
 def semi_lax_upper_bound(
     bottom_points,
     bottom_values,
-    C: float,
-    eta: float,
+    bar: SupersolutionBarrier,
     eps: float,
-    params: EquationParams,
     x,
     t: float,
-) -> float:
+) -> float | np.ndarray:
     """min over sampled y of  u(y,0) + U(x-y, t) + eps*t  with the barrier
-    U(z,t) = C t^{-1/(p-1)} (|z|^2 + eta*t)^{p'/2}.
+    U(z,t) = C t^{-1/(p-1)} (|z|^2 + eta*t)^{p'/2} of `bar`.
 
-    An upper bound (not an identity) for subsolutions, valid for p > 2.
+    x is one point, of shape (d,), or an array of points of shape (..., d):
+    one point gives a float, an array of points an array of shape x.shape[:-1],
+    with the same bits as one point at a time.  An upper bound (not an
+    identity) for subsolutions, valid for p > 2, which `bar` guarantees.
     """
-    params.require_superquadratic("semi_lax_upper_bound")
     if not t > 0.0:
         raise DomainError(f"t must be > 0, got {t}")
     pts = np.atleast_2d(np.asarray(bottom_points, dtype=float))
     vals = np.asarray(bottom_values, dtype=float).ravel()
     if pts.shape[0] != vals.shape[0]:
         raise DomainError("bottom points and values must have equal length")
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
-    dist2 = np.sum((xv - pts) ** 2, axis=-1)
-    p, pp = params.p, params.p_prime
-    barrier = C * t ** (-1.0 / (p - 1.0)) * (dist2 + eta * t) ** (pp / 2.0)
-    return float(np.min(vals + barrier) + eps * t)
+    xv = np.asarray(x, dtype=float)
+    one_point = xv.ndim <= 1
+    xv = np.atleast_1d(xv)
+    if xv.shape[-1] != pts.shape[1]:  # numpy would broadcast one against the other
+        raise DomainError(f"x has {xv.shape[-1]} coordinates, the bottom points {pts.shape[1]}")
+    dist2 = np.sum((xv[..., None, :] - pts) ** 2, axis=-1)
+    p, pp = bar.params.p, bar.params.p_prime
+    barrier = bar.C * t ** (-1.0 / (p - 1.0)) * (dist2 + bar.eta * t) ** (pp / 2.0)
+    bound = np.min(vals + barrier, axis=-1) + eps * t
+    return float(bound) if one_point else bound

@@ -316,12 +316,9 @@ def _comparison_instance(p, A, init_kw):
     yvals = u.values[bottom_sel, 0]
     vvals = np.empty_like(u.values)
     vvals[:, 0] = np.where(bottom_sel, u.values[:, 0], 2.0)
-    pp = params.p_prime
-    dist2 = (xs[:, None] - ypts[None, :, 0]) ** 2
+    bar = hj.SupersolutionBarrier(C, 1.0, params)
     for n in range(1, len(ts)):
-        t = ts[n]
-        barrier = C * t ** (-1.0 / (p - 1.0)) * (dist2 + t) ** (pp / 2.0)
-        vvals[:, n] = np.min(yvals[None, :] + barrier, axis=1) + eps * t
+        vvals[:, n] = hj.semi_lax_upper_bound(ypts, yvals, bar, eps, xs.reshape(-1, 1), ts[n])
     v = u.with_values(vvals)
 
     cyl = hj.ParabolicCylinder((0.0,), 1.0, half * 1.01, p)

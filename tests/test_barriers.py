@@ -14,7 +14,6 @@ from hjholder.barriers import (
     SubsolutionBarrier,
     SupersolutionBarrier,
     VerificationGrid,
-    bump_eval,
     find_supersolution_constants,
     first_order_constants,
     make_subsolution_barrier,
@@ -81,10 +80,10 @@ def fd_hessian(f, x, h=1e-4):
 class TestBump:
     def test_plateau_values(self):
         b = BumpFunction()
-        assert bump_eval(b, 0.5) == (1.0, 0.0, 0.0)
-        assert bump_eval(b, 1.5) == (0.0, 0.0, 0.0)
-        assert bump_eval(b, 0.75) == (1.0, 0.0, 0.0)
-        assert bump_eval(b, 1.0) == (0.0, 0.0, 0.0)
+        assert tuple(map(float, b.eval(0.5))) == (1.0, 0.0, 0.0)
+        assert tuple(map(float, b.eval(1.5))) == (0.0, 0.0, 0.0)
+        assert tuple(map(float, b.eval(0.75))) == (1.0, 0.0, 0.0)
+        assert tuple(map(float, b.eval(1.0))) == (0.0, 0.0, 0.0)
 
     def test_monotone_decreasing(self):
         b = BumpFunction()
@@ -119,14 +118,14 @@ class TestBump:
     def test_derivatives_match_fd(self):
         b = BumpFunction()
         for s in (0.8, 0.85, 0.9, 0.97):
-            val, db, d2b = bump_eval(b, s)
+            val, db, d2b = b.eval(s)
             h = 1e-6
             assert db == pytest.approx(
-                (bump_eval(b, s + h)[0] - bump_eval(b, s - h)[0]) / (2 * h), abs=1e-7
+                (b.eval(s + h)[0] - b.eval(s - h)[0]) / (2 * h), abs=1e-7
             )
             h = 1e-4
             assert d2b == pytest.approx(
-                (bump_eval(b, s + h)[0] - 2 * val + bump_eval(b, s - h)[0]) / h**2,
+                (b.eval(s + h)[0] - 2 * val + b.eval(s - h)[0]) / h**2,
                 rel=1e-5,
                 abs=1e-5,
             )
@@ -358,7 +357,7 @@ class TestSubsolution:
         bar = make_subsolution_barrier(params, 0.3, QUICK_GRID)
         _, _, h, _ = subsolution_eval(bar, [0.0, 0.0], 0.5)
         w = 0.5 / 4.0
-        _, _, d2b = bump_eval(bar.bump, w)
+        _, _, d2b = barriers.BUMP.eval(w)
         assert np.allclose(h.entries, bar.theta * d2b / bar.R**2 * np.eye(2))
 
     def test_residual_nonpositive_at_certificate_nodes(self):
@@ -452,6 +451,16 @@ class TestFirstOrderConstants:
         fo = first_order_constants(EquationParams(p=p, A=2.0))
         assert fo.T == 2.0**k
         assert min(fo.margins()) >= 0.0
+
+    @pytest.mark.parametrize("p, A, T", [
+        (3.0, 1.7499999999999998, 16.0),  # the closed form's T = 8 costs exactly 1.0
+        (2.5, 1.0352166562499028, 4.0),  # the closed form gives 8, but T = 4 costs < 1
+    ])
+    def test_rounding_moves_the_closed_form_T_one_step(self, p, A, T):
+        params = EquationParams(p=p, A=A)
+        assert first_order_constants(params).T == T
+        assert barriers._first_order_costs(params, T)[0] < 1.0
+        assert barriers._first_order_costs(params, T / 2.0)[0] >= 1.0
 
     def test_T_beyond_the_float_range(self):
         with pytest.raises(SearchFailed, match="leave the float range"):

@@ -67,7 +67,7 @@ def _ref_sub_residual_radial(bar, params, rho, t, d):
     t = np.asarray(t, dtype=float)
     theta, R, eps = bar.theta, bar.R, bar.eps
     w = rho / R + t / 4.0
-    _, db, d2b = bar.bump.eval(w)
+    _, db, d2b = BumpFunction().eval(w)
     dt_term = (theta / 4.0) * db - bar.drift
     gnorm = (theta / R) * np.abs(db)
     eig_rad = theta * d2b / R**2
@@ -112,7 +112,7 @@ def _ref_sub_search(params, R, grid, theta_margin=0.01, eps_halvings=80):
     tried = []
     eps = min(theta / 2.0, 0.5 / C_b)
     for _ in range(eps_halvings):
-        bar = SubsolutionBarrier(theta, R, eps, C_b, bump)
+        bar = SubsolutionBarrier(theta, R, eps, C_b)
         tried.append(eps)
         res = _ref_sub_residual_radial(bar, params, rho, t, params.d)
         if res.max() <= barriers.RESIDUAL_TOL:

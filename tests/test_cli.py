@@ -338,6 +338,7 @@ class TestBadInputExit2:
         ("--C", "0", "C must be finite and > 0"),
         ("--alpha", "0", "alpha must lie in (0, 1]"),
         ("--pairs", "-1", "n_random_pairs must be >= 0"),
+        ("--pairs", str(2**61), f"n_random_pairs = {2**61}: more than 1152921504606846975"),
         ("--p", "1", "p must be > 1"),
         ("--seed", "-1", "seed must be a non-negative integer, got -1"),
     ])
@@ -349,6 +350,27 @@ class TestBadInputExit2:
             argv += [key, val]
         err = self._expect_exit_2(argv, capsys)
         assert message in err
+
+    @pytest.mark.parametrize("size_flags, message", [
+        (["--nx", str(2**61)], "grid's nx^1 x nt nodes: more than 1152921504606846975 float64"),
+        (["--nt", str(2**61)], "grid's nx^1 x nt nodes: more than 1152921504606846975 float64"),
+    ])
+    def test_barrier_grid_above_the_address_space(self, capsys, size_flags, message):
+        err = self._expect_exit_2(["barrier", "verify", "--kind", "sub", "--p", "3", "--A", "1",
+                                   *size_flags], capsys)
+        assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError(), "error: out of memory\n"),
+        (MemoryError("Unable to allocate 8.00 EiB"), "error: Unable to allocate 8.00 EiB\n"),
+    ])
+    def test_memory_error_exits_2(self, monkeypatch, capsys, exc, line):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli.barriers, "make_subsolution_barrier", exhausted)
+        assert run(["barrier", "verify", "--kind", "sub", "--p", "3", "--A", "1"]) == 2
+        assert capsys.readouterr().err == line
 
     @pytest.mark.parametrize("words, flag", _number_flags(),
                              ids=[" ".join([*w, f]) for w, f in _number_flags()])

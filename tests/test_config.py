@@ -91,6 +91,12 @@ def _sweep(**blocks):
     ({"grid": GRID, "equation": {"shift": math.nan}},
      "config.equation.shift must be a finite number, got nan"),
     ({"grid": {**GRID, "lf_alpha_cap": 0.3}}, "config.grid: unknown key 'lf_alpha_cap'"),
+    # node counts above the address space, rejected before any array is made
+    ({"grid": {**GRID, "nx": [2**61]}},
+     "the grid's prod(nx) x nt nodes: more than 1152921504606846975 float64 values, "
+     "the most an array can hold"),
+    ({"grid": {**GRID, "xmin": [-1.0, -1.0], "xmax": [1.0, 1.0], "nx": [3 * 10**9, 3 * 10**9]}},
+     "the grid's prod(nx) x nt nodes: more than 1152921504606846975 float64 values"),
 ])
 def test_rejected_solve_config(cfg, message):
     code, _, err = _run_config("solve", cfg)

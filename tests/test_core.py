@@ -57,6 +57,8 @@ class TestEquationParams:
             dict(p=2.0, A=1.0, d=1.5),
             dict(p=2.0, A=1.0, d=0),
             dict(p=2.0, A=1.0, m=1.0),
+            dict(p=float("inf"), A=1.0),  # p' would be nan
+            dict(p=3.0, A=float("inf")),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

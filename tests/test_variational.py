@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from hjholder.barriers import SupersolutionBarrier
 from hjholder.core import EquationParams
 from hjholder.errors import DomainError, EmptyBoundary, SearchFailed, WindowTooSmall
 from hjholder.variational import (
@@ -217,44 +218,63 @@ class TestHopfLax:
 
 
 class TestSemiLaxUpperBound:
-    def _params(self):
-        return EquationParams(p=3.0, A=1.0, d=1)
+    def _bar(self, C=2.0, eta=1.0, d=1):
+        return SupersolutionBarrier(C, eta, EquationParams(p=3.0, A=1.0, d=d))
 
     def test_symmetric_minimizer_formula(self):
-        params = self._params()
-        C, eta, eps, t = 2.0, 1.0, 0.05, 0.7
+        bar = self._bar()
+        eps, t = 0.05, 0.7
         ys = np.linspace(-1, 1, 201).reshape(-1, 1)
         vals = np.zeros(201)
-        got = semi_lax_upper_bound(ys, vals, C, eta, eps, params, [0.0], t)
-        expect = C * t ** (-0.5) * (eta * t) ** (params.p_prime / 2.0) + eps * t
+        got = semi_lax_upper_bound(ys, vals, bar, eps, [0.0], t)
+        expect = bar.C * t ** (-0.5) * (bar.eta * t) ** (bar.params.p_prime / 2.0) + eps * t
         assert got == pytest.approx(expect, rel=1e-12)
 
     def test_single_dip_bound(self):
-        params = self._params()
-        C, eta, eps, t = 2.0, 1.0, 0.05, 0.5
+        bar = self._bar()
+        eps, t = 0.05, 0.5
         ys = np.linspace(-1, 1, 201).reshape(-1, 1)
         vals = np.ones(201)
         k0 = 40
         vals[k0] = 0.03
         x = [0.3]
-        got = semi_lax_upper_bound(ys, vals, C, eta, eps, params, x, t)
+        got = semi_lax_upper_bound(ys, vals, bar, eps, x, t)
         dist2 = (x[0] - ys[k0, 0]) ** 2
-        barrier = C * t ** (-0.5) * (dist2 + eta * t) ** (params.p_prime / 2.0)
+        barrier = bar.C * t ** (-0.5) * (dist2 + bar.eta * t) ** (bar.params.p_prime / 2.0)
         assert got <= 0.03 + barrier + eps * t + 1e-12
 
     def test_monotone_in_bottom_values(self):
-        params = self._params()
+        bar = self._bar(C=1.0)
         ys = np.linspace(-1, 1, 101).reshape(-1, 1)
         rng = np.random.default_rng(4)
         vals = rng.uniform(0, 1, 101)
-        base = semi_lax_upper_bound(ys, vals, 1.0, 1.0, 0.0, params, [0.2], 0.5)
-        bumped = semi_lax_upper_bound(ys, vals + 0.1, 1.0, 1.0, 0.0, params, [0.2], 0.5)
+        base = semi_lax_upper_bound(ys, vals, bar, 0.0, [0.2], 0.5)
+        bumped = semi_lax_upper_bound(ys, vals + 0.1, bar, 0.0, [0.2], 0.5)
         assert base <= bumped <= base + 0.1 + 1e-12
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_points_at_once_equal_one_point_at_a_time(self, d):
+        rng = np.random.default_rng(5 + d)
+        bar = self._bar(C=1.7, eta=0.6, d=d)
+        ys = rng.uniform(-1, 1, (57, d))
+        vals = rng.uniform(0, 1, 57)
+        xs = rng.uniform(-1.5, 1.5, (3, 41, d))
+        got = semi_lax_upper_bound(ys, vals, bar, 0.03, xs, 0.37)
+        assert got.shape == (3, 41)
+        for idx in np.ndindex(3, 41):
+            one = semi_lax_upper_bound(ys, vals, bar, 0.03, xs[idx], 0.37)
+            assert isinstance(one, float)
+            assert got[idx] == one
+
+    @pytest.mark.parametrize("d, x", [(1, [0.3, 0.4]), (2, [0.3]), (2, [[0.1, 0.2, 0.3]])])
+    def test_rejects_points_of_another_dimension(self, d, x):
+        ys = np.zeros((4, d))
+        with pytest.raises(DomainError, match="coordinates"):
+            semi_lax_upper_bound(ys, np.zeros(4), self._bar(d=d), 0.0, x, 0.5)
 
     def test_rejects_subquadratic_and_bad_time(self):
         ys = np.zeros((1, 1))
         with pytest.raises(DomainError):
-            semi_lax_upper_bound(ys, [0.0], 1.0, 1.0, 0.0,
-                                 EquationParams(p=2.0, A=1.0), [0.0], 0.5)
-        with pytest.raises(DomainError):
-            semi_lax_upper_bound(ys, [0.0], 1.0, 1.0, 0.0, self._params(), [0.0], 0.0)
+            semi_lax_upper_bound(ys, [0.0], self._bar(), 0.0, [0.0], 0.0)
+        with pytest.raises(DomainError, match="requires p > 2"):
+            SupersolutionBarrier(1.0, 1.0, EquationParams(p=2.0, A=1.0))
