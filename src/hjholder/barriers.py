@@ -35,6 +35,8 @@ _C_MAX_DOUBLINGS = 41
 _EPS0_MAX_HALVINGS = 41
 _THETA_MARGIN = 0.01  # the subsolution theta stays below 1/4 - _THETA_MARGIN
 _EPS_MAX_HALVINGS = 80
+GRID_X_MAX = 2.0  # every verification grid covers |x| <= GRID_X_MAX
+GRID_T_MAX = 1.0  # and t in [t_min, GRID_T_MAX]
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +84,12 @@ BUMP = BumpFunction()  # the bump of every subsolution barrier
 
 @dataclass(frozen=True)
 class VerificationGrid:
-    """Node family for residual certificates: |x| <= x_max with nx nodes per
-    axis, t log-spaced in [t_min, t_max].  Barriers are radial, so residuals
-    are evaluated on the (deduplicated) node radii."""
+    """Node family for residual certificates: |x| <= GRID_X_MAX with nx nodes
+    per axis, t log-spaced in [t_min, GRID_T_MAX].  Barriers are radial, so
+    residuals are evaluated on the (deduplicated) node radii."""
 
-    x_max: float = 2.0
     nx: int = 65
     t_min: float = 1e-3
-    t_max: float = 1.0
     nt: int = 65
 
     def __post_init__(self):
@@ -103,19 +103,19 @@ class VerificationGrid:
             raise DomainError(f"verification grid supports d in {{1, 2}}, got {d}")
         require_float64_count((*[self.nx] * d, self.nt),
                               f"the verification grid's nx^{d} x nt nodes")
-        ax = np.linspace(-self.x_max, self.x_max, self.nx)
+        ax = np.linspace(-GRID_X_MAX, GRID_X_MAX, self.nx)
         if d == 1:
             return np.unique(np.abs(ax))
         gx, gy = np.meshgrid(ax, ax, indexing="ij")
         rho = np.sqrt(gx**2 + gy**2).ravel()
-        rho = rho[rho <= self.x_max]
+        rho = rho[rho <= GRID_X_MAX]
         if rho.size == 0:
             raise DomainError(f"no node of the verification grid (nx = {self.nx}) "
-                              f"lies within |x| <= {self.x_max}")
+                              f"lies within |x| <= {GRID_X_MAX}")
         return np.unique(rho)
 
     def times(self) -> np.ndarray:
-        return np.logspace(math.log10(self.t_min), math.log10(self.t_max), self.nt)
+        return np.logspace(math.log10(self.t_min), math.log10(GRID_T_MAX), self.nt)
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +175,13 @@ def _super_terms(params: EquationParams, eta: float, rho, t):
     With s = rho^2 + eta t and g(s) = s^{p'/2}: t^{-1/(p-1)}, g', the bracket
     -g/((p-1) t) + eta g' of U_t and the radial bracket 2g' + 4g'' rho^2.
     `_super_candidate` and `_super_residual` turn them into the residual of one
-    candidate (C, eps).  A term that overflows is inf or nan, which no
-    certificate passes, so no warning is raised.
+    candidate (C, eps).  A term that overflows or divides by zero is inf or
+    nan, which no certificate passes, so no warning is raised.
     """
     rho = np.asarray(rho, dtype=float)
     t = np.asarray(t, dtype=float)
     p, pp = params.p, params.p_prime
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = rho**2 + eta * t
         g = s ** (pp / 2.0)
         dg = (pp / 2.0) * s ** (pp / 2.0 - 1.0)
@@ -195,22 +195,24 @@ def _super_terms(params: EquationParams, eta: float, rho, t):
         )
 
 
-def _super_candidate(terms, C: float, params: EquationParams, d: int):
+def _super_candidate(terms, C: float, params: EquationParams):
     """The eps-free part P = U_t + (1/A)|DU|^p of the residual of one C, and m+(D^2 U).
 
     With tau = C t^{-1/(p-1)} from `_super_terms`: the barrier is radial, so
     the Hessian eigenvalues are tau (2g' + 4g''rho^2) (radial) and 2 tau g'
     (tangential, d >= 2), and |DU| = 2 tau g' rho.  `_super_residual` turns
-    (P, m+) into the residual at one eps.
+    (P, m+) into the residual at one eps.  As in `_super_terms`, inf and nan
+    fail the certificate without a warning.
     """
     rho, t_pow, dg, dt_bracket, rad_bracket = terms
-    tau = C * t_pow
-    tau_dg = 2.0 * tau * dg  # the tangential eigenvalue tau * 2g'
-    gnorm = tau_dg * rho
-    eig_rad = tau * rad_bracket
-    eig_max = np.maximum(eig_rad, tau_dg) if d >= 2 else eig_rad
-    mp = np.maximum(eig_max, 0.0)
-    return tau * dt_bracket + gnorm**params.p / params.A, mp
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tau = C * t_pow
+        tau_dg = 2.0 * tau * dg  # the tangential eigenvalue tau * 2g'
+        gnorm = tau_dg * rho
+        eig_rad = tau * rad_bracket
+        eig_max = np.maximum(eig_rad, tau_dg) if params.d >= 2 else eig_rad
+        mp = np.maximum(eig_max, 0.0)
+        return tau * dt_bracket + gnorm**params.p / params.A, mp
 
 
 def _super_residual(candidate, eps: float):
@@ -219,11 +221,11 @@ def _super_residual(candidate, eps: float):
     return P - eps * mp
 
 
-def _super_residual_radial(bar: SupersolutionBarrier, rho, t, eps: float, d: int):
+def _super_residual_radial(bar: SupersolutionBarrier, rho, t, eps: float):
     """Vectorized residual over radii/times; identical to the pointwise form
     because the barrier is radial."""
     terms = _super_terms(bar.params, bar.eta, rho, t)
-    return _super_residual(_super_candidate(terms, bar.C, bar.params, d), eps)
+    return _super_residual(_super_candidate(terms, bar.C, bar.params), eps)
 
 
 def find_supersolution_constants(
@@ -271,9 +273,9 @@ def find_supersolution_constants(
     halvings = _EPS0_MAX_HALVINGS  # a pass must take fewer halvings than this
     c = 1.0
     for _ in range(_C_MAX_DOUBLINGS):
-        h = first_pass(_super_candidate(row, c, params, params.d), 0, halvings)
+        h = first_pass(_super_candidate(row, c, params), 0, halvings)
         if h is not None:
-            h = first_pass(_super_candidate(terms, c, params, params.d), h, halvings)
+            h = first_pass(_super_candidate(terms, c, params), h, halvings)
         if h is not None:
             found, halvings = (c, 0.5**h), h
             if halvings == 0:
@@ -352,7 +354,7 @@ def subsolution_residual(
     return dt + params.A * gnorm ** params.p - bar.eps * extremal.m_minus(hess) + bar.eps
 
 
-def _sub_terms(theta: float, R: float, params: EquationParams, rho, t, d: int):
+def _sub_terms(theta: float, R: float, params: EquationParams, rho, t):
     """The terms of the subsolution residual that do not depend on eps:
     (theta/4) b', A|DL|^p and the clamp min(m-(D^2 L), 0), where w = |x|/R + t/4
     and the Hessian eigenvalues are theta b''/R^2 (radial) and theta b'/(R rho)
@@ -363,7 +365,7 @@ def _sub_terms(theta: float, R: float, params: EquationParams, rho, t, d: int):
     _, db, d2b = BUMP.eval(w)
     gnorm = (theta / R) * np.abs(db)
     eig_rad = theta * d2b / R**2
-    if d >= 2:
+    if params.d >= 2:
         with np.errstate(divide="ignore", invalid="ignore"):
             eig_tan = np.where(rho > 0.0, theta * db / (R * rho), eig_rad)
         eig_min = np.minimum(eig_rad, eig_tan)
@@ -378,9 +380,9 @@ def _sub_residual(terms, drift: float, eps: float):
     return dt_bump - drift + hamiltonian - eps * mm + eps
 
 
-def _sub_residual_radial(bar: SubsolutionBarrier, params: EquationParams, rho, t, d: int):
+def _sub_residual_radial(bar: SubsolutionBarrier, params: EquationParams, rho, t):
     """Vectorized residual over radii/times."""
-    terms = _sub_terms(bar.theta, bar.R, params, rho, t, d)
+    terms = _sub_terms(bar.theta, bar.R, params, rho, t)
     return _sub_residual(terms, bar.drift, bar.eps)
 
 
@@ -418,7 +420,7 @@ def make_subsolution_barrier(
         if theta <= 0:
             raise SearchFailed(f"no admissible theta for R={R}, p={params.p}, A={params.A}")
         rho, t = np.meshgrid(grid.radii(params.d), grid.times(), indexing="ij")
-        terms = _sub_terms(theta, R, params, rho, t, params.d)
+        terms = _sub_terms(theta, R, params, rho, t)
     except OverflowError:
         raise DomainError(f"R={R}, p={params.p}, A={params.A} overflow the float powers "
                           "of the subsolution barrier") from None

@@ -233,12 +233,12 @@ def _cmd_barrier(args) -> int:
     if args.kind == "super":  # a supersolution wants residual >= 0, a subsolution <= 0
         C, eps0 = barriers.find_supersolution_constants(params, args.eta, grid)
         bar = barriers.SupersolutionBarrier(C, args.eta, params)
-        res, sign = barriers._super_residual_radial(bar, rho, t, args.eta * eps0, args.d), 1.0
+        res, sign = barriers._super_residual_radial(bar, rho, t, args.eta * eps0), 1.0
         print(f"C = {C:.12g}")
         print(f"eps0 = {eps0:.12g}")
     else:
         bar = barriers.make_subsolution_barrier(params, args.R, grid)
-        res, sign = barriers._sub_residual_radial(bar, params, rho, t, args.d), -1.0
+        res, sign = barriers._sub_residual_radial(bar, params, rho, t), -1.0
         print(f"C_b = {bar.C_b:.12g}")
         print(f"theta = {bar.theta:.12g}")
         print(f"eps = {bar.eps:.12g}")
@@ -248,8 +248,8 @@ def _cmd_barrier(args) -> int:
           f"(want {'>= -' if sign > 0 else '<= '}{barriers.RESIDUAL_TOL:g})")
     print(f"worst_node = (|x| = {radii[i]:.6g}, t = {times[j]:.6g})")
     ok = sign * worst >= -barriers.RESIDUAL_TOL
-    print(f"grid = {len(radii)} radii x {len(times)} times on |x| <= {grid.x_max}, "
-          f"t in [{grid.t_min:g}, {grid.t_max:g}] (no statement between nodes)")
+    print(f"grid = {len(radii)} radii x {len(times)} times on |x| <= {barriers.GRID_X_MAX}, "
+          f"t in [{grid.t_min:g}, {barriers.GRID_T_MAX:g}] (no statement between nodes)")
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 
@@ -275,7 +275,7 @@ def _cmd_oscillate(args) -> int:
     if args.alpha is not None:
         alpha = args.alpha
     else:
-        alpha = scaling.admissible_alpha(args.p, args.m, u.dim, args.lam, args.theta).alpha
+        alpha = scaling.admissible_alpha(params, args.lam, args.theta).alpha
     report = oscillation.iterate_scales(
         u, params, args.lam, args.theta, alpha, r0=args.r0,
     )
@@ -320,24 +320,24 @@ def _cmd_modulus(args) -> int:
 
 
 def _cmd_scale(args) -> int:
+    params = EquationParams(args.p, d=args.d, m=args.m)
     ok = True
     if args.m is not None:
-        delta0 = scaling.delta_exponent(args.p, args.m, args.d, 0.0)
-        print(f"delta(alpha=0) = {delta0:.12g}")
-        print(f"lm_scaling_exponent = {scaling.lm_scaling_exponent(args.p, args.m, args.d):.12g}")
+        print(f"delta(alpha=0) = {scaling.delta_exponent(params, 0.0):.12g}")
+        print(f"lm_scaling_exponent = {scaling.lm_scaling_exponent(params):.12g}")
         if args.p > 2.0:
-            lo, hi, nonempty = scaling.beta_window(args.p, args.m, args.d)
+            lo, hi, nonempty = scaling.beta_window(params)
             print(f"beta_window = ({lo:.12g}, {hi:.12g}) nonempty = {nonempty}")
             ok = ok and nonempty
         if args.alpha is not None:
             print(f"delta(alpha={args.alpha:g}) = "
-                  f"{scaling.delta_exponent(args.p, args.m, args.d, args.alpha):.12g}")
+                  f"{scaling.delta_exponent(params, args.alpha):.12g}")
     if args.alpha is not None:
-        rep = scaling.calpha_scale(0.5, args.alpha, EquationParams(args.p, 1.0, d=args.d, m=args.m))
+        rep = scaling.calpha_scale(0.5, args.alpha, params)
         print(f"diffusion_factor(r=1/2) = {rep.diff_coeff_factor:.12g}")
         print(f"rhs_factor(r=1/2) = {rep.rhs_factor:.12g}")
     try:
-        adm = scaling.admissible_alpha(args.p, args.m, args.d, args.lam, args.theta)
+        adm = scaling.admissible_alpha(params, args.lam, args.theta)
         print(f"admissible_alpha = {adm.alpha:.12g} (binding: {adm.binding()})")
     except Infeasible as exc:
         print(f"admissible_alpha: infeasible ({exc})")
@@ -431,8 +431,7 @@ def _sweep_row(inst: dict, spec, u, lambda_: float = 0.5, R: float = 0.25) -> di
     passed, alpha, theta, alpha_hat, resid, failure = False, nan, nan, nan, nan, None
     try:
         bar = barriers.make_subsolution_barrier(spec.params, R)
-        adm = scaling.admissible_alpha(spec.params.p, spec.params.m, spec.params.d,
-                                       lambda_, bar.theta)
+        adm = scaling.admissible_alpha(spec.params, lambda_, bar.theta)
         theta, alpha = bar.theta, adm.alpha
     except DomainError:
         raise

@@ -19,11 +19,6 @@ from .errors import DomainError, Infeasible
 ALPHA_GRID_RESOLUTION = 1e-4
 
 
-def _require_dimension(d: int) -> None:
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-
-
 @dataclass(frozen=True)
 class ScaleReport:
     """Multiplicative factors picked up by each term under v = c*u(ax, bt)."""
@@ -60,26 +55,26 @@ def calpha_scale(r: float, alpha: float, params: EquationParams) -> ScaleReport:
     return ScaleReport(1.0, r ** (-alpha * (p - 1.0) + p - 2.0), r ** (p * (1.0 - alpha)))
 
 
-def delta_exponent(p: float, m: float, d: int, alpha: float) -> float:
+def _require_m(params: EquationParams, what: str) -> float:
+    if params.m is None:
+        raise DomainError(f"{what} needs the L^m exponent m")
+    return params.m
+
+
+def delta_exponent(params: EquationParams, alpha: float) -> float:
     """delta = (1/m)(p(m-1) - d) + (alpha/m)((m-1)p + 1); DomainError when
-    that is not finite."""
-    _require_dimension(d)
-    if not m > 1.0:
-        raise DomainError(f"m must be > 1, got {m}")
-    if not p > 1.0:
-        raise DomainError(f"p must be > 1, got {p}")
+    params has no m or delta is not finite."""
+    p, m, d = params.p, _require_m(params, "delta_exponent"), params.d
     delta = (p * (m - 1.0) - d) / m + alpha * ((m - 1.0) * p + 1.0) / m
     if not math.isfinite(delta):
         raise DomainError(f"delta is not finite for p={p}, m={m}, d={d}, alpha={alpha}")
     return delta
 
 
-def lm_scaling_exponent(p: float, m: float, d: int) -> float:
+def lm_scaling_exponent(params: EquationParams) -> float:
     """Exponent of a in |a^p f(a., a^p.)|_{L^m} = a^e |f|_{L^m}."""
-    _require_dimension(d)
-    if not m > 1.0:
-        raise DomainError(f"m must be > 1, got {m}")
-    return p * (1.0 - 1.0 / m) - d / m
+    p, m = params.p, _require_m(params, "lm_scaling_exponent")
+    return p * (1.0 - 1.0 / m) - params.d / m
 
 
 @dataclass(frozen=True)
@@ -93,35 +88,25 @@ class AdmissibleAlpha:
         return min(self.caps, key=lambda k: self.caps[k])
 
 
-def admissible_alpha(
-    p: float,
-    m: float | None,
-    d: int,
-    lam: float,
-    theta: float,
-) -> AdmissibleAlpha:
+def admissible_alpha(params: EquationParams, lam: float, theta: float) -> AdmissibleAlpha:
     """Largest alpha, in steps of ALPHA_GRID_RESOLUTION, satisfying every
     active constraint.
 
     Active constraints: alpha < p/(2(p-1)); lam^alpha >= 1 - theta; alpha < 1;
-    and when m is given, alpha < 1/2 together with p(1-alpha-1/m) - d/m >= 0.
-    All constraints are monotone in alpha, so a downward grid snap of the
-    smallest cap is exact to the grid resolution.
+    and when params has an m, alpha < 1/2 together with
+    p(1-alpha-1/m) - d/m >= 0.  All constraints are monotone in alpha, so a
+    downward grid snap of the smallest cap is exact to the grid resolution.
     """
-    if not 1.0 < p < math.inf:
-        raise DomainError(f"p must be a finite number > 1, got {p}")
     if not (0.0 < lam < 1.0):
         raise DomainError(f"lambda must be in (0,1), got {lam}")
     if not (0.0 < theta < 1.0):
         raise DomainError(f"theta must be in (0,1), got {theta}")
-    _require_dimension(d)
+    p, m, d = params.p, params.m, params.d
     caps = {}
     caps["alpha < p/(2(p-1))"] = p / (2.0 * (p - 1.0)) - ALPHA_GRID_RESOLUTION
     caps["lambda^alpha >= 1-theta"] = math.log(1.0 - theta) / math.log(lam)
     caps["alpha < 1"] = 1.0 - ALPHA_GRID_RESOLUTION
     if m is not None:
-        if not m > 1.0:
-            raise DomainError(f"m must be > 1, got {m}")
         if not p * (m - 1.0) > d:
             raise Infeasible(
                 f"p(m-1) = {p * (m - 1.0)} must exceed d = {d} for the L^m theory"
@@ -136,16 +121,12 @@ def admissible_alpha(
     return AdmissibleAlpha(alpha, caps)
 
 
-def beta_window(p: float, m: float, d: int) -> tuple[float, float, bool]:
+def beta_window(params: EquationParams) -> tuple[float, float, bool]:
     """The admissible window (1/p, min(1/p', (m-1)/d)) for the kernel exponent."""
-    _require_dimension(d)
-    if not p > 2.0:
-        raise DomainError(f"p must be > 2, got {p}")
-    if not m > 1.0:
-        raise DomainError(f"m must be > 1, got {m}")
-    p_prime = p / (p - 1.0)
-    lower = 1.0 / p
-    upper = min(1.0 / p_prime, (m - 1.0) / d)
+    params.require_superquadratic("beta_window")
+    m = _require_m(params, "beta_window")
+    lower = 1.0 / params.p
+    upper = min(1.0 / params.p_prime, (m - 1.0) / params.d)
     return lower, upper, lower < upper
 
 

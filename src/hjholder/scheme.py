@@ -110,18 +110,6 @@ class HamiltonianSpec:
     forcing: object = None
     shift: float = 0.0
 
-    def coeff_at(self, coords, t):
-        if callable(self.coefficient):
-            return np.asarray(self.coefficient(*coords, t), dtype=float)
-        return np.full(coords[0].shape, float(self.coefficient))
-
-    def forcing_at(self, coords, t):
-        if self.forcing is None:
-            return 0.0
-        if callable(self.forcing):
-            return np.asarray(self.forcing(*coords, t), dtype=float)
-        return float(self.forcing)
-
 
 @dataclass(frozen=True)
 class SolveConfig:
@@ -429,32 +417,34 @@ def _row_exponent(exponents: list):
 class _Field:
     """A coefficient or forcing of one spec, as the solver samples it.
 
-    sample is the spec's coeff_at or forcing_at for this field.  A number or
-    a time-independent SeparableField is sampled once, at t0 (`fixed`); a
-    separable field with a time factor keeps its space factor (`space`),
-    evaluated once, and costs base + space * time(t) per call; any other
-    callable goes through sample(coords, t) on every call.  Each path gives
-    the bits that sample(coords, t) would.
+    None is the number 0.  A number is its own value (`fixed`), which the
+    block samplers broadcast to the grid; a time-independent SeparableField
+    is sampled once, at t0 (`fixed` too); a separable field with a time
+    factor keeps its space factor (`space`), evaluated once, and costs
+    base + space * time(t) per call; any other callable is sampled on every
+    call.  Each path gives the bits that field(*coords, t) would.
     """
 
-    def __init__(self, field, sample, coords, t0):
-        self.field, self.sample, self.coords = field, sample, coords
+    def __init__(self, field, coords, t0):
+        self.field, self.coords = field, coords
         self.fixed = self.space = None
         declared = isinstance(field, SeparableField)
         if declared and field.time is not None:
             # on the whole grid, so that block samplers can take windows of it
             self.space = np.broadcast_to(np.asarray(field.space(*coords), dtype=float),
                                          coords[0].shape)
-        elif not callable(field) or declared:
-            self.fixed = sample(coords, t0)
+        elif declared:
+            self.fixed = self.at(t0)
+        elif not callable(field):
+            self.fixed = 0.0 if field is None else float(field)
 
     def at(self, t):
-        """Values on the grid at time t."""
+        """Values at time t: on the grid, or one number for a constant field."""
         if self.space is not None:
             return np.asarray(self.field.base + self.space * self.field.time(t), dtype=float)
         if self.fixed is not None:
             return self.fixed
-        return self.sample(self.coords, t)
+        return np.asarray(self.field(*self.coords, t), dtype=float)
 
 
 def _block_sampler(fields: list, st: _Stencil, full: np.ndarray):
@@ -632,15 +622,15 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
             u_all[r] = u0
         if not np.isfinite(u_all[r]).all():
             raise DomainError(f"initial data of row {r} is not finite on the grid")
-        coeffs.append(_Field(spec.coefficient, spec.coeff_at, coords, cfg.t0))
-        forcings.append(_Field(spec.forcing, spec.forcing_at, coords, cfg.t0))
+        coeffs.append(_Field(spec.coefficient, coords, cfg.t0))
+        forcings.append(_Field(spec.forcing, coords, cfg.t0))
         A = spec.params.A
         a0 = coeffs[r].at(cfg.t0)
         if np.any(a0 < 1.0 / A - 1e-12) or np.any(a0 > A + 1e-12):
             logger.warning(
                 "coefficient leaves [1/A, A] = [%g, %g] (range [%g, %g]); "
                 "theorem hypotheses do not apply",
-                1.0 / A, A, float(a0.min()), float(a0.max()),
+                1.0 / A, A, float(np.min(a0)), float(np.max(a0)),
             )
     if isinstance(diffusion, TraceDiffusion):
         b0 = diffusion.matrix_at(coords, cfg.t0, d)
@@ -794,10 +784,8 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
     ts = u.times()
     st = _Stencil(u.n_space, list(u.spacing_x))
     ws = _Workspace(st, 1)  # one block row
-    coeff = _block_sampler([_Field(spec.coefficient, spec.coeff_at, coords, ts[0])], st,
-                           ws.coeff)
-    forcing = _block_sampler([_Field(spec.forcing, spec.forcing_at, coords, ts[0])], st,
-                             ws.forcing)
+    coeff = _block_sampler([_Field(spec.coefficient, coords, ts[0])], st, ws.coeff)
+    forcing = _block_sampler([_Field(spec.forcing, coords, ts[0])], st, ws.forcing)
     half = spec.params.p / 2.0
 
     worst = -math.inf if side == "sub" else math.inf

@@ -5,6 +5,7 @@ lines; every tolerance is pinned here, nothing is deferred to calibration.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_criterion_03_supersolution_certificate():
                 C, eps0 = hj.find_supersolution_constants(params, eta, grid)
                 bar = hj.SupersolutionBarrier(C, eta, params)
                 rho, t = np.meshgrid(grid.radii(d), grid.times(), indexing="ij")
-                res = _super_residual_radial(bar, rho, t, eta * eps0, d)
+                res = _super_residual_radial(bar, rho, t, eta * eps0)
                 worst = min(worst, float(res.min()))
                 assert eps0 > 0.0
     report(
@@ -163,7 +164,7 @@ def test_criterion_04_subsolution_certificate():
             cap = (R**p / (4.0 * params.A * bump.sup_db ** (p - 1.0))) ** (1.0 / (p - 1.0))
             formulas_ok &= bar.theta <= cap * (1 + 1e-12) and bar.theta < 0.25
             rho, t = np.meshgrid(grid.radii(d), grid.times(), indexing="ij")
-            res = _sub_residual_radial(bar, params, rho, t, d)
+            res = _sub_residual_radial(bar, params, rho, t)
             worst = max(worst, float(res.max()))
     report(
         4,
@@ -414,7 +415,7 @@ def test_criterion_09_oscillation_decay(rough_family, sub_barrier):
     ok = True
     lines = []
     for u, params, center, m in rough_family:
-        adm = hj.admissible_alpha(params.p, m, params.d, lam, theta)
+        adm = hj.admissible_alpha(replace(params, m=m), lam, theta)
         rep = hj.iterate_scales(u, params, lam, theta, adm.alpha)
         samples = hj.measure_oscillations(u, (center, u.t1), lam, rep.beta, 12)
         est = hj.fit_holder(samples, min_radius=4 * u.spacing_x[0])
@@ -470,16 +471,16 @@ def test_criterion_11_scaling_algebra():
     for _ in range(100):
         p = rng.uniform(1.1, 5.0)
         m = rng.uniform(1.1, 6.0)
-        d = int(rng.integers(1, 4))
+        params = hj.EquationParams(p, d=int(rng.integers(1, 4)), m=m)
         ok &= abs(
-            hj.delta_exponent(p, m, d, 0.0) - hj.lm_scaling_exponent(p, m, d)
-        ) <= 1e-12 * (1 + abs(hj.delta_exponent(p, m, d, 0.0)))
+            hj.delta_exponent(params, 0.0) - hj.lm_scaling_exponent(params)
+        ) <= 1e-12 * (1 + abs(hj.delta_exponent(params, 0.0)))
     # beta window nonempty iff p(m-1) > d on a 1000-point scan
     for _ in range(1000):
         p = rng.uniform(2.01, 6.0)
         m = rng.uniform(1.01, 4.0)
         d = int(rng.integers(1, 5))
-        _, _, nonempty = hj.beta_window(p, m, d)
+        _, _, nonempty = hj.beta_window(hj.EquationParams(p, d=d, m=m))
         ok &= nonempty == (p * (m - 1.0) > d)
     # functional round-trip consistency at 1e-10 (residual of the composed
     # function under transformed coefficients)

@@ -141,7 +141,7 @@ def test_super_residual_matches_reference(p, d):
         for C in (1.0, 2.0**10, 2.0**20, 2.0**40):
             bar = SupersolutionBarrier(C, eta, params)
             for eps in (0.0, 0.1 * eta, 2.0**-30):
-                got = _super_residual_radial(bar, rho, t, eps, d)
+                got = _super_residual_radial(bar, rho, t, eps)
                 assert _same_bits(got, _ref_super_residual_radial(bar, rho, t, eps, d))
 
 
@@ -154,7 +154,7 @@ def test_sub_residual_matches_reference(p, d):
     for R in (0.25, 1.0):
         for eps in (0.0, 1e-3, 2.0**-40):
             bar = SubsolutionBarrier(0.1, R, eps, 2.0 * 7.5 + 92.4 / R)
-            got = _sub_residual_radial(bar, params, rho, t, d)
+            got = _sub_residual_radial(bar, params, rho, t)
             assert _same_bits(got, _ref_sub_residual_radial(bar, params, rho, t, d))
 
 
@@ -202,9 +202,9 @@ def _check_supersolution_search(params, eta, grid):
     build, subtract = barriers._super_candidate, barriers._super_residual
     built, formed = [], []  # (C, rows) of each build; (C, rows, halvings) of each residual
 
-    def counted(terms, C, params_, d_):
+    def counted(terms, C, params_):
         built.append((C, len(terms[0])))
-        return build(terms, C, params_, d_)
+        return build(terms, C, params_)
 
     def checked(candidate, eps):
         C, rows = built[-1]
@@ -229,7 +229,7 @@ def _check_supersolution_search(params, eta, grid):
     candidates = {}
     for C, eps in ref_tried if ref_result is None else ref_tried[:-1]:
         if C not in candidates:
-            candidates[C] = build(terms, C, params, d)
+            candidates[C] = build(terms, C, params)
         assert subtract(candidates[C], eps).min() < -barriers.RESIDUAL_TOL, (C, eps)
     return result, built
 

@@ -94,9 +94,20 @@ class TestExitCodes:
         assert "diffusion_factor(r=1/2) = 0.757858283255" in out
         assert "rhs_factor(r=1/2) = 0.233258247884" in out
 
-    def test_scale_infeasible_is_failure(self):
+    @pytest.mark.parametrize("argv, line", [
         # m too close to 1 + d/p: the L^m theory has no admissible alpha
-        assert run(["scale", "--p", "3", "--m", "1.3", "--d", "2"]) == 1
+        (["--p", "3", "--m", "1.3", "--d", "2"],
+         "admissible_alpha: infeasible (p(m-1) = 0.9000000000000001 must exceed d = 2 "
+         "for the L^m theory)"),
+        # theta so small that lambda^alpha >= 1 - theta caps alpha below the grid step
+        (["--p", "3", "--theta", "1e-6"],
+         "admissible_alpha: infeasible (no positive alpha satisfies "
+         "'lambda^alpha >= 1-theta' (cap 1.4427e-06))"),
+    ], ids=["lm_theory", "no_positive_alpha"])
+    def test_scale_infeasible_is_failure(self, argv, line, capsys):
+        assert run(["scale", *argv]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert line in out and out[-1] == "FAIL"
 
     @pytest.mark.parametrize("argv, message", [
         (["constants", "first-order", "--p", "1.001", "--A", "1"], "leave the float range"),
@@ -184,18 +195,25 @@ def test_legendre_overflow_writes_one_stderr_line():
                            "|xi*|=1.52753e+150\n")
 
 
-def test_super_barrier_overflow_writes_one_stderr_line():
-    """Residual terms that overflow fail the certificate, and stderr holds only
-    the failure line: no RuntimeWarning and no source line."""
+@pytest.mark.parametrize("A, eta, code, stderr", [
+    ("2", "1e-300", 1, "verification failed: no supersolution certificate for p=3.0, "
+     "A=2.0, eta=1e-300 within budget; p may be too close to 2 for this grid\n"),
+    # s = eta t underflows to 0: s to a negative power divides by zero, 0 * inf is nan
+    ("2", "5e-324", 1, "verification failed: no supersolution certificate for p=3.0, "
+     "A=2.0, eta=5e-324 within budget; p may be too close to 2 for this grid\n"),
+    # |DU|^p / A overflows where |DU| > 0, and the certificate still passes at rho = 0
+    ("5e-324", "1", 0, ""),
+], ids=["eta_1e-300", "eta_5e-324", "A_5e-324"])
+def test_super_barrier_overflow_writes_one_stderr_line(A, eta, code, stderr):
+    """Residual terms that overflow or divide by zero are inf or nan, and
+    stderr holds at most the failure line: no RuntimeWarning and no source line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "hjholder.cli", "barrier", "verify", "--kind",
-                           "super", "--p", "3", "--A", "2", "--eta", "1e-300"],
+                           "super", "--p", "3", "--A", A, "--eta", eta],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr == ("verification failed: no supersolution certificate for p=3.0, "
-                           "A=2.0, eta=1e-300 within budget; p may be too close to 2 for "
-                           "this grid\n")
+    assert proc.returncode == code
+    assert proc.stderr == stderr
 
 
 def test_parser_reused_within_a_process(monkeypatch, capsys):

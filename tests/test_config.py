@@ -116,6 +116,9 @@ def test_rejected_solve_config(cfg, message):
     (_sweep(seed=1.5), "config.seed must be a whole number, got 1.5"),
     (_sweep(instances=[{"p": 3.0, "x0": "left", "gamma": 0.3}]),
      "config.instances[0].equation.forcing.center must be a number, got 'left'"),
+    # the barrier and alpha searches of a row raise these, which stop the sweep
+    (_sweep(oscillate={"R": -1}), "R must be > 0, got -1.0"),
+    (_sweep(oscillate={"lambda": 1.5}), "lambda must be in (0,1), got 1.5"),
 ])
 def test_rejected_sweep_config(cfg, message):
     code, _, err = _run_config("sweep", cfg)

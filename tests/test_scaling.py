@@ -121,26 +121,27 @@ class TestCalphaScale:
 
 class TestDeltaExponent:
     def test_worked_example(self):
-        assert delta_exponent(3.0, 2.0, 2, 0.0) == pytest.approx(0.5)
+        assert delta_exponent(EquationParams(3.0, d=2, m=2.0), 0.0) == pytest.approx(0.5)
 
     def test_matches_lm_exponent_at_alpha_zero(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
             p = rng.uniform(1.1, 5.0)
             m = rng.uniform(1.1, 6.0)
-            d = int(rng.integers(1, 4))
-            assert delta_exponent(p, m, d, 0.0) == pytest.approx(
-                lm_scaling_exponent(p, m, d), rel=1e-12, abs=1e-12
+            params = EquationParams(p, d=int(rng.integers(1, 4)), m=m)
+            assert delta_exponent(params, 0.0) == pytest.approx(
+                lm_scaling_exponent(params), rel=1e-12, abs=1e-12
             )
 
     def test_increasing_in_alpha(self):
-        d0 = delta_exponent(3.0, 2.0, 2, 0.1)
-        d1 = delta_exponent(3.0, 2.0, 2, 0.5)
+        params = EquationParams(3.0, d=2, m=2.0)
+        d0 = delta_exponent(params, 0.1)
+        d1 = delta_exponent(params, 0.5)
         assert d1 > d0
 
     def test_rejects_m_le_1(self):
         with pytest.raises(DomainError):
-            delta_exponent(3.0, 1.0, 2, 0.0)
+            delta_exponent(EquationParams(3.0, d=2, m=1.0), 0.0)
 
     @pytest.mark.parametrize("p, m, alpha", [
         (3.0, 1e308, 0.0),  # p(m-1) and ((m-1)p+1) overflow: inf/m - inf/m
@@ -149,29 +150,29 @@ class TestDeltaExponent:
     ])
     def test_rejects_a_result_that_is_not_finite(self, p, m, alpha):
         with pytest.raises(DomainError, match="delta is not finite"):
-            delta_exponent(p, m, 1, alpha)
+            delta_exponent(EquationParams(p, d=1, m=m), alpha)
 
     @pytest.mark.parametrize("p, m, d, alpha", [
         (3.0, 2.0, 2, 0.0), (2.5, 1.5, 1, 0.3), (1e308, 2.0, 1, 0.0), (3.0, 1e300, 3, 0.0),
     ])
     def test_finite_results_keep_the_formula(self, p, m, d, alpha):
-        assert delta_exponent(p, m, d, alpha) == (
+        assert delta_exponent(EquationParams(p, d=d, m=m), alpha) == (
             (p * (m - 1.0) - d) / m + alpha * ((m - 1.0) * p + 1.0) / m)
 
 
 class TestAdmissibleAlpha:
     def test_lambda_theta_binding(self):
-        got = admissible_alpha(3.0, None, 1, 0.5, 0.1)
+        got = admissible_alpha(EquationParams(3.0), 0.5, 0.1)
         exact = math.log(0.9) / math.log(0.5)
         assert abs(got.alpha - exact) <= 2e-4
         assert got.alpha <= exact
 
     def test_theta_near_one_caps_at_p_constraint(self):
-        got = admissible_alpha(3.0, None, 1, 0.5, 0.9999)
+        got = admissible_alpha(EquationParams(3.0), 0.5, 0.9999)
         assert got.alpha == pytest.approx(3.0 / 4.0, abs=3e-4)
 
     def test_lm_constraint(self):
-        got = admissible_alpha(3.0, 2.0, 2, 0.5, 0.9999)
+        got = admissible_alpha(EquationParams(3.0, d=2, m=2.0), 0.5, 0.9999)
         assert got.alpha == pytest.approx(1.0 / 6.0, abs=3e-4)
 
     def test_all_reported_caps_satisfied(self):
@@ -184,7 +185,7 @@ class TestAdmissibleAlpha:
             d = 1
             if p * (m - 1.0) <= d:
                 continue
-            got = admissible_alpha(p, m, d, lam, theta)
+            got = admissible_alpha(EquationParams(p, d=d, m=m), lam, theta)
             a = got.alpha
             assert 0 < a < p / (2 * (p - 1))
             assert lam**a >= 1 - theta - 1e-12
@@ -193,22 +194,22 @@ class TestAdmissibleAlpha:
 
     def test_infeasible_reports_binding_constraint(self):
         with pytest.raises(Infeasible):
-            admissible_alpha(3.0, 1.3, 2, 0.5, 0.1)
+            admissible_alpha(EquationParams(3.0, d=2, m=1.3), 0.5, 0.1)
 
     @pytest.mark.parametrize("p", [math.inf, math.nan, 1.0])
     def test_rejects_p_that_is_not_a_finite_number_above_one(self, p):
-        with pytest.raises(DomainError, match="p must be a finite number > 1"):
-            admissible_alpha(p, None, 1, 0.5, 0.1)
+        with pytest.raises(DomainError, match="p must be > 1 and finite"):
+            admissible_alpha(EquationParams(p), 0.5, 0.1)
 
 
 class TestBetaWindow:
     def test_worked_example(self):
-        lo, hi, ok = beta_window(3.0, 2.0, 2)
+        lo, hi, ok = beta_window(EquationParams(3.0, d=2, m=2.0))
         assert (lo, hi) == pytest.approx((1.0 / 3.0, 0.5))
         assert ok
 
     def test_large_m_capped_by_conjugate(self):
-        lo, hi, ok = beta_window(2.5, 100.0, 1)
+        lo, hi, ok = beta_window(EquationParams(2.5, m=100.0))
         assert lo == pytest.approx(0.4)
         assert hi == pytest.approx(0.6)
         assert ok
@@ -219,25 +220,35 @@ class TestBetaWindow:
             p = rng.uniform(2.01, 6.0)
             m = rng.uniform(1.01, 4.0)
             d = int(rng.integers(1, 5))
-            _, _, ok = beta_window(p, m, d)
+            _, _, ok = beta_window(EquationParams(p, d=d, m=m))
             assert ok == (p * (m - 1.0) > d)
 
     def test_rejects_subquadratic(self):
         with pytest.raises(DomainError):
-            beta_window(2.0, 2.0, 1)
+            beta_window(EquationParams(2.0, m=2.0))
 
 
 @pytest.mark.parametrize("d", [0, -1])
 @pytest.mark.parametrize("call", [
-    lambda d: delta_exponent(3.0, 2.0, d, 0.0),
-    lambda d: lm_scaling_exponent(3.0, 2.0, d),
-    lambda d: admissible_alpha(3.0, 2.0, d, 0.5, 0.1),
-    lambda d: admissible_alpha(3.0, None, d, 0.5, 0.1),
-    lambda d: beta_window(3.0, 2.0, d),
+    lambda d: delta_exponent(EquationParams(3.0, d=d, m=2.0), 0.0),
+    lambda d: lm_scaling_exponent(EquationParams(3.0, d=d, m=2.0)),
+    lambda d: admissible_alpha(EquationParams(3.0, d=d, m=2.0), 0.5, 0.1),
+    lambda d: admissible_alpha(EquationParams(3.0, d=d), 0.5, 0.1),
+    lambda d: beta_window(EquationParams(3.0, d=d, m=2.0)),
 ])
 def test_dimension_below_one_rejected(call, d):
-    with pytest.raises(DomainError, match=f"d must be >= 1, got {d}"):
+    with pytest.raises(DomainError, match=f"d must be a positive integer, got {d}"):
         call(d)
+
+
+@pytest.mark.parametrize("call", [
+    lambda params: delta_exponent(params, 0.0),
+    lambda params: lm_scaling_exponent(params),
+    lambda params: beta_window(params),
+])
+def test_exponents_of_the_lm_theory_need_m(call):
+    with pytest.raises(DomainError, match="needs the L\\^m exponent m"):
+        call(EquationParams(3.0, d=2))
 
 
 def test_time_exponent_matches_display():

@@ -76,6 +76,13 @@ def _ref_m_field(hess, d, sign, radius):
     return np.maximum(mid + rad, 0.0) if sign > 0 else np.minimum(mid - rad, 0.0)
 
 
+def _ref_field(field, coords, t):
+    """A coefficient or forcing on the grid at time t; None is 0."""
+    if callable(field):
+        return np.asarray(field(*coords, t), dtype=float)
+    return np.full(coords[0].shape, 0.0 if field is None else float(field))
+
+
 def _ref_diffusion_field(spec, u, coords, t, dx, d, radius=_sqrt_radius):
     diff = spec.diffusion
     if diff is None:
@@ -108,7 +115,7 @@ def _ref_solve(spec, init, bc, cfg, radius=_sqrt_radius):
     for n in range(1, cfg.nt):
         t_target = times_out[n]
         while t < t_target - 1e-14 * (1.0 + abs(t_target)):
-            a = spec.coeff_at(coords, t)
+            a = _ref_field(spec.coefficient, coords, t)
             q_center = [np.gradient(u, dx[i], axis=i) for i in range(d)]
             qf = [(np.roll(u, -1, axis=i) - u) / dx[i] for i in range(d)]
             qb = [(u - np.roll(u, 1, axis=i)) / dx[i] for i in range(d)]
@@ -126,7 +133,7 @@ def _ref_solve(spec, init, bc, cfg, radius=_sqrt_radius):
             for i in range(d):
                 hamil = hamil - 0.5 * alpha * (qf[i] - qb[i])
             diff_term, lam = _ref_diffusion_field(spec, u, coords, t, dx, d, radius)
-            rhs = spec.forcing_at(coords, t) - spec.shift - hamil + diff_term
+            rhs = _ref_field(spec.forcing, coords, t) - spec.shift - hamil + diff_term
             dt_stab = math.inf
             if alpha > 0:
                 dt_stab = dx_min / (2.0 * alpha * d)
@@ -161,12 +168,12 @@ def _ref_residual(u, spec, side):
     for n in range(1, u.n_time):
         un = u.values[..., n]
         ut = (un - u.values[..., n - 1]) / u.spacing_t
-        a = spec.coeff_at(coords, ts[n])
+        a = _ref_field(spec.coefficient, coords, ts[n])
         grads = [np.gradient(un, dx[i], axis=i) for i in range(d)]
         gnorm2 = sum(g**2 for g in grads)
         diff_term, _ = _ref_diffusion_field(spec, un, coords, ts[n], dx, d)
         res = ut + a * gnorm2 ** (spec.params.p / 2.0) - diff_term
-        res = res - spec.forcing_at(coords, ts[n]) + spec.shift
+        res = res - _ref_field(spec.forcing, coords, ts[n]) + spec.shift
         res_int = np.where(interior, res, -math.inf if side == "sub" else math.inf)
         k = int(np.argmax(res_int) if side == "sub" else np.argmin(res_int))
         val = float(res_int.ravel()[k])
