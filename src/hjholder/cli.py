@@ -321,28 +321,30 @@ def _cmd_modulus(args) -> int:
 
 def _cmd_scale(args) -> int:
     params = EquationParams(args.p, d=args.d, m=args.m)
-    ok = True
+    # every line is built before any is printed: a bad input exits 2 with no result
+    lines, ok = [], True
     if args.m is not None:
-        print(f"delta(alpha=0) = {scaling.delta_exponent(params, 0.0):.12g}")
-        print(f"lm_scaling_exponent = {scaling.lm_scaling_exponent(params):.12g}")
+        lines.append(f"delta(alpha=0) = {scaling.delta_exponent(params, 0.0):.12g}")
+        lines.append(f"lm_scaling_exponent = {scaling.lm_scaling_exponent(params):.12g}")
         if args.p > 2.0:
             lo, hi, nonempty = scaling.beta_window(params)
-            print(f"beta_window = ({lo:.12g}, {hi:.12g}) nonempty = {nonempty}")
+            lines.append(f"beta_window = ({lo:.12g}, {hi:.12g}) nonempty = {nonempty}")
             ok = ok and nonempty
         if args.alpha is not None:
-            print(f"delta(alpha={args.alpha:g}) = "
-                  f"{scaling.delta_exponent(params, args.alpha):.12g}")
+            lines.append(f"delta(alpha={args.alpha:g}) = "
+                         f"{scaling.delta_exponent(params, args.alpha):.12g}")
     if args.alpha is not None:
         rep = scaling.calpha_scale(0.5, args.alpha, params)
-        print(f"diffusion_factor(r=1/2) = {rep.diff_coeff_factor:.12g}")
-        print(f"rhs_factor(r=1/2) = {rep.rhs_factor:.12g}")
+        lines.append(f"diffusion_factor(r=1/2) = {rep.diff_coeff_factor:.12g}")
+        lines.append(f"rhs_factor(r=1/2) = {rep.rhs_factor:.12g}")
     try:
         adm = scaling.admissible_alpha(params, args.lam, args.theta)
-        print(f"admissible_alpha = {adm.alpha:.12g} (binding: {adm.binding()})")
+        lines.append(f"admissible_alpha = {adm.alpha:.12g} (binding: {adm.binding()})")
     except Infeasible as exc:
-        print(f"admissible_alpha: infeasible ({exc})")
+        lines.append(f"admissible_alpha: infeasible ({exc})")
         ok = False
-    print("PASS" if ok else "FAIL")
+    lines.append("PASS" if ok else "FAIL")
+    print("\n".join(lines))
     return 0 if ok else 1
 
 

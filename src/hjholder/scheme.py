@@ -186,6 +186,19 @@ def _boundary_mask(shape: tuple) -> np.ndarray:
     return mask
 
 
+def _divisor(c: float) -> tuple:
+    """(op, operand) with op(x, operand) the bits of x / c for every float x.
+
+    A power of two c whose reciprocal is a finite float has that reciprocal
+    exactly, and x * (1 / c) rounds the same real number as x / c: the same
+    bits, subnormals, signed zeros, infinities and nan included, from a
+    multiply, which costs less than a divide.  Any other c is divided by.
+    """
+    if math.frexp(c)[0] == 0.5 and math.isfinite(1.0 / c):
+        return np.multiply, 1.0 / c
+    return np.divide, c
+
+
 class _Stencil:
     """Finite differences on the interior nodes of a uniform grid.
 
@@ -195,7 +208,8 @@ class _Stencil:
     interior node to the last.  Leading axes, such as the row axis of
     problems solved together, are kept.  Every interior node gets the float
     operations of the np.roll / np.gradient formulas in the same order, so
-    results agree bit for bit.
+    results agree bit for bit; a divisor that is a power of two is applied
+    as a multiply by its exact reciprocal (_divisor), with the same bits.
 
     In d >= 2 a window also holds the boundary-column positions between
     grid lines, and the face differences the seams between one grid line
@@ -235,6 +249,11 @@ class _Stencil:
         self.face_boxes = [tuple(n - (k == i) for k, n in enumerate(self.shape))
                            for i in range(d)]
         self.byte_strides = tuple(s * np.dtype(float).itemsize for s in self.strides)
+        # (op, operand) of each divisor of the differences: dx, 2 dx, dx^2, 4 dx_i dx_j
+        self.by_dx = [_divisor(h) for h in self.dx]
+        self.by_2dx = [_divisor(2. * h) for h in self.dx]
+        self.by_dx2 = [_divisor(h ** 2) for h in self.dx]
+        self.by_cross = {(i, j): _divisor(4.0 * self.dx[i] * self.dx[j]) for i, j in self.cross}
 
     def flat(self, u: np.ndarray) -> np.ndarray:
         """u with its space axes flattened: a view when they are contiguous."""
@@ -265,7 +284,8 @@ class _Stencil:
         """One-sided differences (u[k+1] - u[k]) / dx along each axis, on every face."""
         for i, q in enumerate(ws.faces):
             np.subtract(f[self.face_hi[i]], f[self.face_lo[i]], out=q)
-            q /= self.dx[i]
+            op, c = self.by_dx[i]
+            op(q, c, out=q)
         return ws.faces
 
     def face_jump(self, faces: list, i: int, out: np.ndarray) -> np.ndarray:
@@ -276,22 +296,24 @@ class _Stencil:
         """Centred first differences, the interior formula of np.gradient."""
         for i, g in enumerate(ws.grads):
             np.subtract(f[self.plus[i]], f[self.minus[i]], out=g)
-            g /= 2. * self.dx[i]
+            op, c = self.by_2dx[i]
+            op(g, c, out=g)
         return ws.grads
 
     def second_diffs(self, f: np.ndarray, ws: _Workspace) -> dict:
         """Centred second differences keyed (i, j) with i <= j."""
-        dx = self.dx
         two_mid = np.multiply(f[self.mid], 2.0, out=ws.work[0])
         for i in range(self.d):
             h = np.subtract(f[self.plus[i]], two_mid, out=ws.hess[(i, i)])
             h += f[self.minus[i]]
-            h /= dx[i] ** 2
+            op, c = self.by_dx2[i]
+            op(h, c, out=h)
         for (i, j), (pp, pm, mp, mm) in self.cross.items():
             h = np.subtract(f[pp], f[pm], out=ws.hess[(i, j)])
             h -= f[mp]
             h += f[mm]
-            h /= 4.0 * dx[i] * dx[j]
+            op, c = self.by_cross[(i, j)]
+            op(h, c, out=h)
         return ws.hess
 
 
@@ -299,9 +321,15 @@ class _Workspace:
     """Every array a substep writes, for up to n rows on a leading axis.
 
     One is made per solve, sized for all its rows; a block of k rows works
-    in rows(k), the leading [:k] of each array, which is contiguous.  So a
-    substep allocates nothing the size of the grid, and every value gets the
-    float operations it got when each array was new.
+    in rows(k), views of the leading [:k] rows of each array.  So a substep
+    allocates nothing the size of the grid, and every value gets the float
+    operations it got when each array was new.
+
+    The diffusion term is built after the gradients, the faces and |q| are
+    spent, so its Hessian and scratch (hess, work) are window-long views of
+    those arrays, [:, :window]; views of faces and grid skip the rest of
+    each row, so they are not contiguous across rows.  Where those arrays
+    are too few (d >= 3), the rest are allocated.
     """
 
     def __init__(self, st: _Stencil, n: int):
@@ -309,9 +337,6 @@ class _Workspace:
         grid = (n,) + st.shape
         self.grads = [np.empty(window) for _ in range(st.d)]  # grads[0] ends as a|Du|^p
         self.faces = [np.empty((n, st.size - s)) for s in st.strides]
-        self.hess = {key: np.empty(window)
-                     for key in [(i, i) for i in range(st.d)] + list(st.cross)}
-        self.work = (np.empty(window), np.empty(window))  # 2 u, m+/- radius, trace terms
         self.rhs = np.empty(window)  # also the LF jump and the power's held rows
         self.coeff = np.empty(grid)  # samples of the coefficient and forcing
         self.forcing = np.empty(grid)
@@ -319,12 +344,18 @@ class _Workspace:
         # |q| of each face array, on the grid scratch, and the faces of it
         self.abs_faces = [st.flat(self.grid)[:, :q.shape[-1]] for q in self.faces]
         self.abs_face_views = [st.face_view(st.flat(self.grid), i) for i in range(st.d)]
+        keys = [(i, i) for i in range(st.d)] + list(st.cross)
+        spent = self.grads + [w[:, :st.window] for w in self.faces + [st.flat(self.grid)]]
+        spent += [np.empty(window) for _ in range(len(keys) + 2 - len(spent))]
+        self.hess = dict(zip(keys, spent))
+        self.work = tuple(spent[len(keys):len(keys) + 2])  # 2 u, m+/- radius, trace terms
         self.u = np.empty(grid)  # the block's values
         self.half_alpha = np.empty((n, 1))
         self.dt = np.empty((n, 1))
 
     def rows(self, k: int) -> _Workspace:
-        """The workspace of a block of the first k rows: views, no copies."""
+        """The workspace of a block of the first k rows: views of each array's
+        leading k rows, no copies."""
         view = object.__new__(_Workspace)
         for name, value in vars(self).items():
             if isinstance(value, dict):
@@ -527,7 +558,8 @@ def _diffusion_term(diff, st: _Stencil, f, bs, ws: _Workspace):
     """Interior diffusion term of u, with bs from _diffusion_bounds, in ws.
 
     f is the stencil's flat view of a block: one row per matrix in bs on a
-    leading axis.
+    leading axis.  The term is built in ws's gradient, face and grid
+    arrays, so it is called once those are spent.
     """
     if diff is None:
         return 0.0
@@ -787,6 +819,7 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
     coeff = _block_sampler([_Field(spec.coefficient, coords, ts[0])], st, ws.coeff)
     forcing = _block_sampler([_Field(spec.forcing, coords, ts[0])], st, ws.forcing)
     half = spec.params.p / 2.0
+    by_dt = _divisor(u.spacing_t)
 
     worst = -math.inf if side == "sub" else math.inf
     worst_idx = None
@@ -798,12 +831,13 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
         prev, fn = st.flat(slices[(n - 1) % 2]), st.flat(slices[n % 2])
         np.copyto(slices[n % 2], u.values[None, ..., n])
         res = np.subtract(fn[st.mid], prev[st.mid], out=ws.rhs)
-        res /= u.spacing_t
+        op, c = by_dt
+        op(res, c, out=res)
         a = coeff([ts[n]])[1]
         bs, _ = _diffusion_bounds(spec.diffusion, coords, [ts[n]], d)
-        diff_term = _diffusion_term(spec.diffusion, st, fn, bs, ws)
+        # the Hamiltonian first: the diffusion is built in its spent arrays
         res += _hamiltonian(a, st.centred(fn, ws), half, None)
-        res -= diff_term
+        res -= _diffusion_term(spec.diffusion, st, fn, bs, ws)
         res -= forcing([ts[n]])[1]
         res += spec.shift
         # argmin/argmax copy a strided array first: take the copy here

@@ -526,6 +526,18 @@ class TestBadInputExit2:
         assert "delta is not finite for p=3.0, m=1e+308" in err
         assert "PASS" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--alpha", "-0.2"], "alpha must be in (0, 1), got -0.2"),
+        (["--lambda", "2"], "lambda must be in (0,1), got 2.0"),
+        (["--theta", "1.5"], "theta must be in (0,1), got 1.5"),
+    ], ids=["alpha", "lambda", "theta"])
+    def test_scale_bad_input_prints_no_result(self, capsys, extra, message):
+        # every input is checked before the first result line is printed
+        assert run(["scale", "--p", "3", "--m", "2"] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_grid_header_promising_more_than_the_file_holds(self, tmp_path, capsys):
         path = tmp_path / "huge.hjg"
         head = (b"HJGRID1\n" + np.array([1], dtype="<i8").tobytes()

@@ -28,6 +28,7 @@ from hjholder.scheme import (
     ResidualReport,
     SolveConfig,
     TraceDiffusion,
+    _divisor,
     discrete_residual,
     solve_hj,
 )
@@ -271,8 +272,8 @@ def _bc(log, jump=0.0):
     return log.wrap("bc", bc)
 
 
-def _check(d, diffusion, coefficient, forcing, jump=0.0, **cfg_kw):
-    cfg = _cfg(d, **cfg_kw)
+def _check(d, diffusion, coefficient, forcing, jump=0.0, cfg=None, **cfg_kw):
+    cfg = cfg or _cfg(d, **cfg_kw)
     new_log, ref_log = _Log(), _Log()
     got = solve_hj(_spec(d, diffusion, coefficient, forcing, new_log), _init,
                    _bc(new_log, jump), cfg)
@@ -331,6 +332,69 @@ def test_residual_never_reads_boundary_columns(shape):
                            forcing=0.3, shift=0.1)
     for side in ("sub", "super"):
         assert discrete_residual(u, spec, side) == _ref_residual(u, spec, side)
+
+
+# ---------------------------------------------------------------------------
+# Power-of-two divisors: applied as multiplies by their exact reciprocals
+# ---------------------------------------------------------------------------
+
+
+def _is_power_of_two(h):
+    return math.frexp(h)[0] == 0.5
+
+
+@pytest.mark.parametrize("c, op", [
+    (2.0**-7, np.multiply), (2.0**-10, np.multiply), (2.0**1023, np.multiply),
+    (0.05, np.divide), (3 / 64, np.divide),
+    (2.0**-1074, np.divide),  # its reciprocal overflows a float
+])
+def test_divisor_gives_the_bits_of_a_divide(c, op):
+    tiny = np.finfo(float).smallest_subnormal
+    big = np.finfo(float).max
+    x = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, tiny, -tiny, 3 * tiny,
+                  2.0**-1022, 2.0**-1022 - tiny, -1e-310, 1.0, -1.5, 1e-300, 0.1,
+                  big, -big, big / 3, 1e308, 2.0**1023])
+    x = np.concatenate([x, np.random.default_rng(0).normal(scale=1e3, size=64)])
+    got_op, operand = _divisor(c)
+    assert got_op is op
+    with np.errstate(all="ignore"):
+        got = got_op(x, operand)
+        want = x / c
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("forcing", ["none", "inverse_power"])
+@pytest.mark.parametrize("diffusion", ["none", "m+", "trace_callable"])
+def test_1d_power_of_two_spacings_match_reference(diffusion, forcing):
+    cfg = SolveConfig(xmin=(-2.0,), xmax=(2.0,), nx=(65,), t0=0.0, t1=0.25, nt=5)
+    assert all(map(_is_power_of_two, cfg.spacings() + [(cfg.t1 - cfg.t0) / (cfg.nt - 1)]))
+    _check(1, diffusion, "rough", forcing, cfg=cfg)
+
+
+@pytest.mark.parametrize("diffusion", ["m+", "m-", "trace", "trace_callable"])
+def test_2d_power_of_two_spacings_match_reference(diffusion):
+    # dx = 1/8 and 1/16, dt = 1/16; both trace matrices carry an off-diagonal term
+    cfg = SolveConfig(xmin=(-1.0, -1.0), xmax=(1.0, 1.0), nx=(17, 33), t0=0.0, t1=0.25, nt=5)
+    assert all(map(_is_power_of_two, cfg.spacings() + [(cfg.t1 - cfg.t0) / (cfg.nt - 1)]))
+    _check(2, diffusion, "rough", "inverse_power", cfg=cfg)
+
+
+@pytest.mark.parametrize("shape", [(9,), (7, 5), (5, 4, 6)])
+def test_residual_with_power_of_two_spacings(shape):
+    # every space and time divisor is a power of two; d = 3 takes the trace term
+    d = len(shape)
+    rng = np.random.default_rng(10 + d)
+    vals = rng.normal(size=shape + (4,))
+    u = GridFunction((0.0,) * d, tuple(2.0**-(3 + i) for i in range(d)), 0.0, 2.0**-5, vals)
+    diffusion = (ExtremalDiffusion(sign=-1, coeff=0.04) if d == 2
+                 else TraceDiffusion(0.01 * np.eye(d) + 0.005))
+    spec = HamiltonianSpec(params=EquationParams(p=3.0, A=2.0, d=d), diffusion=diffusion,
+                           forcing=0.3, shift=0.1)
+    for side in ("sub", "super"):
+        rep = discrete_residual(u, spec, side)
+        ref = _ref_residual(u, spec, side)
+        assert rep == ref
+        assert np.float64(rep.worst_value).tobytes() == np.float64(ref.worst_value).tobytes()
 
 
 @pytest.mark.parametrize("forcing", ["none", "constant", "inverse_power"])
