@@ -25,11 +25,15 @@ def as_number(value, what: str, integral: bool = False):
     """value as a finite float, or as an int when integral; DomainError naming `what` otherwise.
 
     Integral floats such as 33.0 and numpy integers count as whole numbers.
+    A string, bytes or a bool is no number, although float() reads them.
     """
+    not_a_number = DomainError(f"{what} must be a number, got {value!r}")
+    if isinstance(value, (str, bytes, bool, np.bool_)):
+        raise not_a_number
     try:
         x = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{what} must be a number, got {value!r}") from exc
+        raise not_a_number from exc
     if not math.isfinite(x):
         raise DomainError(f"{what} must be a finite number, got {value!r}")
     if not integral:

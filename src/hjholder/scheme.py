@@ -5,10 +5,11 @@ dissipation computed from the largest observed one-sided gradient each step;
 the diffusion D is either eps*m+/-(D^2 u) (extremal operators on the full
 discrete Hessian) or tr(B(x,t) D^2 u), both by centered second differences.
 Time stepping is explicit with a per-step stable dt; solutions land on a
-uniform output grid.  Every solve is a block of problems on one grid, stacked
-on a leading array axis (a lone problem is a block of one row), each with its
-own clock and dt and with the bits it would get alone.  The arrays a substep
-writes live in one workspace per solve, so the steps allocate none of them.
+uniform output grid.  Every solve is a block of problems on one grid, its
+rows flattened one after another into one array (a lone problem is a block
+of one row), each with its own clock and dt and with the bits it would get
+alone.  The arrays a substep writes live in one workspace per solve, so the
+steps allocate none of them.
 
 The discrete residual check evaluates the same differential inequality with
 one-sided time differences at the grid nodes.  For merely continuous
@@ -200,39 +201,43 @@ def _divisor(c: float) -> tuple:
 
 
 class _Stencil:
-    """Finite differences on the interior nodes of a uniform grid.
+    """Finite differences on the interior nodes of a uniform grid, for a
+    block of `rows` problems on it.
 
-    flat() flattens the space axes, and every difference reads contiguous
-    windows f[..., lo + k : hi + k] of the flat values at fixed offsets k,
-    each a signed sum of axis strides; [lo, hi) runs from the first
-    interior node to the last.  Leading axes, such as the row axis of
-    problems solved together, are kept.  Every interior node gets the float
-    operations of the np.roll / np.gradient formulas in the same order, so
-    results agree bit for bit; a divisor that is a power of two is applied
-    as a multiply by its exact reciprocal (_divisor), with the same bits.
+    flat() flattens a block (rows,) + shape row after row into one array of
+    rows * size values, and every difference reads one contiguous window
+    f[lo + k : hi + k] of it at a fixed offset k, a signed sum of axis
+    strides; [lo, hi) runs from the first interior node of the first row to
+    the last interior node of the last row.  Every interior node gets the
+    float operations of the np.roll / np.gradient formulas in the same
+    order, so results agree bit for bit; a divisor that is a power of two is
+    applied as a multiply by its exact reciprocal (_divisor), with the same
+    bits.
 
-    In d >= 2 a window also holds the boundary-column positions between
-    grid lines, and the face differences the seams between one grid line
-    and the next.  Nothing at those positions is ever read: the solver's
+    A window also holds positions of boundary nodes: the boundary columns
+    between grid lines (d >= 2) and the row seams, the last boundary nodes
+    of one row and the first of the next; the face arrays hold differences
+    across them.  Nothing at those positions is ever read: the solver's
     update writes there, but the Dirichlet reset of the same substep
-    overwrites those nodes, and reductions go through grid views
-    (face_view, inner) that skip them.
+    overwrites those nodes, and reductions go through grid views (face_view,
+    inner) that skip them.
     """
 
-    def __init__(self, shape: tuple, dx: list):
+    def __init__(self, shape: tuple, dx: list, rows: int = 1):
         d = len(shape)
         self.d = d
         self.shape = tuple(shape)
         self.dx = list(dx)
+        self.rows = rows
         self.size = math.prod(self.shape)
+        self.length = rows * self.size
         self.strides = [math.prod(self.shape[i + 1:]) for i in range(d)]
-        lo = sum(self.strides)
-        hi = self.size - lo
-        self.window = hi - lo
+        self.lo = sum(self.strides)
+        self.hi = self.length - self.lo
 
-        def at(k: int) -> tuple:
-            """Index of the window at offset k: the flat values k away from each position."""
-            return (..., slice(lo + k, hi + k))
+        def at(k: int) -> slice:
+            """The window at offset k: the flat values k away from each position."""
+            return slice(self.lo + k, self.hi + k)
 
         self.mid = at(0)
         self.plus = [at(s) for s in self.strides]
@@ -242,13 +247,13 @@ class _Stencil:
             for i, si in enumerate(self.strides) for j, sj in enumerate(self.strides) if i < j
         }
         # face k along axis i lies between flat values k and k + strides[i]
-        self.face_hi = [(..., slice(s, None)) for s in self.strides]
-        self.face_lo = [(..., slice(None, -s)) for s in self.strides]
-        # boxes of the grid views: the interior nodes, and the faces along each axis
-        self.inner_box = tuple(n - 2 for n in self.shape)
-        self.face_boxes = [tuple(n - (k == i) for k, n in enumerate(self.shape))
+        self.face_hi = [slice(s, None) for s in self.strides]
+        self.face_lo = [slice(None, -s) for s in self.strides]
+        # boxes of the grid views, per row: the interior nodes, and the faces along each axis
+        self.inner_box = (rows,) + tuple(n - 2 for n in self.shape)
+        self.face_boxes = [(rows,) + tuple(n - (k == i) for k, n in enumerate(self.shape))
                            for i in range(d)]
-        self.byte_strides = tuple(s * np.dtype(float).itemsize for s in self.strides)
+        self.byte_strides = tuple(s * np.dtype(float).itemsize for s in [self.size] + self.strides)
         # (op, operand) of each divisor of the differences: dx, 2 dx, dx^2, 4 dx_i dx_j
         self.by_dx = [_divisor(h) for h in self.dx]
         self.by_2dx = [_divisor(2. * h) for h in self.dx]
@@ -256,31 +261,32 @@ class _Stencil:
         self.by_cross = {(i, j): _divisor(4.0 * self.dx[i] * self.dx[j]) for i, j in self.cross}
 
     def flat(self, u: np.ndarray) -> np.ndarray:
-        """u with its space axes flattened: a view when they are contiguous."""
-        return u.reshape(u.shape[:u.ndim - self.d] + (self.size,))
+        """A block (rows,) + shape as one flat array: a view when it is contiguous."""
+        return u.reshape(self.length)
+
+    def whole(self, buf: np.ndarray) -> np.ndarray:
+        """The first rows * size values of a node-aligned flat buffer as (rows, size)."""
+        return buf[:self.length].reshape(self.rows, self.size)
 
     def _grid_view(self, w: np.ndarray, box: tuple) -> np.ndarray:
-        """View of a C-contiguous float array's last axis as `box` with the grid's
-        strides; box must keep every position inside w."""
-        return np.ndarray(w.shape[:-1] + box, float, w, 0, w.strides[:-1] + self.byte_strides)
+        """View of a contiguous flat float array as `box`, a row axis and the
+        grid's axes, with the block's strides; box must keep every position
+        inside w."""
+        return np.ndarray(box, float, w, 0, self.byte_strides)
 
     def inner(self, w: np.ndarray) -> np.ndarray:
-        """The interior nodes of a window array, on the grid's interior axes."""
+        """The interior nodes of a window array, on a row axis and the grid's interior axes."""
         return self._grid_view(w, self.inner_box)
 
     def face_view(self, q: np.ndarray, i: int) -> np.ndarray:
         """The faces of a face_diffs-shaped array along axis i, without the seams."""
         return self._grid_view(q, self.face_boxes[i])
 
-    def interior(self, field):
-        """Window values of a field sampled on the grid; scalars pass through."""
-        if np.ndim(field) == 0:
-            return field
-        if field.shape[-self.d:] != self.shape:
-            field = np.broadcast_to(field, self.shape)
-        return self.flat(field)[self.mid]
+    def interior(self, block: np.ndarray) -> np.ndarray:
+        """Window values of a block sampled on the grid."""
+        return self.flat(block)[self.mid]
 
-    def face_diffs(self, f: np.ndarray, ws: _Workspace) -> list:
+    def face_diffs(self, f: np.ndarray, ws: _Block) -> list:
         """One-sided differences (u[k+1] - u[k]) / dx along each axis, on every face."""
         for i, q in enumerate(ws.faces):
             np.subtract(f[self.face_hi[i]], f[self.face_lo[i]], out=q)
@@ -292,7 +298,7 @@ class _Stencil:
         """Forward minus backward one-sided difference along axis i."""
         return np.subtract(faces[i][self.mid], faces[i][self.minus[i]], out=out)
 
-    def centred(self, f: np.ndarray, ws: _Workspace) -> list:
+    def centred(self, f: np.ndarray, ws: _Block) -> list:
         """Centred first differences, the interior formula of np.gradient."""
         for i, g in enumerate(ws.grads):
             np.subtract(f[self.plus[i]], f[self.minus[i]], out=g)
@@ -300,7 +306,7 @@ class _Stencil:
             op(g, c, out=g)
         return ws.grads
 
-    def second_diffs(self, f: np.ndarray, ws: _Workspace) -> dict:
+    def second_diffs(self, f: np.ndarray, ws: _Block) -> dict:
         """Centred second differences keyed (i, j) with i <= j."""
         two_mid = np.multiply(f[self.mid], 2.0, out=ws.work[0])
         for i in range(self.d):
@@ -318,54 +324,82 @@ class _Stencil:
 
 
 class _Workspace:
-    """Every array a substep writes, for up to n rows on a leading axis.
+    """Every array a substep writes, for blocks of up to n rows.
 
-    One is made per solve, sized for all its rows; a block of k rows works
-    in rows(k), views of the leading [:k] rows of each array.  So a substep
-    allocates nothing the size of the grid, and every value gets the float
-    operations it got when each array was new.
+    One is made per solve, sized for all its rows.  The arrays the stencil
+    writes are flat buffers of n * size values, aligned with the nodes of a
+    flat block: the windows of a block of k rows are buf[lo:hi] and its
+    faces buf[:k * size - stride] of the k-row stencil.  rows(k) gives those
+    views, so a substep allocates nothing the size of the grid, and every
+    value gets the float operations it got when each array was new.
 
     The diffusion term is built after the gradients, the faces and |q| are
-    spent, so its Hessian and scratch (hess, work) are window-long views of
-    those arrays, [:, :window]; views of faces and grid skip the rest of
-    each row, so they are not contiguous across rows.  Where those arrays
-    are too few (d >= 3), the rest are allocated.
+    spent, so its Hessian and scratch (hess, work) are windows of those
+    buffers (`spent`); where they are too few (d >= 3), more are allocated.
     """
 
     def __init__(self, st: _Stencil, n: int):
-        window = (n, st.window)
+        self.shape, self.dx = st.shape, st.dx
+        flat = (n * st.size,)
+        self.grads = [np.zeros(flat) for _ in range(st.d)]  # grads[0] ends as a|Du|^p
+        self.faces = [np.zeros(flat) for _ in range(st.d)]
+        self.rhs = np.zeros(flat)  # also the LF jump and the power's held rows
+        self.grid = np.zeros(flat)  # |q| and |u| for the row maxima
+        self.spent = self.grads + self.faces + [self.grid]
+        self.spent += [np.zeros(flat) for _ in range(st.d * (st.d + 1) // 2 + 2 - len(self.spent))]
         grid = (n,) + st.shape
-        self.grads = [np.empty(window) for _ in range(st.d)]  # grads[0] ends as a|Du|^p
-        self.faces = [np.empty((n, st.size - s)) for s in st.strides]
-        self.rhs = np.empty(window)  # also the LF jump and the power's held rows
         self.coeff = np.empty(grid)  # samples of the coefficient and forcing
         self.forcing = np.empty(grid)
-        self.grid = np.empty(grid)  # |q| and |u| for the row maxima
-        # |q| of each face array, on the grid scratch, and the faces of it
-        self.abs_faces = [st.flat(self.grid)[:, :q.shape[-1]] for q in self.faces]
-        self.abs_face_views = [st.face_view(st.flat(self.grid), i) for i in range(st.d)]
-        keys = [(i, i) for i in range(st.d)] + list(st.cross)
-        spent = self.grads + [w[:, :st.window] for w in self.faces + [st.flat(self.grid)]]
-        spent += [np.empty(window) for _ in range(len(keys) + 2 - len(spent))]
-        self.hess = dict(zip(keys, spent))
-        self.work = tuple(spent[len(keys):len(keys) + 2])  # 2 u, m+/- radius, trace terms
         self.u = np.empty(grid)  # the block's values
         self.half_alpha = np.empty((n, 1))
         self.dt = np.empty((n, 1))
+        self._blocks = {}
 
-    def rows(self, k: int) -> _Workspace:
-        """The workspace of a block of the first k rows: views of each array's
-        leading k rows, no copies."""
-        view = object.__new__(_Workspace)
-        for name, value in vars(self).items():
-            if isinstance(value, dict):
-                value = {key: v[:k] for key, v in value.items()}
-            elif isinstance(value, (list, tuple)):
-                value = type(value)(v[:k] for v in value)
-            else:
-                value = value[:k]
-            setattr(view, name, value)
-        return view
+    def rows(self, k: int) -> _Block:
+        """The views of a block of k rows, built once per k.
+
+        A larger block's windows reach into the first k rows' last lo
+        values, which a k-row block's whole-row arithmetic reads, so those
+        are zeroed, as they were when the buffers were made.
+        """
+        if k not in self._blocks:
+            self._blocks[k] = _Block(self, k)
+        block = self._blocks[k]
+        for tail in block.tails:
+            tail.fill(0.0)
+        return block
+
+
+class _Block:
+    """The arrays of a workspace for a block of k rows, and its k-row stencil st.
+
+    The windows, faces and grid-shaped arrays are views of the workspace's
+    first k rows.  The _rows arrays view whole rows (k, size) of the same
+    buffers: the per-row numbers of a block (alpha/2, dt, an exponent per
+    row, a trace matrix per row) apply there, on contiguous memory.  Outside
+    the windows they hold zeros or what this block's substep wrote (faces,
+    |u|), never what a larger block's windows left: rows(k) zeroes that.
+    """
+
+    def __init__(self, ws: _Workspace, k: int):
+        st = self.st = _Stencil(ws.shape, ws.dx, k)
+        self.grads = [b[st.mid] for b in ws.grads]
+        self.faces = [b[:st.length - s] for b, s in zip(ws.faces, st.strides)]
+        self.rhs = ws.rhs[st.mid]
+        # |q| of each face array, on the grid scratch, and the faces of it
+        self.abs_faces = [ws.grid[:q.size] for q in self.faces]
+        self.abs_face_views = [st.face_view(q, i) for i, q in enumerate(self.abs_faces)]
+        self.grid = ws.grid[:st.length].reshape((k,) + st.shape)
+        keys = [(i, i) for i in range(st.d)] + list(st.cross)
+        self.hess = {key: b[st.mid] for key, b in zip(keys, ws.spent)}
+        self.hess_rows = {key: st.whole(b) for key, b in zip(keys, ws.spent)}
+        work = ws.spent[len(keys):len(keys) + 2]
+        self.work = tuple(b[st.mid] for b in work)  # 2 u, m+/- radius, trace terms
+        self.term_rows = st.whole(work[1])
+        self.rhs_rows, self.g2_rows = st.whole(ws.rhs), st.whole(ws.grads[0])
+        self.coeff, self.forcing, self.u = ws.coeff[:k], ws.forcing[:k], ws.u[:k]
+        self.half_alpha, self.dt = ws.half_alpha[:k], ws.dt[:k]
+        self.tails = [b[st.hi:st.length] for b in [ws.rhs] + ws.spent]
 
 
 def _extremal_field(hess: dict, d: int, sign: int, work: tuple) -> np.ndarray:
@@ -382,13 +416,13 @@ def _extremal_field(hess: dict, d: int, sign: int, work: tuple) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Rows: one or more problems on one grid, stacked on a leading axis
+# Rows: one or more problems on one grid, flattened one after another
 # ---------------------------------------------------------------------------
 
 
 def _column(values: list, ndim: int) -> np.ndarray:
     """Per-row numbers as a column that broadcasts over rows of fields with
-    ndim axes per row: d on the grid, 1 in the stencil's flat windows."""
+    ndim axes per row: d on the grid, 1 in a block's whole rows."""
     return np.array(values, ndmin=ndim + 1).T
 
 
@@ -413,7 +447,8 @@ _POWER_FAST_PATHS = frozenset({-1.0, 0.0, 0.5, 1.0, 2.0})
 
 
 class _RowExponent:
-    """One exponent per leading row, applied as x[r] ** e[r] would be, bit for bit.
+    """One exponent per row of a block's whole rows, applied as x[r] ** e[r]
+    would be, bit for bit.
 
     The exponents stay a broadcast column.  numpy's power with a column gives
     the bits of power with a number, but ndarray ** number special-cases a
@@ -439,7 +474,7 @@ class _RowExponent:
 
 def _row_exponent(exponents: list):
     """The rows' exponents: one number when they all agree, else a _RowExponent
-    for fields in the stencil's flat windows."""
+    for a block's whole rows."""
     if all(e == exponents[0] for e in exponents):
         return exponents[0]
     return _RowExponent(exponents)
@@ -522,18 +557,18 @@ def _block_source(fields: list, st: _Stencil, shift: float, full: np.ndarray):
     return lambda ts, out: np.subtract(sample(ts)[1], shift, out=out)
 
 
-def _hamiltonian(a, grads: list, half, held: np.ndarray):
-    """a |Du|^p from the centred gradient, with half = p/2 a number or a
-    _RowExponent (held is its scratch); shared by solver and residual.
-    Works in place on the arrays of grads, so they are consumed; the result
-    is grads[0]."""
+def _hamiltonian(a, grads: list, half, ws: _Block):
+    """a |Du|^p from the centred gradient in ws, with half = p/2 a number or
+    a _RowExponent, applied to ws's whole rows; shared by solver and
+    residual.  Works in place on the arrays of grads, so they are consumed;
+    the result is grads[0]."""
     g2 = grads[0]
     g2 *= g2  # the bits of sum(g**2 for g in grads): squares are >= +0
     for g in grads[1:]:
         g *= g
         g2 += g
     if isinstance(half, _RowExponent):
-        half.power(g2, held)
+        half.power(ws.g2_rows, ws.rhs_rows)
     else:
         g2 **= half  # ndarray **= number takes the fast paths of ndarray ** number
     g2 *= a
@@ -554,12 +589,12 @@ def _diffusion_bounds(diff, coords, ts: list, d: int) -> tuple:
     raise DomainError(f"unknown diffusion spec {type(diff)!r}")
 
 
-def _diffusion_term(diff, st: _Stencil, f, bs, ws: _Workspace):
+def _diffusion_term(diff, st: _Stencil, f, bs, ws: _Block):
     """Interior diffusion term of u, with bs from _diffusion_bounds, in ws.
 
-    f is the stencil's flat view of a block: one row per matrix in bs on a
-    leading axis.  The term is built in ws's gradient, face and grid
-    arrays, so it is called once those are spent.
+    f is the stencil's flat view of a block with one row per matrix in bs.
+    The term is built in ws's gradient, face and grid arrays, so it is
+    called once those are spent.
     """
     if diff is None:
         return 0.0
@@ -572,9 +607,12 @@ def _diffusion_term(diff, st: _Stencil, f, bs, ws: _Workspace):
     total.fill(0.0)
     for i in range(st.d):
         for j in range(st.d):
-            h = hess[(min(i, j), max(i, j))]
-            for r, b in enumerate(bs):  # a constant entry stays a number
-                np.multiply(st.interior(b[i, j]), h[r], out=term[r])
+            h = ws.hess_rows[(min(i, j), max(i, j))]
+            for r, b in enumerate(bs):
+                bij = b[i, j]  # a constant entry stays a number
+                if np.ndim(bij):
+                    bij = np.broadcast_to(bij, st.shape).reshape(st.size)
+                np.multiply(bij, h[r], out=ws.term_rows[r])
             total += term
     return total
 
@@ -591,7 +629,7 @@ def solve_hj(spec, init, bc, cfg: SolveConfig):
     off-diagonal trace term is not monotone at any dt.
 
     Given sequences of specs, inits and bcs (one row each), the rows are
-    solved together, on a leading array axis of the same loop, and a list
+    solved together, as one flat block of the same loop, and a list
     comes back with one entry per row: its GridFunction, or the Blowup or
     CflViolation that stopped that row while the others went on.  The rows
     share cfg and the specs' diffusion and shift (DomainError otherwise);
@@ -638,7 +676,6 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
     inv_dx2 = sum(1.0 / h**2 for h in dx)
     coords = cfg.coords()
     shape = tuple(cfg.nx)
-    st = _Stencil(shape, dx)
     n_all = len(specs)
 
     u_all = np.empty((n_all,) + shape)
@@ -682,8 +719,8 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
     times_out = cfg.out_times()
     clock = [cfg.t0] * n_all
     failed = [None] * n_all
-    ws = _Workspace(st, n_all)
-    # active row set -> (coefficient, forcing, exponent, workspace), built once per set
+    ws = _Workspace(_Stencil(shape, dx), n_all)
+    # active row set -> (coefficient, forcing, exponent), built once per set
     blocks = {}
 
     for n in range(1, cfg.nt):
@@ -691,16 +728,17 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
         t_done = t_target - 1e-14 * (1.0 + abs(t_target))
         rows = [r for r in range(n_all) if failed[r] is None and clock[r] < t_done]
         while rows:
+            bws = ws.rows(len(rows))
+            st = bws.st
             if tuple(rows) not in blocks:
-                bws = ws.rows(len(rows))
                 blocks[tuple(rows)] = (
                     _block_sampler([coeffs[r] for r in rows], st, bws.coeff),
                     _block_source([forcings[r] for r in rows], st, shift, bws.forcing),
-                    _row_exponent([ps[r] / 2.0 for r in rows]), bws)
-            coeff, source, half, bws = blocks[tuple(rows)]
+                    _row_exponent([ps[r] / 2.0 for r in rows]))
+            coeff, source, half = blocks[tuple(rows)]
             u = np.take(u_all, rows, axis=0, out=bws.u)  # written back once the block changes
             f = st.flat(u)  # a view: u is contiguous
-            flats = list(f)
+            flats = st.whole(f)
             stepping = True
             while stepping:
                 ts = [clock[r] for r in rows]
@@ -740,26 +778,26 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     # state in the block without the failed one, with the same bits
                     break
 
-                rhs = bws.rhs
-                hamil = _hamiltonian(a_mid, st.centred(f, bws), half, rhs)
+                rhs, rhs_rows = bws.rhs, bws.rhs_rows
+                hamil = _hamiltonian(a_mid, st.centred(f, bws), half, bws)
                 bws.half_alpha[:, 0] = half_alphas
                 bws.dt[:, 0] = dts
                 for i in range(d):
                     jump = st.face_jump(faces, i, rhs)
-                    jump *= bws.half_alpha
+                    rhs_rows *= bws.half_alpha  # the jump's rows
                     hamil -= jump
                 np.subtract(source(ts, rhs), hamil, out=rhs)
                 rhs += _diffusion_term(diffusion, st, f, bs, bws)
-                rhs *= bws.dt
-                # boundary-column positions of the window get written here and
-                # reset below, before anything reads them
+                rhs_rows *= bws.dt
+                # boundary-column and row-seam positions of the window get
+                # written here and reset below, before anything reads them
                 f[st.mid] += rhs
 
                 for r, dt, flat in zip(rows, dts, flats):
                     clock[r] = min(clock[r] + dt, t_target)
                     flat[bidx] = bcs[r](*bcoords, clock[r])
                 # the block changes when a row fails or reaches the output time
-                bounds = _row_max(np.abs(f[..., bidx]))
+                bounds = _row_max(np.abs(flats[:, bidx]))
                 for r, bound, peak in zip(rows, bounds, _row_max(np.abs(u, out=bws.grid))):
                     data_bound[r] = max(data_bound[r], bound)
                     if not peak <= BLOWUP_FACTOR * (1.0 + data_bound[r]):
@@ -814,8 +852,8 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
     axes = [u.axis_coords(i) for i in range(d)]
     coords = list(np.meshgrid(*axes, indexing="ij"))
     ts = u.times()
-    st = _Stencil(u.n_space, list(u.spacing_x))
-    ws = _Workspace(st, 1)  # one block row
+    ws = _Workspace(_Stencil(u.n_space, list(u.spacing_x)), 1).rows(1)  # one block row
+    st = ws.st
     coeff = _block_sampler([_Field(spec.coefficient, coords, ts[0])], st, ws.coeff)
     forcing = _block_sampler([_Field(spec.forcing, coords, ts[0])], st, ws.forcing)
     half = spec.params.p / 2.0
@@ -825,7 +863,7 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
     worst_idx = None
     # time slices n - 1 and n as contiguous rows, and the interior nodes of a residual
     slices = np.empty((2, 1) + st.shape)
-    res_inner = np.empty((1,) + st.inner_box)
+    res_inner = np.empty(st.inner_box)
     np.copyto(slices[0], u.values[None, ..., 0])
     for n in range(1, u.n_time):
         prev, fn = st.flat(slices[(n - 1) % 2]), st.flat(slices[n % 2])
@@ -836,7 +874,7 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
         a = coeff([ts[n]])[1]
         bs, _ = _diffusion_bounds(spec.diffusion, coords, [ts[n]], d)
         # the Hamiltonian first: the diffusion is built in its spent arrays
-        res += _hamiltonian(a, st.centred(fn, ws), half, None)
+        res += _hamiltonian(a, st.centred(fn, ws), half, ws)
         res -= _diffusion_term(spec.diffusion, st, fn, bs, ws)
         res -= forcing([ts[n]])[1]
         res += spec.shift

@@ -22,7 +22,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hjholder import cli, instances, scheme
-from hjholder.core import EquationParams, GridFunction, save_grid
+from hjholder.core import EquationParams, GridFunction, as_number, save_grid
+from hjholder.errors import DomainError
 
 GRID = {"xmin": [-1.0], "xmax": [1.0], "nx": [9], "t0": 0.0, "t1": 0.1, "nt": 3}
 
@@ -97,6 +98,12 @@ def _sweep(**blocks):
      "the most an array can hold"),
     ({"grid": {**GRID, "xmin": [-1.0, -1.0], "xmax": [1.0, 1.0], "nx": [3 * 10**9, 3 * 10**9]}},
      "the grid's prod(nx) x nt nodes: more than 1152921504606846975 float64 values"),
+    # float() reads these, but a string or a bool where a number belongs is bad input
+    ({"grid": GRID, "equation": {"p": "3"}}, "config.equation.p must be a number, got '3'"),
+    ({"grid": GRID, "equation": {"coefficient": {"kind": "rough", "k": True}}},
+     "config.equation.coefficient.k must be a number, got True"),
+    ({"grid": {**GRID, "nx": ["9"]}}, "grid nx must be a number, got '9'"),
+    ({"grid": {**GRID, "t1": True}}, "grid t1 must be a number, got True"),
 ])
 def test_rejected_solve_config(cfg, message):
     code, _, err = _run_config("solve", cfg)
@@ -119,12 +126,25 @@ def test_rejected_solve_config(cfg, message):
     # the barrier and alpha searches of a row raise these, which stop the sweep
     (_sweep(oscillate={"R": -1}), "R must be > 0, got -1.0"),
     (_sweep(oscillate={"lambda": 1.5}), "lambda must be in (0,1), got 1.5"),
+    # float() reads these, but a string or a bool where a number belongs is bad input
+    (_sweep(seed=True), "config.seed must be a number, got True"),
+    (_sweep(instances=[{"p": "3"}]), "config.instances[0].equation.p must be a number, got '3'"),
+    (_sweep(instances=[{"p": 3.0, "k": True}]),
+     "config.instances[0].equation.coefficient.k must be a number, got True"),
+    (_sweep(instances=[{"p": 3.0, "A": "2"}]),
+     "config.instances[0].equation.A must be a number, got '2'"),
 ])
 def test_rejected_sweep_config(cfg, message):
     code, _, err = _run_config("sweep", cfg)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("value", ["3", b"3", True, np.bool_(False), "inf"])
+def test_as_number_takes_no_string_or_bool(value):
+    with pytest.raises(DomainError, match="x must be a number"):
+        as_number(value, "x")
 
 
 def test_defaults_live_in_the_consumers():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +19,7 @@ from hjholder.scheme import (
     HamiltonianSpec,
     SolveConfig,
     TraceDiffusion,
+    _boundary_mask,
     _extremal_field,
     _Stencil,
     _Workspace,
@@ -232,8 +235,8 @@ class TestDiscreteResidual:
         u = solve_hj(spec, lambda x: x**2, lambda x, t: x**2 / (1 + 4 * t), cfg)
         # a-posteriori bound: LF dissipation + one-sided-time truncation
         dx, dt = u.spacing_x[0], u.spacing_t
-        stencil = _Stencil(u.n_space, [dx])
-        hess = stencil.second_diffs(u.values[None, :, 1], _Workspace(stencil, 1))
+        ws = _Workspace(_Stencil(u.n_space, [dx]), 1).rows(1)
+        hess = ws.st.second_diffs(ws.st.flat(u.values[None, :, 1]), ws)
         d2x = np.abs(hess[(0, 0)]).max()
         qmax = np.abs(np.diff(u.values, axis=0) / dx).max()
         alpha = 2.0 * qmax
@@ -440,3 +443,66 @@ class TestDiffusionEquality:
         assert a == b
         assert hash(a) == hash(b)
         assert a != HamiltonianSpec(params=params, diffusion=TraceDiffusion(-np.eye(2)))
+
+
+class TestRowStencil:
+    """A block of rows flattened row after row: every view of its windows and
+    faces holds what slicing each row of the (rows,) + shape array gives."""
+
+    SHAPES = [(9,), (3,), (7, 5), (3, 14), (11, 3)]
+
+    @staticmethod
+    def _block(shape, rows):
+        # every value is its flat position, so a view's values say where it reads
+        st = _Stencil(shape, [0.1] * len(shape), rows)
+        block = np.arange(st.length, dtype=float).reshape((rows,) + shape)
+        boundary = block[:, _boundary_mask(shape)]  # the row seams among them
+        return st, block, st.flat(block), boundary
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_inner_reads_each_rows_interior(self, shape, rows):
+        st, block, f, boundary = self._block(shape, rows)
+        d = len(shape)
+        assert np.shares_memory(f, block)
+        interior = (slice(None),) + (slice(1, -1),) * d
+        inner = st.inner(f[st.mid])
+        assert np.array_equal(inner, block[interior])
+        assert not np.isin(inner, boundary).any()
+        for i in range(d):
+            for offsets, shifted in ((st.plus, slice(2, None)), (st.minus, slice(None, -2))):
+                rows_i = list(interior)
+                rows_i[1 + i] = shifted
+                assert np.array_equal(st.inner(f[offsets[i]]), block[tuple(rows_i)])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_face_view_reads_each_rows_faces(self, shape, rows):
+        st, block, f, _ = self._block(shape, rows)
+        for i in range(len(shape)):
+            lower, upper = [slice(None)] * (1 + len(shape)), [slice(None)] * (1 + len(shape))
+            lower[1 + i], upper[1 + i] = slice(None, -1), slice(1, None)
+            # each face array holds the node below or above the face
+            assert np.array_equal(st.face_view(f[st.face_lo[i]].copy(), i), block[tuple(lower)])
+            assert np.array_equal(st.face_view(f[st.face_hi[i]].copy(), i), block[tuple(upper)])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_whole_rows_of_a_longer_buffer(self, shape, rows):
+        st, block, _, _ = self._block(shape, rows)
+        buf = np.arange(st.length + 2 * st.size, dtype=float)  # room for two more rows
+        whole = st.whole(buf)
+        assert np.shares_memory(whole, buf)
+        assert np.array_equal(whole, block.reshape(rows, st.size))
+
+    def test_workspace_zeroes_what_a_larger_block_left(self):
+        ws = _Workspace(_Stencil((7, 5), [0.1, 0.2]), 3)
+        big = ws.rows(3)
+        for rows in [big.rhs_rows, big.g2_rows, big.term_rows, *big.hess_rows.values()]:
+            rows.fill(math.nan)
+        small = ws.rows(2)
+        st = small.st
+        for rows in [small.rhs_rows, small.g2_rows, small.term_rows, *small.hess_rows.values()]:
+            assert not rows.reshape(-1)[st.hi:].any()
+            assert np.isnan(rows.reshape(-1)[st.lo:st.hi]).all()
+        assert ws.rows(2) is small
