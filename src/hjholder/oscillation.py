@@ -36,6 +36,8 @@ NOISE_FLOOR = 1e-12
 GRID_FLOOR_SPACINGS = 4  # smallest usable cylinder radius, in grid spacings
 COARSE_CENTERS = 5  # default centers per space axis
 MAX_LEVELS = 60
+_PAIR_CHUNK = 8192  # random pairs scored at a time by holder_modulus_check
+_SLAB_VALUES = 32768  # neighbour pairs per slab of leading-axis rows, at least one row
 FAMILY_NOTE = (
     "decay verified on a finite family of cylinder centers, not on all "
     "cylinders of the continuum hypothesis"
@@ -127,8 +129,13 @@ def holder_modulus_check(
     itself is dropped), then every node and its next neighbour along space
     axis 0, ..., d-1, then in time; n_pairs counts them all.  The reported
     pair is the first largest ratio in that order, a NaN ratio counting as
-    largest.  Needs p > 1, C finite and > 0, alpha in (0, 1],
-    n_random_pairs >= 0 and seed a non-negative integer.
+    largest.  Needs p > 1, C finite and > 0, alpha in (0, 1], and
+    n_random_pairs and seed non-negative integers (a bool is neither).
+
+    Memory: the grid, the drawn node indices in the smallest unsigned type
+    that holds them (a few bytes per random pair), and one fixed-size chunk
+    of ratios at a time: _PAIR_CHUNK random pairs, or a slab of whole rows
+    of the grid's leading axis, about _SLAB_VALUES neighbour pairs.
     """
     if not p > 1.0:
         raise DomainError(f"p must be > 1, got {p}")
@@ -136,10 +143,12 @@ def holder_modulus_check(
         raise DomainError(f"C must be finite and > 0, got {C}")
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    if not _is_integer(n_random_pairs):
+        raise DomainError(f"n_random_pairs must be an integer, got {n_random_pairs!r}")
     if n_random_pairs < 0:
         raise DomainError(f"n_random_pairs must be >= 0, got {n_random_pairs}")
     require_float64_count((n_random_pairs,), f"n_random_pairs = {n_random_pairs}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (_is_integer(seed) and seed >= 0):
         raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     texp = time_exponent(p, alpha)
     space = u.space_points()
@@ -148,7 +157,7 @@ def holder_modulus_check(
     n_sp = pts.shape[0]
     nt = len(ts)
     vals = u.values.reshape(n_sp, nt)
-    # each block of ratios is reduced as soon as it is built, and the first
+    # each chunk of ratios is reduced as soon as it is built, and the first
     # largest ratio so far (a NaN counting as largest) is kept with its pair (a, b)
     n_pairs, top = 0, -np.inf
 
@@ -165,51 +174,58 @@ def holder_modulus_check(
         top = du.flat[k]
         return k
 
+    # the four draws are the same calls in the same order, so the pairs do not
+    # move; each is narrowed as soon as it is drawn, so one int64 draw at most
+    # is alive
     rng = np.random.default_rng(seed)
-    ia = rng.integers(0, n_sp, n_random_pairs)
-    na = rng.integers(0, nt, n_random_pairs)
-    ib = rng.integers(0, n_sp, n_random_pairs)
-    nb = rng.integers(0, nt, n_random_pairs)
-    keep = (ia != ib) | (na != nb)
-    ia = ia[keep]
-    na = na[keep]
-    ib = ib[keep]
-    nb = nb[keep]
-    du = vals[ia, na]
-    np.subtract(du, vals[ib, nb], out=du)
-    # |x_a - x_b| axis by axis, with no pairs x axes temporaries: the squares
-    # are summed in axis order
-    dxs = np.zeros(len(ia))
-    for axis in range(u.dim):
-        step = pts[ia, axis]
-        step -= pts[ib, axis]
-        step *= step
-        dxs += step
-        del step
-    np.sqrt(dxs, out=dxs)
-    k = reduce(du, dxs, np.abs(ts[na] - ts[nb]))
-    if k is not None:
-        a, b = (pts[ia[k]], ts[na[k]]), (pts[ib[k]], ts[nb[k]])
-    del du, dxs, ia, na, ib, nb
+    sp_type, t_type = np.min_scalar_type(n_sp - 1), np.min_scalar_type(nt - 1)
+    ia = rng.integers(0, n_sp, n_random_pairs).astype(sp_type)
+    na = rng.integers(0, nt, n_random_pairs).astype(t_type)
+    ib = rng.integers(0, n_sp, n_random_pairs).astype(sp_type)
+    nb = rng.integers(0, nt, n_random_pairs).astype(t_type)
+    for start in range(0, n_random_pairs, _PAIR_CHUNK):
+        chunk = slice(start, start + _PAIR_CHUNK)
+        keep = (ia[chunk] != ib[chunk]) | (na[chunk] != nb[chunk])
+        sa, ta, sb, tb = ia[chunk][keep], na[chunk][keep], ib[chunk][keep], nb[chunk][keep]
+        du = vals[sa, ta]
+        np.subtract(du, vals[sb, tb], out=du)
+        # |x_a - x_b| axis by axis, with no pairs x axes temporaries: the
+        # squares are summed in axis order
+        dxs = np.zeros(len(sa))
+        for axis in range(u.dim):
+            step = pts[sa, axis]
+            step -= pts[sb, axis]
+            step *= step
+            dxs += step
+        np.sqrt(dxs, out=dxs)
+        k = reduce(du, dxs, np.abs(ts[ta] - ts[tb]))
+        if k is not None:
+            a, b = (pts[sa[k]], ts[ta[k]]), (pts[sb[k]], ts[tb[k]])
+    del ia, na, ib, nb
 
-    # nearest neighbours along each space axis and in time, as shifted slices;
-    # a neighbour pair is 0 apart in time or in space, and 0**alpha = 0**texp = 0
+    # nearest neighbours along each space axis and in time, as shifted slices
+    # scored in slabs of whole leading-axis rows; a neighbour pair is 0 apart in
+    # time or in space, and 0**alpha = 0**texp = 0
+    rows = max(1, _SLAB_VALUES // (u.values.size // u.values.shape[0]))
     for axis in range(u.dim + 1):
         lo = [slice(None)] * (u.dim + 1)
         hi = list(lo)
         lo[axis], hi[axis] = slice(None, -1), slice(1, None)
-        du = np.subtract(u.values[tuple(lo)], u.values[tuple(hi)])
+        below, above = u.values[tuple(lo)], u.values[tuple(hi)]
         if axis < u.dim:
-            dxs = np.linalg.norm(space[tuple(lo[:-1])] - space[tuple(hi[:-1])], axis=-1)
-            k = reduce(du, dxs[..., None], 0.0)
+            dxs = np.linalg.norm(space[tuple(lo[:-1])] - space[tuple(hi[:-1])], axis=-1)[..., None]
         else:
-            k = reduce(du, 0.0, np.abs(ts[:-1] - ts[1:]))
-        if k is not None:
-            ma = np.unravel_index(k, du.shape)
-            mb = list(ma)
-            mb[axis] += 1
-            a, b = [(space[tuple(m[:-1])], ts[m[-1]]) for m in (ma, mb)]
-        del du
+            dts = np.abs(ts[:-1] - ts[1:])
+        for r0 in range(0, below.shape[0], rows):
+            slab = slice(r0, r0 + rows)
+            du = np.subtract(below[slab], above[slab])
+            k = reduce(du, dxs[slab], 0.0) if axis < u.dim else reduce(du, 0.0, dts)
+            if k is not None:
+                ma = list(np.unravel_index(k, du.shape))
+                ma[0] += r0
+                mb = list(ma)
+                mb[axis] += 1
+                a, b = [(space[tuple(m[:-1])], ts[m[-1]]) for m in (ma, mb)]
 
     if n_pairs == 0:
         raise DomainError("the grid has no two distinct nodes to compare")
@@ -222,6 +238,11 @@ def holder_modulus_check(
         C=C,
         n_pairs=n_pairs,
     )
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

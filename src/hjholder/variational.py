@@ -94,6 +94,12 @@ def legendre_brute(
     |q| s - (shift + A|s|^p) <= -shift, so a half-line maximum above -shift is
     the maximum of the whole line, at the same first index.  Otherwise (q = 0,
     nan, or a shift that swamps every sample) the whole line is scored.
+
+    Memory: the samples, plus one penalty array and one score array the
+    length of the line scored, each built in place (|s|, ** p, * A,
+    + shift; then s * |q| minus the penalty).  These are the ufuncs of the
+    expression |q| s - (shift + A|s|^p) on the same operands, so the score
+    keeps its bits.
     """
     if not p > 1.0 or not A > 0.0:
         raise DomainError(f"need p > 1 and A > 0, got p={p}, A={A}")
@@ -107,12 +113,21 @@ def legendre_brute(
     qnorm = float(np.linalg.norm(qv))
     s = np.linspace(-search_radius, search_radius, int(n_samples))
     for m in (int(np.searchsorted(s, 0.0)), 0):  # the half-line s >= 0, then the line
+        h = s[m:]
         # a penalty that overflows is inf, a sample that is never the maximum;
         # a maximum on the window edge is reported below
         with np.errstate(over="ignore"):
-            vals = qnorm * s[m:] - (shift + A * np.abs(s[m:]) ** p)
+            pen = np.abs(h)
+            pen **= p
+            pen *= A
+            pen += shift
+            vals = np.multiply(h, qnorm)
+            vals -= pen
+        del pen
         k = int(np.argmax(vals))
-        if vals[k] > -shift:
+        top = float(vals[k])
+        del vals  # the half-line's scores go before the whole line's are built
+        if top > -shift:
             break
     if m + k in (0, len(s) - 1) and qnorm > 0.0:
         try:
@@ -120,7 +135,7 @@ def legendre_brute(
         except OverflowError:  # p close to 1
             xi_star = math.inf
         raise WindowTooSmall(f"maximizer on the window edge; |xi*|={xi_star:g}")
-    return float(vals[k])
+    return top
 
 
 @dataclass(frozen=True)

@@ -418,9 +418,9 @@ def _ref_holder_modulus_check(u, alpha, C, p, n_random_pairs=100_000, seed=0):
 _SHAPES = {1: (9, 6), 2: (7, 5, 4)}
 
 
-def _index_grid(d, fn, spacing=1.0):
+def _index_grid(d, fn, spacing=1.0, shape=None):
     """Values fn(i_0, ..., i_{d-1}, n) on a grid with unit index steps."""
-    shape = _SHAPES[d]
+    shape = shape or _SHAPES[d]
     idx = np.meshgrid(*[np.arange(n, dtype=float) for n in shape], indexing="ij")
     vals = np.asarray(fn(*idx), dtype=float) + np.zeros(shape)
     return GridFunction((0.0,) * d, (spacing,) * d, 0.0, spacing, vals)
@@ -455,11 +455,23 @@ def _one_nan(d):
     return u
 
 
+def _three_slabs(d):
+    # the leading axis spans three slabs of neighbour pairs and part of a fourth;
+    # a step near its end puts the largest ratios in the last
+    row = (9,) if d == 1 else (9, 5)
+    rows = oscillation._SLAB_VALUES // math.prod(row)
+    shape = (3 * rows + 5,) + row
+    return _index_grid(d, lambda *idx: np.sin(0.7 * sum(idx[:-1])) + 0.3 * idx[-1]
+                       + 5.0 * (idx[0] == shape[0] - 3), 0.1, shape)
+
+
 GRIDS = {"constant": _constant, "ties": _ties, "steep_last_axis": _steep_last_axis,
-         "steep_in_time": _steep_in_time, "smooth": _smooth, "one_nan": _one_nan}
+         "steep_in_time": _steep_in_time, "smooth": _smooth, "one_nan": _one_nan,
+         "three_slabs": _three_slabs}
+_CHUNK = oscillation._PAIR_CHUNK
 
 
-@pytest.mark.parametrize("n_random_pairs", [0, 1, 1000])
+@pytest.mark.parametrize("n_random_pairs", [0, 1, 1000, _CHUNK - 1, _CHUNK, _CHUNK + 1])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("grid", sorted(GRIDS))
 def test_modulus_report_matches_reference(grid, d, n_random_pairs):
@@ -500,11 +512,22 @@ def test_modulus_pair_count():
     {"C": -1.0}, {"C": 0.0}, {"C": math.nan}, {"C": math.inf},
     {"alpha": 0.0}, {"alpha": -0.5}, {"alpha": 1.5}, {"alpha": math.nan},
     {"n_random_pairs": -1}, {"p": 1.0}, {"p": math.nan},
+    # not integers, and a bool is not taken for one
+    {"n_random_pairs": 2.5}, {"n_random_pairs": True}, {"n_random_pairs": math.nan},
+    {"n_random_pairs": "10"}, {"n_random_pairs": 10.0}, {"n_random_pairs": np.True_},
+    {"seed": True}, {"seed": np.False_}, {"seed": 1.0}, {"seed": "1"},
 ])
 def test_modulus_rejects_bad_inputs(kwargs):
     args = {"alpha": 0.5, "C": 1.0, "p": 3.0, "n_random_pairs": 10, **kwargs}
     with pytest.raises(DomainError):
         holder_modulus_check(_smooth(1), **args)
+
+
+def test_modulus_takes_numpy_integers():
+    u = _smooth(2)
+    want = holder_modulus_check(u, 0.5, 1.0, 3.0, n_random_pairs=300, seed=4)
+    got = holder_modulus_check(u, 0.5, 1.0, 3.0, n_random_pairs=np.int64(300), seed=np.uint8(4))
+    assert repr(got) == repr(want)
 
 
 def test_modulus_rejects_a_grid_without_pairs():

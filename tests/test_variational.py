@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,20 @@ class TestLegendreBrute:
     def test_rejects_few_samples(self):
         with pytest.raises(DomainError):
             legendre_brute(2.0, 1.0, 0.0, 1.0, 2.0, 10)
+
+    @pytest.mark.parametrize("q, lines", [(3.0, 2.0), (0.0, 3.0)])
+    def test_peak_is_the_samples_and_two_scored_lines(self, q, lines):
+        # the samples, then one penalty and one score array for the half-line
+        # (two halves), or for the whole line too when q = 0 (two wholes)
+        n = 200_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            legendre_brute(3.0, 2.0, 0.0, q, 2.0, n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= (lines + 0.05) * 8 * n, peak / (8 * n)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("A", [0.5, 1.0, 2.0])
