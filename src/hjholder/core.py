@@ -62,7 +62,7 @@ class EquationParams:
 
     p is the gradient-growth exponent (finite, > 1), A the coercivity constant
     (finite, > 0), d the spatial dimension and m the optional Lebesgue exponent
-    of the forcing (> 1 when present).  The conjugate exponent p' = p/(p-1) is
+    of the forcing (finite, > 1).  The conjugate exponent p' = p/(p-1) is
     always derived from p, never stored.
     """
 
@@ -78,8 +78,8 @@ class EquationParams:
             raise DomainError(f"A must be > 0 and finite, got {self.A}")
         if int(self.d) != self.d or self.d < 1:
             raise DomainError(f"d must be a positive integer, got {self.d}")
-        if self.m is not None and not self.m > 1.0:
-            raise DomainError(f"m must be > 1 when given, got {self.m}")
+        if self.m is not None and not 1.0 < self.m < math.inf:
+            raise DomainError(f"m must be > 1 and finite when given, got {self.m}")
 
     @property
     def p_prime(self) -> float:
@@ -154,6 +154,8 @@ class GridFunction:
             raise DomainError("spacing_x must be positive, one entry per axis")
         if not self.spacing_t > 0:
             raise DomainError("spacing_t must be > 0")
+        if not all(map(math.isfinite, origin + spacing + (self.t0, self.spacing_t))):
+            raise DomainError("grid origin, spacing_x, t0 and spacing_t must be finite")
         if not np.all(np.isfinite(vals)):
             raise DomainError("grid values must all be finite")
 

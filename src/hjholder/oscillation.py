@@ -309,7 +309,7 @@ def iterate_scales(
     cylinder time depth follows beta = p - alpha(p-1), and levels stop at the
     grid floor of 4 spacings or after MAX_LEVELS.  On a full pass the implied two-point
     constant is lambda^{-alpha}.  An r0 that leaves a default centre's outer
-    cylinder without a node is a DomainError.
+    cylinder with fewer than two nodes is a DomainError.
     """
     if not 0.0 < lam < 1.0:
         raise DomainError(f"lambda must lie in (0,1), got {lam}")
@@ -340,9 +340,8 @@ def iterate_scales(
     for center in centers:
         try:
             samples = measure_oscillations(u, center, lam, beta, k_max, r0=r0)
-        except EmptyIntersection:  # no node in a default centre's cylinder: r0 too small
-            q0 = ParabolicCylinder(tuple(center[:-1]), center[-1], r0, beta)
-            if default and not u.cylinder_box(q0)[1].any():
+        except EmptyIntersection:  # a default centre's cylinder is inside the grid
+            if default:
                 raise DomainError(f"r0 = {r0:g} is below the grid's resolution") from None
             raise
         truncated = len(samples) < k_max + 1

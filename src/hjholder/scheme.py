@@ -408,6 +408,8 @@ def _extremal_field(hess: dict, d: int, sign: int, work: tuple) -> np.ndarray:
     Written over hess[(0, 0)], with work as _mid_rad's scratch: the entries
     are consumed.
     """
+    if d > 2:
+        raise DomainError(f"m+/- diffusion supports d in {{1, 2}}, got {d}")
     h = hess[(0, 0)]
     if d == 2:
         h, rad = _mid_rad(h, hess[(1, 1)], hess[(0, 1)], work)
@@ -448,36 +450,29 @@ _POWER_FAST_PATHS = frozenset({-1.0, 0.0, 0.5, 1.0, 2.0})
 
 class _RowExponent:
     """One exponent per row of a block's whole rows, applied as x[r] ** e[r]
-    would be, bit for bit.
+    would be, bit for bit: one number when the rows agree, else a column.
 
-    The exponents stay a broadcast column.  numpy's power with a column gives
-    the bits of power with a number, but ndarray ** number special-cases a
-    few exponents (_POWER_FAST_PATHS); the rows with those are redone with
-    the number, from their values before the power.
+    numpy's power with a column gives the bits of power with a number, but
+    ndarray ** number special-cases a few exponents (_POWER_FAST_PATHS); in
+    a column the rows with those are redone with the number, from their
+    values before the power.
     """
 
     def __init__(self, exponents: list):
-        self.column = _column(exponents, 1)
-        self.redo = [(r, e) for r, e in enumerate(exponents) if e in _POWER_FAST_PATHS]
+        same = all(e == exponents[0] for e in exponents)
+        self.exponent = exponents[0] if same else _column(exponents, 1)
+        self.redo = [(r, e) for r, e in enumerate(exponents) if not same and e in _POWER_FAST_PATHS]
 
     def power(self, x: np.ndarray, held: np.ndarray) -> np.ndarray:
         """x ** e in place; held, shaped like x, keeps the redone rows meanwhile."""
         for r, _ in self.redo:
             held[r] = x[r]
-        x **= self.column
+        x **= self.exponent
         for r, e in self.redo:
             row = x[r]
             row[...] = held[r]
             row **= e
         return x
-
-
-def _row_exponent(exponents: list):
-    """The rows' exponents: one number when they all agree, else a _RowExponent
-    for a block's whole rows."""
-    if all(e == exponents[0] for e in exponents):
-        return exponents[0]
-    return _RowExponent(exponents)
 
 
 class _Field:
@@ -557,9 +552,9 @@ def _block_source(fields: list, st: _Stencil, shift: float, full: np.ndarray):
     return lambda ts, out: np.subtract(sample(ts)[1], shift, out=out)
 
 
-def _hamiltonian(a, grads: list, half, ws: _Block):
-    """a |Du|^p from the centred gradient in ws, with half = p/2 a number or
-    a _RowExponent, applied to ws's whole rows; shared by solver and
+def _hamiltonian(a, grads: list, half: _RowExponent, ws: _Block):
+    """a |Du|^p from the centred gradient in ws, with half the rows' p/2, on
+    ws's whole rows (ws.rhs holds the redone ones); shared by solver and
     residual.  Works in place on the arrays of grads, so they are consumed;
     the result is grads[0]."""
     g2 = grads[0]
@@ -567,10 +562,7 @@ def _hamiltonian(a, grads: list, half, ws: _Block):
     for g in grads[1:]:
         g *= g
         g2 += g
-    if isinstance(half, _RowExponent):
-        half.power(ws.g2_rows, ws.rhs_rows)
-    else:
-        g2 **= half  # ndarray **= number takes the fast paths of ndarray ** number
+    half.power(ws.g2_rows, ws.rhs_rows)
     g2 *= a
     return g2
 
@@ -609,9 +601,8 @@ def _diffusion_term(diff, st: _Stencil, f, bs, ws: _Block):
         for j in range(st.d):
             h = ws.hess_rows[(min(i, j), max(i, j))]
             for r, b in enumerate(bs):
-                bij = b[i, j]  # a constant entry stays a number
-                if np.ndim(bij):
-                    bij = np.broadcast_to(bij, st.shape).reshape(st.size)
+                # a view of the entry on the grid: stride 0 for a constant
+                bij = np.broadcast_to(b[i, j], st.shape).reshape(st.size)
                 np.multiply(bij, h[r], out=ws.term_rows[r])
             total += term
     return total
@@ -734,7 +725,7 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                 blocks[tuple(rows)] = (
                     _block_sampler([coeffs[r] for r in rows], st, bws.coeff),
                     _block_source([forcings[r] for r in rows], st, shift, bws.forcing),
-                    _row_exponent([ps[r] / 2.0 for r in rows]))
+                    _RowExponent([ps[r] / 2.0 for r in rows]))
             coeff, source, half = blocks[tuple(rows)]
             u = np.take(u_all, rows, axis=0, out=bws.u)  # written back once the block changes
             f = st.flat(u)  # a view: u is contiguous
@@ -856,7 +847,7 @@ def discrete_residual(u: GridFunction, spec: HamiltonianSpec, side: str) -> Resi
     st = ws.st
     coeff = _block_sampler([_Field(spec.coefficient, coords, ts[0])], st, ws.coeff)
     forcing = _block_sampler([_Field(spec.forcing, coords, ts[0])], st, ws.forcing)
-    half = spec.params.p / 2.0
+    half = _RowExponent([spec.params.p / 2.0])  # one row: rhs, in use as res, stays unread
     by_dt = _divisor(u.spacing_t)
 
     worst = -math.inf if side == "sub" else math.inf
@@ -922,9 +913,10 @@ def comparison_check(
     A node of the cylinder is interior when its spatial neighbours and its
     predecessor in time are all in the cylinder; the rest form the discrete
     parabolic boundary.  Raises BoundaryOrderingFailed when the premise
-    fails (a premise check, not a bug).
+    fails (a premise check, not a bug); grids that differ are a DomainError.
     """
-    if lower.values.shape != upper.values.shape:
+    grids = [(u.values.shape, u.origin, u.spacing_x, u.t0, u.spacing_t) for u in (lower, upper)]
+    if grids[0] != grids[1]:
         raise DomainError("lower and upper must live on the same grid")
     box, mask = lower.cylinder_box(on)
     if not mask.any():
@@ -965,8 +957,8 @@ def comparison_check(
 
 
 def lm_norm(f: GridFunction, m: float, q: ParabolicCylinder) -> float:
-    """Riemann-sum approximation of (integral over q of |f|^m)^(1/m)."""
-    if not m >= 1.0:
-        raise DomainError(f"m must be >= 1, got {m}")
+    """Riemann-sum approximation of (integral over q of |f|^m)^(1/m), m finite."""
+    if not 1.0 <= m < math.inf:
+        raise DomainError(f"m must be >= 1 and finite, got {m}")
     cell = float(np.prod(f.spacing_x)) * f.spacing_t
     return float((np.sum(np.abs(f.values_in(q)) ** m) * cell) ** (1.0 / m))

@@ -93,10 +93,11 @@ def legendre_brute(
     Only the half-line s >= 0 is scored at first: a sample s < 0 scores
     |q| s - (shift + A|s|^p) <= -shift, so a half-line maximum above -shift is
     the maximum of the whole line, at the same first index.  Otherwise (q = 0,
-    nan, or a shift that swamps every sample) the whole line is scored.
+    nan, or a shift that swamps every sample) the half s < 0 is scored too, for
+    the line's first largest score, a NaN counting as largest.
 
     Memory: the samples, plus one penalty array and one score array the
-    length of the line scored, each built in place (|s|, ** p, * A,
+    length of the half scored, each built in place (|s|, ** p, * A,
     + shift; then s * |q| minus the penalty).  These are the ufuncs of the
     expression |q| s - (shift + A|s|^p) on the same operands, so the score
     keeps its bits.
@@ -112,8 +113,11 @@ def legendre_brute(
     qv = np.atleast_1d(np.asarray(q, dtype=float))
     qnorm = float(np.linalg.norm(qv))
     s = np.linspace(-search_radius, search_radius, int(n_samples))
-    for m in (int(np.searchsorted(s, 0.0)), 0):  # the half-line s >= 0, then the line
-        h = s[m:]
+    m = int(np.searchsorted(s, 0.0))  # s[0] = -R < 0 <= s[m]: both halves hold samples
+
+    def score(lo: int, hi: int) -> tuple:
+        """(index, value) of the first largest score in s[lo:hi], as argmax finds it."""
+        h = s[lo:hi]
         # a penalty that overflows is inf, a sample that is never the maximum;
         # a maximum on the window edge is reported below
         with np.errstate(over="ignore"):
@@ -123,13 +127,15 @@ def legendre_brute(
             pen += shift
             vals = np.multiply(h, qnorm)
             vals -= pen
-        del pen
-        k = int(np.argmax(vals))
-        top = float(vals[k])
-        del vals  # the half-line's scores go before the whole line's are built
-        if top > -shift:
-            break
-    if m + k in (0, len(s) - 1) and qnorm > 0.0:
+        j = int(np.argmax(vals))
+        return lo + j, float(vals[j])
+
+    k, top = score(m, len(s))
+    if not top > -shift:  # the other half comes first: it wins a tie, and with a NaN
+        k_neg, top_neg = score(0, m)
+        if top_neg >= top or math.isnan(top_neg):
+            k, top = k_neg, top_neg
+    if k in (0, len(s) - 1) and qnorm > 0.0:
         try:
             xi_star = (qnorm / (p * A)) ** (1.0 / (p - 1.0))
         except OverflowError:  # p close to 1

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -519,6 +521,41 @@ class TestBadInputExit2:
         err = self._expect_exit_2(["oscillate", "--in", self._grid_file(tmp_path),
                                    "--r0", "1e-308"], capsys)
         assert "r0 = 1e-308 is below the grid's resolution" in err
+
+    def test_oscillate_r0_below_the_node_spacing(self, tmp_path, capsys, monkeypatch):
+        # on the README solve (dx = 1/128) each default centre's outer cylinder of
+        # radius 0.006 holds one node: no oscillation to measure, so a bad r0
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config = re.search(r"### Solve config \(JSON\)\n+```json\n(.*?)```", readme, re.S)
+        (tmp_path / "solve.json").write_text(config.group(1))
+        monkeypatch.chdir(tmp_path)
+        assert run(["solve", "--config", "solve.json", "--out", "u1d.hjg"]) == 0
+        capsys.readouterr()
+        err = self._expect_exit_2(["oscillate", "--in", "u1d.hjg", "--r0", "0.006"], capsys)
+        assert "r0 = 0.006 is below the grid's resolution" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["origin", "spacing_x", "t0", "spacing_t"])
+    @pytest.mark.parametrize("suffix", [".hjg", ".csv"])
+    def test_grid_header_not_finite(self, tmp_path, capsys, suffix, field, value):
+        # written by hand: save_grid takes a GridFunction, which rejects these
+        header = {"origin": -1.0, "spacing_x": 0.25, "t0": 0.0, "spacing_t": 0.25}
+        header[field] = float(value)
+        vals = np.linspace(0.0, 1.0, 9 * 5)
+        path = tmp_path / f"u{suffix}"
+        if suffix == ".hjg":
+            path.write_bytes(b"HJGRID1\n" + struct.pack("<q4d2q", 1, *header.values(), 9, 5)
+                             + vals.astype("<f8").tobytes())
+        else:
+            lines = (["# hjgrid,1", "# d,1"] + [f"# {k},{v!r}" for k, v in header.items()]
+                     + ["# extent,9,5"] + [repr(v) for v in vals.tolist()])
+            path.write_text("\n".join(lines) + "\n")
+        for argv in (["modulus", "--in", str(path), "--alpha", "0.5", "--C", "1", "--p", "3"],
+                     ["oscillate", "--in", str(path)]):
+            assert run(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1 and field in err
 
     @pytest.mark.parametrize("extra", [[], ["--alpha", "0.3"]])
     def test_scale_delta_not_finite(self, capsys, extra):

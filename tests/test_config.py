@@ -405,11 +405,12 @@ def test_fuzz_grid_file(data, suffix):
                     "--pairs", "20"])
 
 
-def test_outer_cylinder_with_one_node_is_a_failed_check(tmp_path):
-    """One node in the outer cylinder leaves no oscillation to measure: a
-    failed check with its reason, not an IndexError in iterate_scales."""
+def test_outer_cylinder_with_one_node_is_a_bad_r0(tmp_path):
+    """One node in a default centre's outer cylinder leaves no oscillation to
+    measure: an r0 below the grid's resolution, not an IndexError in
+    iterate_scales."""
     path = str(tmp_path / "u.hjg")
     save_grid(GridFunction((0.25,), (0.5,), 0.0, 0.25, np.zeros((3, 2))), path)
-    code, _, err = _run(["oscillate", "--in", path, "--alpha", "0.05", "--r0", "0.5"])
-    assert code == 1
-    assert err == "verification failed: outer cylinder holds 1 grid node(s)\n"
+    code, out, err = _run(["oscillate", "--in", path, "--alpha", "0.05", "--r0", "0.5"])
+    assert code == 2
+    assert (out, err) == ("", "error: r0 = 0.5 is below the grid's resolution\n")

@@ -59,6 +59,7 @@ class TestEquationParams:
             dict(p=2.0, A=1.0, m=1.0),
             dict(p=float("inf"), A=1.0),  # p' would be nan
             dict(p=3.0, A=float("inf")),
+            dict(p=3.0, A=1.0, m=float("inf")),
         ],
     )
     def test_invalid_params_rejected(self, kwargs):

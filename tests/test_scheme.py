@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -277,6 +278,18 @@ class TestDiscreteResidual:
         with pytest.raises(DomainError):
             discrete_residual(u, spec, "both")
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_extremal_diffusion_beyond_d_2_rejected(self, sign):
+        # m+- has closed forms for d <= 2 only: on x^2/2 + 2 z^2 (m+ = 4) the
+        # (0, 0) second difference alone would read 1
+        axes = np.meshgrid(*[np.linspace(-1.0, 1.0, 9)] * 3, indexing="ij")
+        vals = (0.5 * axes[0] ** 2 + 2.0 * axes[2] ** 2)[..., None] * np.ones(3)
+        u = GridFunction((-1.0,) * 3, (0.25,) * 3, 0.0, 0.5, vals)
+        spec = HamiltonianSpec(params=EquationParams(p=3.0, A=1.0, d=3),
+                               diffusion=ExtremalDiffusion(sign, 1.0))
+        with pytest.raises(DomainError, match="m\\+/- diffusion supports d in"):
+            discrete_residual(u, spec, "super")
+
 
 class TestComparison:
     def _pair(self, delta):
@@ -306,6 +319,17 @@ class TestComparison:
         cyl = ParabolicCylinder((0.0,), 1.0, 1.2, 3.0)
         with pytest.raises(BoundaryOrderingFailed):
             comparison_check(lo, hi, cyl)
+
+    @pytest.mark.parametrize("field, value", [
+        ("origin", (-1.0 + 2.0**-52,)), ("spacing_x", (0.0625 + 2.0**-56,)),
+        ("t0", 0.125), ("spacing_t", 0.125 + 2.0**-55),
+    ])
+    def test_grids_that_differ_rejected(self, field, value):
+        # the same extent, and a node grid that differs in one header field
+        lo, hi = self._pair(0.3)
+        cyl = ParabolicCylinder((0.0,), 1.0, 1.2, 3.0)
+        with pytest.raises(DomainError, match="must live on the same grid"):
+            comparison_check(lo, replace(hi, **{field: value}), cyl)
 
     def test_interior_violation_reported_not_raised(self):
         xs = np.linspace(-1, 1, 33)
@@ -368,6 +392,12 @@ class TestLmNorm:
         u = self._grid(lambda x: x)
         with pytest.raises(DomainError):
             lm_norm(u, 0.5, ParabolicCylinder((0.0,), 1.0, 0.5, 1.0))
+
+    def test_rejects_m_that_is_not_finite(self):
+        # the limit m -> inf is the sup norm, which the Riemann sum does not give
+        u = self._grid(lambda x: 0.98 * x)
+        with pytest.raises(DomainError, match="m must be >= 1 and finite"):
+            lm_norm(u, math.inf, ParabolicCylinder((0.0,), 1.0, 0.5, 1.0))
 
     def test_empty_intersection(self):
         u = self._grid(lambda x: x)

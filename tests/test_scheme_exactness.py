@@ -577,8 +577,13 @@ def test_2d_rows_match_reference(nx, diffusion):
 
 
 def test_rows_with_one_exponent():
-    _check_rows(1, [(3.0, "rough", "inverse_power"), (3.0, "constant", "none"),
-                    (3.0, "opaque", "constant")], _cfg(1))
+    # rows that agree power by one number, whole rows at once; p = 2 and p = 4
+    # make it 1.0 and 2.0, which ndarray ** number special-cases
+    for d in (1, 2):
+        for p in (3.0, 2.0, 4.0):
+            _check_rows_with_reference(d, [(p, "rough", "inverse_power"), (p, "constant", "none"),
+                                           (p, "opaque", "constant")], _cfg(d),
+                                       ExtremalDiffusion(sign=1, coeff=0.04))
 
 
 @pytest.mark.parametrize("forcings", [
