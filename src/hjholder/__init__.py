@@ -20,6 +20,7 @@ from .variational import (
     hopf_lax_eval,
     legendre_brute,
     legendre_closed,
+    power_law_solution,
     sample_parabolic_boundary,
     semi_lax_upper_bound,
 )

@@ -613,11 +613,11 @@ def solve_hj(spec, init, bc, cfg: SolveConfig):
 
     init is a callable init(*coords) or an array on the spatial grid; bc is a
     Dirichlet callable bc(*coords, t) applied on the box faces every substep.
-    The step satisfies dt <= cfl * min(dx/(2 d alpha), dx^2/(2 d Lambda)) and
-    dt <= 1/(alpha sum_i 1/dx_i + 2 Lambda sum_i 1/dx_i^2), so that a substep
-    weighs each node's own value by >= 0; in 1-D that makes the substep
-    monotone.  In 2-D the centred cross difference of m+/- and of an
-    off-diagonal trace term is not monotone at any dt.
+    The step is dt = cfl/rate with rate = alpha sum_i 1/dx_i + 2 Lambda sum_i
+    1/dx_i^2 (capped at the next output time), so that a substep weighs each
+    node's own value by 1 - cfl > 0; in 1-D that makes the substep monotone.
+    In 2-D the centred cross difference of m+/- and of an off-diagonal trace
+    term is not monotone at any dt.
 
     Given sequences of specs, inits and bcs (one row each), the rows are
     solved together, as one flat block of the same loop, and a list
@@ -660,9 +660,8 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
         if spec.shift != shift or spec.diffusion != diffusion:
             raise DomainError("rows solved together must share diffusion and shift")
     dx = cfg.spacings()
-    dx_min = min(dx)
     # a substep weighs its own node by 1 - dt * (alpha * inv_dx + 2 Lambda * inv_dx2)
-    # through the LF and axis diffusion terms; dt keeps that weight >= 0
+    # through the LF and axis diffusion terms; dt = cfl / rate keeps it at 1 - cfl
     inv_dx = sum(1.0 / h for h in dx)
     inv_dx2 = sum(1.0 / h**2 for h in dx)
     coords = cfg.coords()
@@ -750,15 +749,8 @@ def _solve_rows(specs: list, inits: list, bcs: list, cfg: SolveConfig) -> list:
                     alpha = max(alpha, cfg.lf_alpha_floor)
                     half_alphas.append(0.5 * alpha)
 
-                    dt_stab = math.inf
-                    if alpha > 0:
-                        dt_stab = dx_min / (2.0 * alpha * d)
-                    if lam > 0:
-                        dt_stab = min(dt_stab, dx_min**2 / (2.0 * d * lam))
-                    dt_stab *= cfg.cfl
                     rate = alpha * inv_dx + 2.0 * lam * inv_dx2
-                    if rate > 0:
-                        dt_stab = min(dt_stab, 1.0 / rate)
+                    dt_stab = cfg.cfl / rate if rate > 0 else math.inf
                     if dt_stab < DT_FLOOR:
                         failed[r] = CflViolation(f"stable step {dt_stab:g} below floor "
                                                  f"{DT_FLOOR:g} at t={clock[r]:g}")

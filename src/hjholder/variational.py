@@ -225,6 +225,28 @@ def hopf_lax_eval(
     return float(total.min())
 
 
+def power_law_solution(p: float, a: float, x, t: float) -> float | np.ndarray:
+    """Exact solution u(x, t) = (a^{1-p} + c_p^{1-p} t)^{-1/(p-1)} |x|^{p'}
+    of u_t + |Du|^p = 0 with u(x, 0) = a|x|^{p'}, for t >= 0.
+
+    The Hopf-Lax minimum over y of a|y|^{p'} + t c_p |(x-y)/t|^{p'} is an
+    infimal convolution of two multiples of |.|^{p'}, which is again one;
+    c_p and p' come from legendre_closed.  At p = 2 it is |x|^2/(1 + 4t)
+    for a = 1.  x is one point, of shape (d,), or an array of points of
+    shape (..., d): one point gives a float, an array an array of shape
+    x.shape[:-1].
+    """
+    if not (0.0 < a < math.inf and 0.0 <= t < math.inf):
+        raise DomainError(f"need finite a > 0 and t >= 0, got a={a}, t={t}")
+    lag = legendre_closed(p, 1.0)
+    xv = np.asarray(x, dtype=float)
+    one_point = xv.ndim <= 1
+    radius = np.linalg.norm(np.atleast_1d(xv), axis=-1)
+    scale = (a ** (1.0 - p) + lag.c_p ** (1.0 - p) * t) ** (-1.0 / (p - 1.0))
+    u = scale * radius**lag.p_prime
+    return float(u) if one_point else u
+
+
 def semi_lax_upper_bound(
     bottom_points,
     bottom_values,

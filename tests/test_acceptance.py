@@ -548,3 +548,43 @@ def test_criterion_12_extremal_properties():
         "reflection, subadditivity, positive homogeneity and monotonicity of "
         "m+/m- hold on 1000 random symmetric matrices for d in {1, 2, 3, 5} at 1e-9",
     )
+
+
+# ---------------------------------------------------------------------------
+# 13. First-order solver against the exact power-law solution for p > 2
+# ---------------------------------------------------------------------------
+
+
+def _power_law_error(p, d, n):
+    """Max error at t1 = 0.25 on |x| <= 0.5 of the solve of u_t + |Du|^p = 0
+    on [-2, 2]^d from u0 = |x|^{p'}, with exact Dirichlet data."""
+    exact = lambda *xt: hj.power_law_solution(p, 1.0, np.stack(xt[:-1], axis=-1), xt[-1])
+    spec = hj.HamiltonianSpec(params=hj.EquationParams(p=p, A=1.0, d=d), coefficient=1.0)
+    cfg = hj.SolveConfig(xmin=(-2.0,) * d, xmax=(2.0,) * d, nx=(n,) * d, t0=0.0, t1=0.25,
+                         nt=17)
+    u = hj.solve_hj(spec, lambda *x: exact(*x, 0.0), exact, cfg)
+    coords = np.meshgrid(*[u.axis_coords(i) for i in range(d)], indexing="ij")
+    sel = sum(c * c for c in coords) <= 0.25
+    want = exact(*[c[sel] for c in coords], 0.25)
+    return float(np.abs(u.values[..., -1][sel] - want).max())
+
+
+def test_criterion_13_power_law_oracle():
+    # bands set from the solver before its step became cfl/rate: 1-D orders
+    # 0.735-0.746, 0.651-0.662 and 0.583-0.595 (about p'/2), errors at 1025
+    # nodes 1.84e-2, 3.23e-2 and 5.24e-2; 2-D errors at 65^2 and 129^2 0.250
+    # and 0.153, 0.330 and 0.216, 0.416 and 0.289
+    ceilings = {3.0: (0.019, 0.26, 0.16), 4.0: (0.033, 0.34, 0.22), 6.0: (0.054, 0.43, 0.30)}
+    ok, parts = True, []
+    for p, (ceil_1d, ceil_65, ceil_129) in ceilings.items():
+        half_pp = 0.5 * p / (p - 1.0)
+        errs = [_power_law_error(p, 1, n) for n in (129, 257, 513, 1025)]
+        rates = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        errs_2d = [_power_law_error(p, 2, n) for n in (65, 129)]
+        ok &= all(abs(r - half_pp) <= 0.04 for r in rates) and errs[-1] <= ceil_1d
+        ok &= errs_2d[0] <= ceil_65 and errs_2d[1] <= ceil_129
+        parts.append(f"p={p:g}: 1-D err {errs[-1]:.3e} at 1025 (tol {ceil_1d}), orders "
+                     f"{[round(r, 3) for r in rates]} within 0.04 of p'/2 = {half_pp:.3f}; "
+                     f"2-D err {errs_2d[0]:.3f} at 65^2, {errs_2d[1]:.3f} at 129^2 "
+                     f"(tol {ceil_65}, {ceil_129})")
+    report(13, ok, "solver vs (1 + c_p^{1-p} t)^{-1/(p-1)} |x|^{p'}: " + "; ".join(parts))

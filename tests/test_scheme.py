@@ -120,14 +120,14 @@ class TestSolveBasics:
     @settings(deadline=None, max_examples=60)
     @given(p=st.floats(1.5, 4.0), ratio=st.floats(0.0, 4.0),
            cfl=st.floats(0.01, 1.0, exclude_max=True), k=st.integers(1, 63))
-    @example(p=3.0, ratio=1.0, cfl=0.8, k=32)  # the rule alone: centre weight -0.2
+    @example(p=3.0, ratio=1.0, cfl=0.8, k=32)  # centre weight 0.2
     def test_one_step_is_monotone(self, p, ratio, cfl, k):
-        # one step of the rule cfl * min(dx/(2 alpha), dx^2/(2 Lambda)) on convex data,
-        # with alpha fixed by the floor and m+ diffusion Lambda = ratio * alpha * dx;
-        # that rule alone weighs the centre by 1 - cfl * (1 + 2 ratio) / 2 at ratio <= 1
+        # one step of the solver's rule cfl / (alpha/dx + 2 Lambda/dx^2) on convex
+        # data, with alpha fixed by the floor and m+ diffusion Lambda = ratio *
+        # alpha * dx; the step weighs the centre by 1 - cfl
         alpha, dx = 20.0, 2.0 / 64
         lam = ratio * alpha * dx
-        dt = cfl * min(dx / (2.0 * alpha), dx**2 / (2.0 * lam) if lam > 0 else np.inf)
+        dt = cfl / (alpha / dx + 2.0 * lam / dx**2)
         spec = HamiltonianSpec(params=EquationParams(p=p, A=2.0, d=1), coefficient=0.5,
                                diffusion=ExtremalDiffusion(sign=1, coeff=lam))
         cfg = cfg_1d(t1=dt, nt=2, lf_alpha_floor=alpha)  # p * 0.5 * max|u_x|^(p-1) <= 16
@@ -138,6 +138,29 @@ class TestSolveBasics:
         raised[k] += 1e-4  # keeps the data convex: m+ stays the second difference
         u1 = solve_hj(spec, raised, bc, cfg)
         assert np.all(u1.values[:, -1] >= u0.values[:, -1] - 1e-14)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_first_substep_is_cfl_over_rate(self, d):
+        # alpha is the floor (p * max a * max|q|^(p-1) is about 3 * 0.5 * 0.25**2) and
+        # the diffusion small, so the old rule's hyperbolic term would bind; the
+        # first bc call comes at the end of the first substep
+        alpha, lam, cfl = 40.0, 0.01, 0.7
+        spec = HamiltonianSpec(params=EquationParams(p=3.0, A=2.0, d=d), coefficient=0.5,
+                               diffusion=ExtremalDiffusion(sign=1, coeff=lam))
+        cfg = SolveConfig(xmin=(-1.0,) * d, xmax=(1.0, 1.5)[:d], nx=(33, 25)[:d],
+                          t1=0.05, nt=2, cfl=cfl, lf_alpha_floor=alpha)
+        times = []
+
+        def bc(*xt):
+            times.append(xt[-1])
+            return 0.25 * xt[0]
+
+        solve_hj(spec, lambda *x: 0.25 * x[0], bc, cfg)
+        dx = cfg.spacings()
+        rate = alpha * sum(1.0 / h for h in dx) + 2.0 * lam * sum(1.0 / h**2 for h in dx)
+        assert times[0] == pytest.approx(cfl / rate, rel=1e-14)
+        assert times[0] > cfl * min(dx) / (2.0 * d * alpha) * 1.9
+        assert len(times) == math.ceil(cfg.t1 * rate / cfl)
 
     def test_blowup_guard(self):
         params = EquationParams(p=2.0, A=1.0, d=1)

@@ -3,7 +3,8 @@
 The reference below is a frozen, test-local copy of the roll/gradient
 substep loop and residual check that the flat-window stencil replaced; its
 m+/- radius is the sqrt form of hjholder.extremal._mid_rad (a tolerance test
-compares with the np.hypot radius it had before).  The stencil performs the
+compares with the np.hypot radius it had before), and its step is the
+solver's dt = cfl/rate, changed in lock step with it.  The stencil performs the
 same float operations in the same order, so every solution value and every
 residual report must agree bit for bit, and every callable must be sampled
 at the same times in the same order.
@@ -14,6 +15,7 @@ callables as that solve does.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -102,7 +104,6 @@ def _ref_diffusion_field(spec, u, coords, t, dx, d, radius=_sqrt_radius):
 def _ref_solve(spec, init, bc, cfg, radius=_sqrt_radius):
     d = cfg.dim
     dx = cfg.spacings()
-    dx_min = min(dx)
     coords = cfg.coords()
     p = spec.params.p
     u = np.array(np.broadcast_to(init(*coords), tuple(cfg.nx)), dtype=float)
@@ -135,15 +136,8 @@ def _ref_solve(spec, init, bc, cfg, radius=_sqrt_radius):
                 hamil = hamil - 0.5 * alpha * (qf[i] - qb[i])
             diff_term, lam = _ref_diffusion_field(spec, u, coords, t, dx, d, radius)
             rhs = _ref_field(spec.forcing, coords, t) - spec.shift - hamil + diff_term
-            dt_stab = math.inf
-            if alpha > 0:
-                dt_stab = dx_min / (2.0 * alpha * d)
-            if lam > 0:
-                dt_stab = min(dt_stab, dx_min**2 / (2.0 * d * lam))
-            dt_stab *= cfg.cfl
             rate = alpha * sum(1.0 / h for h in dx) + 2.0 * lam * sum(1.0 / h**2 for h in dx)
-            if rate > 0:
-                dt_stab = min(dt_stab, 1.0 / rate)
+            dt_stab = cfg.cfl / rate if rate > 0 else math.inf
             dt = min(dt_stab, t_target - t)
             u = u + dt * rhs
             t_new = min(t + dt, t_target)
@@ -306,7 +300,10 @@ def test_stencil_matches_roll_reference(d, diffusion, coefficient, forcing):
 def test_stencil_matches_reference_on_grid_shapes(nx, diffusion):
     # the flat windows run across grid lines; their seams sit elsewhere in
     # each shape, and a 3-node axis leaves one interior line
-    _check(2, diffusion, "rough", "inverse_power", nx=nx)
+    cfg = _cfg(2, nx=nx)
+    if nx == (3, 17):  # 7 substeps to t1: too few for two per interval at nt = 5
+        cfg = replace(cfg, nt=3)
+    _check(2, diffusion, "rough", "inverse_power", cfg=cfg)
 
 
 @pytest.mark.parametrize("diffusion", ["m+", "trace"])

@@ -12,6 +12,7 @@ from hjholder.variational import (
     hopf_lax_eval,
     legendre_brute,
     legendre_closed,
+    power_law_solution,
     sample_parabolic_boundary,
     semi_lax_upper_bound,
 )
@@ -231,6 +232,68 @@ class TestHopfLax:
         t = 0.5
         exact = float(x @ x) / (1 + 4 * t)
         assert hopf_lax_eval(bnd, lag, x, t) == pytest.approx(exact, abs=5e-3)
+
+
+class TestPowerLawSolution:
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0, 6.0])
+    def test_matches_hopf_lax_of_its_boundary_data(self, p):
+        a = 0.7
+        lag = legendre_closed(p, 1.0)
+        bnd = sample_parabolic_boundary(lambda y, s: power_law_solution(p, a, y, s),
+                                        3.0, 0.0, 1.0, d=1, bottom_spacing=1 / 512)
+        for x, t in ((0.0, 0.5), (0.3, 0.25), (-0.8, 0.6), (1.1, 1.0)):
+            assert hopf_lax_eval(bnd, lag, [x], t) == pytest.approx(
+                power_law_solution(p, a, [x], t), abs=5e-6)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+    def test_is_the_minimum_over_y(self, p):
+        # brute minimum of a|y|^{p'} + t c_p |(x - y)/t|^{p'} over a line of y
+        # and over a square of y, whose lattice misses the 2-D minimizer
+        a, t = 1.3, 0.4
+        lag = legendre_closed(p, 1.0)
+        ys = np.linspace(-2.0, 2.0, 400_001)
+        for x in (0.0, 0.45, -1.2):
+            cost = a * np.abs(ys) ** lag.p_prime + t * lag.value_at_speed((x - ys) / t)
+            assert power_law_solution(p, a, [x], t) == pytest.approx(cost.min(), abs=1e-9)
+        g = np.linspace(-1.0, 1.0, 801)
+        y = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1)
+        x = np.array([0.6, -0.35])
+        speed = np.linalg.norm(x - y, axis=-1) / t
+        cost = a * np.linalg.norm(y, axis=-1) ** lag.p_prime + t * lag.value_at_speed(speed)
+        assert power_law_solution(p, a, x, t) == pytest.approx(cost.min(), abs=1e-5)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+    def test_solves_the_equation(self, p):
+        # centred differences: u_t + |Du|^p = 0 away from the kink at x = 0
+        a, h = 0.9, 1e-5
+        x, t = np.array([0.5, -0.4]), 0.3
+        u = lambda x, t: power_law_solution(p, a, x, t)
+        ut = (u(x, t + h) - u(x, t - h)) / (2.0 * h)
+        grad = [(u(x + h * e, t) - u(x - h * e, t)) / (2.0 * h) for e in np.eye(2)]
+        assert ut + np.linalg.norm(grad) ** p == pytest.approx(0.0, abs=1e-8)
+
+    def test_initial_data_and_the_quadratic_case(self):
+        x = np.linspace(-2.0, 2.0, 9).reshape(-1, 1)
+        lag = legendre_closed(4.0, 1.0)
+        np.testing.assert_allclose(power_law_solution(4.0, 0.6, x, 0.0),
+                                   0.6 * np.abs(x[:, 0]) ** lag.p_prime, rtol=1e-15)
+        for t in (0.0, 0.25, 1.0):
+            np.testing.assert_allclose(power_law_solution(2.0, 1.0, x, t),
+                                       x[:, 0] ** 2 / (1.0 + 4.0 * t), rtol=1e-15)
+
+    def test_shapes(self):
+        assert isinstance(power_law_solution(3.0, 1.0, [0.5, 0.2], 0.1), float)
+        assert isinstance(power_law_solution(3.0, 1.0, 0.5, 0.1), float)
+        pts = np.zeros((4, 3, 2))
+        assert power_law_solution(3.0, 1.0, pts, 0.1).shape == (4, 3)
+
+    @pytest.mark.parametrize("p, a, t", [(1.0, 1.0, 0.1), (3.0, 0.0, 0.1), (3.0, -1.0, 0.1),
+                                         (3.0, 1.0, -0.1), (3.0, math.nan, 0.1),
+                                         (3.0, 1.0, math.nan), (3.0, math.inf, 0.0),
+                                         (3.0, 1.0, math.inf)])
+    def test_rejects_bad_input(self, p, a, t):
+        with pytest.raises(DomainError):
+            power_law_solution(p, a, [0.5], t)
 
 
 class TestSemiLaxUpperBound:
