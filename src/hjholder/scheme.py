@@ -60,6 +60,8 @@ class ExtremalDiffusion:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise DomainError(f"sign must be +1 or -1, got {self.sign}")
+        if not self.coeff >= 0:  # a negative coeff is anti-diffusive: not monotone at any dt
+            raise DomainError(f"diffusion coeff must be >= 0, got {self.coeff}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,6 +147,11 @@ class SolveConfig:
         if not (0.0 < self.cfl < 1.0):
             raise DomainError(f"CFL factor must lie in (0,1), got {self.cfl}")
         require_float64_count((*self.nx, self.nt), "the grid's prod(nx) x nt nodes")
+        for h in self.spacings():
+            # the step's rate sums 1/h^2; h * h gives inf or 0 where h**2 would raise
+            h2 = h * h
+            if not (h2 > 0.0 and 0.0 < 1.0 / h2 < math.inf):
+                raise DomainError(f"grid spacing {h:g}: 1/spacing^2 is not a finite number > 0")
 
     @property
     def dim(self) -> int:
@@ -573,7 +580,7 @@ def _diffusion_bounds(diff, coords, ts: list, d: int) -> tuple:
     if diff is None:
         return None, [0.0] * len(ts)
     if isinstance(diff, ExtremalDiffusion):
-        return None, [abs(diff.coeff)] * len(ts)
+        return None, [diff.coeff] * len(ts)
     if isinstance(diff, TraceDiffusion):
         bs = [diff.matrix_at(coords, t, d) for t in ts]
         # max |b| as max(max b, -min b): the same number, without an |b| array

@@ -417,6 +417,15 @@ class TestBadInputExit2:
                                    "--out", str(tmp_path / "u.hjg")], capsys)
         assert message in err
 
+    @pytest.mark.parametrize("half, spacing", [(1e200, "6.25e+198"), (1e-200, "6.25e-202"),
+                                               (1e-160, "6.25e-162")])
+    def test_grid_spacing_whose_square_leaves_the_float_range(self, tmp_path, capsys, half, spacing):
+        # h**2 overflows, h * h underflows to 0, or 1/(h * h) is inf
+        grid = {"xmin": [-half], "xmax": [half], "nx": [33], "t0": 0.0, "t1": 0.1, "nt": 5}
+        err = self._expect_exit_2(["solve", "--config", solve_config(tmp_path, grid=grid),
+                                   "--out", str(tmp_path / "u.hjg")], capsys)
+        assert f"grid spacing {spacing}: 1/spacing^2 is not a finite number > 0" in err
+
     def test_whole_float_grid_counts_accepted(self, tmp_path):
         outs = []
         for nx, nt in (([33], 5), ([33.0], 5.0)):
@@ -439,6 +448,8 @@ class TestBadInputExit2:
         ({"p": 3.0, "A": 2.0, "forcing": {"kind": "constant", "value": [1]}},
          "forcing.value must be a number"),
         ({"p": 3.0, "A": 2.0, "coefficient": "rough"}, "'coefficient' must be a JSON object"),
+        ({"p": 3.0, "A": 2.0, "diffusion": {"kind": "extremal", "coeff": -1}},
+         "diffusion coeff must be >= 0, got -1"),
     ])
     def test_equation_of_the_wrong_shape(self, tmp_path, capsys, equation, message):
         cfg = solve_config(tmp_path, equation=equation)

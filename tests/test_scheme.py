@@ -201,6 +201,13 @@ class TestSolveBasics:
             with pytest.raises(DomainError):
                 SolveConfig(xmin=(-1.0,), xmax=(1.0,), nx=nx, t0=0.0, t1=0.1, nt=nt)
 
+    @pytest.mark.parametrize("coeff", [-1.0, -1e-300, float("nan")])
+    def test_extremal_coeff_must_be_nonnegative(self, coeff):
+        # a negative coeff is anti-diffusive: the step is monotone at no dt
+        with pytest.raises(DomainError, match="diffusion coeff must be >= 0"):
+            ExtremalDiffusion(1, coeff)
+        assert ExtremalDiffusion(-1, 0.0).coeff == 0.0
+
     def test_2d_constant_and_heat(self):
         params = EquationParams(p=2.0, A=1.0, d=2)
         spec = HamiltonianSpec(params=params, coefficient=0.0,
