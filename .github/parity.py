@@ -68,6 +68,13 @@ CASES = {
     "legendre_p1_2": ("legendre --p 1.2 --A 1".split(), []),
     "legendre_p2_5": ("legendre --p 2.5 --A 1e-3".split(), []),
     "legendre_p6": ("legendre --p 6 --A 0.7".split(), []),
+    # legendre_brute scores a whole half-line, not a bracket, where p' is
+    # near 1, where p = 50 flattens the scores below their rounding bound,
+    # and where a coarse score overflows (exit 1); an infinite window exits 1
+    "legendre_p1e6": ("legendre --p 1e6 --A 1".split(), []),
+    "legendre_p50": ("legendre --p 50 --A 1e-5".split(), []),
+    "legendre_window_overflow": ("legendre --p 3 --A 1e-300".split(), []),
+    "legendre_inf_window": ("legendre --p 1.0000001 --A 1".split(), []),
 }
 # the benchmark runs 100,000 random pairs at two seeds and four legendre argvs;
 # these pair counts sit on both sides of the 8,192-pair chunk edge and span 31

@@ -5,8 +5,9 @@ minimum negative eigenvalue (zero if none).  Every operator takes one d x d
 matrix or a stack (..., d, d) of them.  1x1 and 2x2 eigenvalues come in
 closed form (the 2x2 one from _mid_rad, which the solver's m+/- fields and
 its definiteness check share); d >= 3 uses LAPACK through
-numpy.linalg.eigvalsh.  The tests check all of them against an independent
-cyclic-Jacobi / trigonometric-cubic oracle.
+numpy.linalg.eigvalsh.  One 1x1 or 2x2 float matrix goes through Python
+floats, with the bits of the same call on a stack of one.  The tests check all
+of them against an independent cyclic-Jacobi / trigonometric-cubic oracle.
 
 The 2x2 radius is sqrt(x*x + y*y): several times cheaper than np.hypot and
 within an ulp of it on random pairs.  Where a square could overflow or lose
@@ -90,7 +91,7 @@ def _mid_rad(h00, h11, h01, work=None):
             s = np.multiply(x, x, out=b)
             s += np.multiply(h01, h01, out=rad)  # the bits of x * x + h01 * h01
             outside = None
-            if not (_SQ_MIN <= s.min() and s.max() < math.inf):
+            if s.size and not (_SQ_MIN <= s.min() and s.max() < math.inf):
                 outside = ~((s >= _SQ_MIN) & (s < math.inf))
             np.sqrt(s, out=rad)
             if outside is not None:
@@ -104,8 +105,41 @@ def _mid_rad(h00, h11, h01, work=None):
         return a + b, np.hypot(x, y)
 
 
-def sym_eigs(x) -> np.ndarray:
-    """Eigenvalues in nondecreasing order along the last axis: (..., d, d) -> (..., d)."""
+def _small_eigs(x):
+    """The eigenvalues of one 1x1 or 2x2 float matrix in nondecreasing order,
+    as a tuple of Python floats; None for any other input.
+
+    The entries are symmetrized as _symmetrized does, 0.5 a_ij + 0.5 a_ji (a
+    SymMatrix already is: halving a subnormal again would round), and a 2x2
+    matrix goes through _mid_rad's scalar branch.  So the eigenvalues have
+    the bits sym_eigs gives the same matrix in a stack.
+    """
+    if isinstance(x, SymMatrix):
+        a, halve = x.entries, False
+    elif type(x) is np.ndarray and x.dtype == np.float64:
+        a, halve = x, True
+    else:
+        return None
+    if a.shape == (1, 1):
+        ((h00,),) = a.tolist()
+        h00 = 0.5 * h00 + 0.5 * h00 if halve else h00
+        if not math.isfinite(h00):
+            raise DomainError("matrix entries must be finite")
+        return (h00,)
+    if a.shape != (2, 2):
+        return None
+    (h00, h01), (h10, h11) = a.tolist()
+    if halve:
+        h00, h11, h01 = 0.5 * h00 + 0.5 * h00, 0.5 * h11 + 0.5 * h11, 0.5 * h01 + 0.5 * h10
+    if not (math.isfinite(h00) and math.isfinite(h11) and math.isfinite(h01)):
+        raise DomainError("matrix entries must be finite")
+    mid, rad = _mid_rad(h00, h11, h01)
+    rad = float(rad)  # Python floats overflow to inf without a warning
+    return mid - rad, mid + rad
+
+
+def _array_eigs(x) -> np.ndarray:
+    """sym_eigs in numpy, for any input."""
     a = x.entries if isinstance(x, SymMatrix) else _symmetrized(x)
     d = a.shape[-1]
     if d == 1:
@@ -113,21 +147,38 @@ def sym_eigs(x) -> np.ndarray:
     if d == 2:
         mid, rad = _mid_rad(a[..., 0, 0], a[..., 1, 1], a[..., 0, 1])
         ev = np.empty(a.shape[:-1])
-        ev[..., 0] = mid - rad
-        ev[..., 1] = mid + rad
+        with np.errstate(over="ignore"):  # an eigenvalue above the float range is inf
+            ev[..., 0] = mid - rad
+            ev[..., 1] = mid + rad
         return ev
     return np.linalg.eigvalsh(a)
+
+
+def sym_eigs(x) -> np.ndarray:
+    """Eigenvalues in nondecreasing order along the last axis: (..., d, d) -> (..., d)."""
+    small = _small_eigs(x)
+    return _array_eigs(x) if small is None else np.array(small)
 
 
 def _scalar_or_array(v):
     return float(v) if v.ndim == 0 else v
 
 
+# np.maximum(v, 0.0) and np.minimum(v, 0.0) give 0.0, not v, for v = -0.0,
+# and so do the conditionals below; Python's max and min would keep -0.0
+
+
 def m_plus(x):
     """Maximum positive eigenvalue, zero if none: a float, or an array of shape (...,)."""
-    return _scalar_or_array(np.maximum(sym_eigs(x)[..., -1], 0.0))
+    small = _small_eigs(x)
+    if small is not None:
+        return small[-1] if small[-1] > 0.0 else 0.0
+    return _scalar_or_array(np.maximum(_array_eigs(x)[..., -1], 0.0))
 
 
 def m_minus(x):
     """Minimum negative eigenvalue, zero if none: a float, or an array of shape (...,)."""
-    return _scalar_or_array(np.minimum(sym_eigs(x)[..., 0], 0.0))
+    small = _small_eigs(x)
+    if small is not None:
+        return small[0] if small[0] < 0.0 else 0.0
+    return _scalar_or_array(np.minimum(_array_eigs(x)[..., 0], 0.0))

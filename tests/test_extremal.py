@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjholder.errors import DomainError
@@ -167,6 +167,12 @@ class TestStacks:
             with pytest.raises(DomainError):
                 op(x[3])
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_empty_stack(self, d):
+        x = np.zeros((0, d, d))
+        assert m_plus(x).shape == m_minus(x).shape == (0,)
+        assert sym_eigs(x).shape == (0, d)
+
     def test_sym_matrix_holds_one_matrix(self):
         with pytest.raises(DomainError):
             SymMatrix(np.zeros((2, 2, 2)))
@@ -289,3 +295,58 @@ class TestHugeFiniteMatrices:
         rng = np.random.default_rng(8)
         a = rng.normal(size=(300, 3, 3)) * 10.0 ** rng.integers(-300, 300, size=(300, 1, 1))
         assert _symmetrized(a).tobytes() == (0.5 * (a + a.swapaxes(-1, -2))).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# One 1x1 or 2x2 matrix: Python floats, with the bits of a stack of one
+# ---------------------------------------------------------------------------
+
+_SUBNORMAL = _signed(st.floats(0.0, 2.2250738585072014e-308))
+_ANY = st.one_of(_ENTRY, _SUBNORMAL, st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, _MAX]))
+
+
+def _one_and_stack(op, x, stack):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return op(x), op(stack)[0]
+
+
+def _same_bits(one, first):
+    assert np.asarray(one, dtype=float).tobytes() == np.asarray(first).tobytes(), (one, first)
+
+
+class TestOneMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 2]).flatmap(
+        lambda d: st.lists(_ANY, min_size=d * d, max_size=d * d).map(lambda v: np.array(v).reshape(d, d))))
+    @example(np.array([[-0.0, -0.0], [-0.0, -0.0]]))
+    @example(np.array([[5e-324, 5e-324], [-5e-324, 5e-324]]))
+    @example(np.array([[1.7e308, 1.7e308], [1.7e308, 1.7e308]]))
+    @example(np.array([[-0.0]]))
+    @example(np.array([[5e-324]]))
+    def test_bits_of_a_stack_of_one(self, x):
+        # asymmetric as drawn; a SymMatrix holds the symmetrized entries
+        for one in (x, SymMatrix(x)):
+            mp, mp_stack = _one_and_stack(m_plus, one, x[None])
+            mm, mm_stack = _one_and_stack(m_minus, one, x[None])
+            ev, ev_stack = _one_and_stack(sym_eigs, one, x[None])
+            assert type(mp) is float and type(mm) is float
+            _same_bits(mp, mp_stack)
+            _same_bits(mm, mm_stack)
+            _same_bits(ev, ev_stack)
+
+    @pytest.mark.parametrize("x", [[[1.0, 2.0], [-3.0, 4.0]], [[-2.5]], [[1, 2], [3, 4]], [[7]], 3, -2.0])
+    def test_lists_ints_and_scalars(self, x):
+        stack = np.asarray(x, dtype=float).reshape(1, *np.shape(x) or (1, 1))
+        for one in (x, np.asarray(x)):
+            for op in (m_plus, m_minus, sym_eigs):
+                _same_bits(op(one), op(stack)[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("d, at", [(1, (0, 0)), (2, (0, 0)), (2, (0, 1)), (2, (1, 0)), (2, (1, 1))])
+    def test_non_finite_entry_rejected(self, bad, d, at):
+        x = np.zeros((d, d))
+        x[at] = bad
+        for op in (sym_eigs, m_plus, m_minus):
+            with pytest.raises(DomainError, match="finite"):
+                op(x)

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hjholder.barriers import SupersolutionBarrier
 from hjholder.core import EquationParams
@@ -30,8 +32,20 @@ def _ref_legendre_brute(p, A, shift, q, search_radius, n_samples):
     vals = qnorm * s - (shift + A * np.abs(s) ** p)
     k = int(np.argmax(vals))
     if k in (0, len(s) - 1) and qnorm > 0.0:
-        return f"maximizer on the window edge; |xi*|={(qnorm / (p * A)) ** (1.0 / (p - 1.0)):g}"
+        try:
+            xi_star = (qnorm / (p * A)) ** (1.0 / (p - 1.0))
+        except OverflowError:  # p close to 1
+            xi_star = math.inf
+        return f"maximizer on the window edge; |xi*|={xi_star:g}"
     return repr(float(vals[k]))  # repr compares bits, and nan equal to nan
+
+
+def _powers_of_ten(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+def _signed(magnitudes):
+    return st.builds(lambda sign, v: sign * v, st.sampled_from([-1.0, 1.0]), magnitudes)
 
 
 class TestLegendreClosed:
@@ -119,6 +133,47 @@ class TestLegendreBrute:
         finally:
             tracemalloc.stop()
         assert peak <= (lines + 0.05) * 8 * n, peak / (8 * n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.floats(1.001, 60.0, exclude_min=True, exclude_max=True),
+        A=_powers_of_ten(-8.0, 8.0),
+        shift=st.one_of(st.just(0.0), st.just(math.nan), st.floats(-1e22, 1e22),
+                        _signed(_powers_of_ten(-3.0, 22.0))),
+        q=st.one_of(st.just(0.0), st.floats(-50.0, 50.0), _signed(_powers_of_ten(-6.0, 3.0))),
+        R=_powers_of_ten(-4.0, 3.0),
+        n=st.sampled_from([100, 101, 1001, 200_001]),
+    )
+    # without the rounding guard the bracket missed these by one ulp: the
+    # shift is so large that rounding flattens the scores into teeth
+    @example(39.589848304193346, 1.1989621090531218e-4, 3.44238908129764e17,
+             -23.983481505712913, 4.14299433335751, 10001)
+    @example(33.56213204783179, 1.0237931797003524e-6, 2.2314598302408426e17,
+             -34.19948906486579, 4.37636696574612, 100)
+    @example(3.0, 10806050.329805922, 23137226179689.42, -30.51270251823879,
+             0.002183538296071484, 10001)
+    def test_bracket_matches_the_whole_line(self, p, A, shift, q, R, n):
+        """The same value, or the same window-edge message, as a scan of the
+        whole line, whether the bracket decides or a half is scored whole."""
+        ref = _ref_legendre_brute(p, A, shift, q, R, n)
+        try:
+            got = repr(legendre_brute(p, A, shift, q, R, n))
+        except WindowTooSmall as exc:
+            got = str(exc)
+        assert got == ref
+
+    def test_bracket_peak_is_the_samples(self):
+        # the samples, then about 2 sqrt(n) coarse and bracket scores
+        # (measured: 1.012 times the samples)
+        n = 200_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            legendre_brute(3.0, 2.0, 0.0, 3.0, 2.0, n)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 8 * n, peak / (8 * n)
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 4.0])
     @pytest.mark.parametrize("A", [0.5, 1.0, 2.0])
