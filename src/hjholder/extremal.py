@@ -5,7 +5,7 @@ minimum negative eigenvalue (zero if none).  Every operator takes one d x d
 matrix or a stack (..., d, d) of them.  1x1 and 2x2 eigenvalues come in
 closed form (the 2x2 one from _mid_rad, which the solver's m+/- fields and
 its definiteness check share); d >= 3 uses LAPACK through
-numpy.linalg.eigvalsh.  One 1x1 or 2x2 float matrix goes through Python
+numpy.linalg.eigvalsh.  m+/- of one 2x2 float64 array go through Python
 floats, with the bits of the same call on a stack of one.  The tests check all
 of them against an independent cyclic-Jacobi / trigonometric-cubic oracle.
 
@@ -106,31 +106,17 @@ def _mid_rad(h00, h11, h01, work=None):
 
 
 def _small_eigs(x):
-    """The eigenvalues of one 1x1 or 2x2 float matrix in nondecreasing order,
-    as a tuple of Python floats; None for any other input.
+    """The eigenvalues (lo, hi) of one float64 2x2 array as Python floats;
+    None for any other input.
 
-    The entries are symmetrized as _symmetrized does, 0.5 a_ij + 0.5 a_ji (a
-    SymMatrix already is: halving a subnormal again would round), and a 2x2
-    matrix goes through _mid_rad's scalar branch.  So the eigenvalues have
-    the bits sym_eigs gives the same matrix in a stack.
+    The entries are symmetrized as _symmetrized does, 0.5 a_ij + 0.5 a_ji, and
+    go through _mid_rad's scalar branch, so the eigenvalues have the bits
+    sym_eigs gives the same matrix in a stack.
     """
-    if isinstance(x, SymMatrix):
-        a, halve = x.entries, False
-    elif type(x) is np.ndarray and x.dtype == np.float64:
-        a, halve = x, True
-    else:
+    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (2, 2)):
         return None
-    if a.shape == (1, 1):
-        ((h00,),) = a.tolist()
-        h00 = 0.5 * h00 + 0.5 * h00 if halve else h00
-        if not math.isfinite(h00):
-            raise DomainError("matrix entries must be finite")
-        return (h00,)
-    if a.shape != (2, 2):
-        return None
-    (h00, h01), (h10, h11) = a.tolist()
-    if halve:
-        h00, h11, h01 = 0.5 * h00 + 0.5 * h00, 0.5 * h11 + 0.5 * h11, 0.5 * h01 + 0.5 * h10
+    (h00, h01), (h10, h11) = x.tolist()
+    h00, h11, h01 = 0.5 * h00 + 0.5 * h00, 0.5 * h11 + 0.5 * h11, 0.5 * h01 + 0.5 * h10
     if not (math.isfinite(h00) and math.isfinite(h11) and math.isfinite(h01)):
         raise DomainError("matrix entries must be finite")
     mid, rad = _mid_rad(h00, h11, h01)
@@ -138,8 +124,8 @@ def _small_eigs(x):
     return mid - rad, mid + rad
 
 
-def _array_eigs(x) -> np.ndarray:
-    """sym_eigs in numpy, for any input."""
+def sym_eigs(x) -> np.ndarray:
+    """Eigenvalues in nondecreasing order along the last axis: (..., d, d) -> (..., d)."""
     a = x.entries if isinstance(x, SymMatrix) else _symmetrized(x)
     d = a.shape[-1]
     if d == 1:
@@ -152,12 +138,6 @@ def _array_eigs(x) -> np.ndarray:
             ev[..., 1] = mid + rad
         return ev
     return np.linalg.eigvalsh(a)
-
-
-def sym_eigs(x) -> np.ndarray:
-    """Eigenvalues in nondecreasing order along the last axis: (..., d, d) -> (..., d)."""
-    small = _small_eigs(x)
-    return _array_eigs(x) if small is None else np.array(small)
 
 
 def _scalar_or_array(v):
@@ -173,7 +153,7 @@ def m_plus(x):
     small = _small_eigs(x)
     if small is not None:
         return small[-1] if small[-1] > 0.0 else 0.0
-    return _scalar_or_array(np.maximum(_array_eigs(x)[..., -1], 0.0))
+    return _scalar_or_array(np.maximum(sym_eigs(x)[..., -1], 0.0))
 
 
 def m_minus(x):
@@ -181,4 +161,4 @@ def m_minus(x):
     small = _small_eigs(x)
     if small is not None:
         return small[0] if small[0] < 0.0 else 0.0
-    return _scalar_or_array(np.minimum(_array_eigs(x)[..., 0], 0.0))
+    return _scalar_or_array(np.minimum(sym_eigs(x)[..., 0], 0.0))

@@ -100,10 +100,13 @@ def legendre_brute(
     sample and its last one, then every sample between the coarse winner's
     two neighbours.  For p > 1 and A > 0 the score f(s) = |q| s - shift -
     A|s|^p is concave, so for samples a < b < c, f(b) >= min(f(a), f(c)).
-    With a power good to 1.5 ulp, each computed score is within e <= 6 u M
-    of f, where u = 2^-53 and M = |q| R + A R^p + |shift|; so 2e < 16 ulp(M).
+    With a power good to k ulp, each computed score is within e <= (k + 3) u M
+    of f, where u = 2^-53 and M = |q| R + A R^p + |shift|; so 2e < 16 ulp(M)
+    for k up to about 5.  numpy's power measured 1.0 ulp against one libm;
+    another implementation (SVML on AVX-512 builds, say) has its own error
+    bound, and the guard holds while that stays under about 5 ulp.
     When the bracket's first largest score beats each coarse neighbour that
-    bounds it by more than that, no sample outside scores as much, and it is
+    bounds it by more than 16 ulp(M), no sample outside scores as much, and it is
     the half's first largest.  When it does not, or a coarse score is not
     finite, the whole half is scored.  Either way the winner, its index and
     its bits are those of scoring every sample; nothing is taken from the
