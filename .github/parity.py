@@ -75,6 +75,15 @@ CASES = {
     "legendre_p50": ("legendre --p 50 --A 1e-5".split(), []),
     "legendre_window_overflow": ("legendre --p 3 --A 1e-300".split(), []),
     "legendre_inf_window": ("legendre --p 1.0000001 --A 1".split(), []),
+    # linspace's sample rule at its extremes: every window |q| >= 0.5 of the
+    # first is so narrow that its step underflows to 0, until |q| = 0 gives a
+    # radius of 0 (exit 2); the first window of the second has a 2R that
+    # overflows (exit 1)
+    "legendre_zero_step": ("legendre --p 1.5 --A 1e161".split(), []),
+    "legendre_2r_overflow": ("legendre --p 2 --A 1e-307".split(), []),
+    # the benchmark's barrier searches in 2-D, at its p = 3, A = 2
+    "barrier_super_d2": ("barrier verify --kind super --p 3 --A 2 --eta 1 --d 2".split(), []),
+    "barrier_sub_d2": ("barrier verify --kind sub --p 3 --A 2 --R 0.25 --d 2".split(), []),
 }
 # the benchmark runs 100,000 random pairs at two seeds and four legendre argvs;
 # these pair counts sit on both sides of the 8,192-pair chunk edge and span 31
@@ -86,6 +95,11 @@ for dim in ("1d", "2d"):
             CASES[f"modulus_{dim}_{pairs}_s{seed}"] = (
                 ["modulus", "--in", f"../../change/trace_{dim}/u.hjg", "--alpha", "0.01", "--C", "2.0",
                  "--p", "3", "--pairs", str(pairs), "--seed", str(seed), "--out", "mod.csv"], ["mod.csv"])
+    # the benchmark's oscillate arguments; the 2-D grid's time extent of 0.5
+    # needs an outer radius below 1
+    CASES[f"oscillate_{dim}"] = (
+        ["oscillate", "--in", f"../../change/trace_{dim}/u.hjg", "--lambda", "0.6", "--theta", "0.006",
+         "--p", "3", "--A", "2", *(["--r0", "0.5"] if dim == "2d" else []), "--out", "osc.csv"], ["osc.csv"])
 
 
 def run(tree: Path, where: Path, argv: list) -> None:

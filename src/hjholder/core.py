@@ -90,6 +90,14 @@ class EquationParams:
             raise DomainError(f"{what} requires p > 2, got p = {self.p}")
 
 
+def cylinder_depth(radius: float, beta: float) -> float:
+    """The time depth r^beta of a cylinder Q_r; inf when it overflows."""
+    try:
+        return radius**beta
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class ParabolicCylinder:
     """Q_r(x, t) = B_r(x) x [t - r^beta, t]."""
@@ -109,7 +117,8 @@ class ParabolicCylinder:
 
     @property
     def t_bottom(self) -> float:
-        return self.top_t - self.radius**self.beta
+        """t - r^beta, which is -inf when r^beta overflows."""
+        return self.top_t - cylinder_depth(self.radius, self.beta)
 
     def scaled(self, lam: float) -> "ParabolicCylinder":
         """Q_{lam * r} with the same center, top time and beta."""
@@ -210,20 +219,25 @@ class GridFunction:
             dist2 = dist2 + term[window].reshape(shape)
         return tuple(box), dist2 < r2
 
+    def _ball_and_slab(self, center, radius: float, t_lo: float, t_hi: float) -> tuple:
+        """(box, mask) of ball_box(center, radius), and the slice of the time
+        nodes in [t_lo, t_hi], the slab widened on each end by
+        _TIME_TOL * (1 + |t_lo| + |t_hi|).  The times increase, so every time
+        node in the slice is in the slab."""
+        if len(center) != self.dim:
+            raise DomainError(f"cylinder dim {len(center)} != grid dim {self.dim}")
+        ts = self.times()
+        tol = _TIME_TOL * (1.0 + abs(t_hi) + abs(t_lo))
+        return self.ball_box(center, radius) + (_span((ts >= t_lo - tol) & (ts <= t_hi + tol)),)
+
     def region_box(self, center, radius: float, t_lo: float, t_hi: float) -> tuple:
         """(box, mask) of the nodes in B_radius(center) x [t_lo, t_hi]: box holds a
         slice per axis of values, and mask, of its shape, marks the nodes in the
         region, so values[box][mask] are its values in C order; no node outside
         the box is in the region.  The slab is widened on each end by
         _TIME_TOL * (1 + |t_lo| + |t_hi|)."""
-        if len(center) != self.dim:
-            raise DomainError(f"cylinder dim {len(center)} != grid dim {self.dim}")
-        sp_box, sp_mask = self.ball_box(center, radius)
-        ts = self.times()
-        tol = _TIME_TOL * (1.0 + abs(t_hi) + abs(t_lo))
-        t_mask = (ts >= t_lo - tol) & (ts <= t_hi + tol)
-        t_box = _span(t_mask)
-        return sp_box + (t_box,), sp_mask[..., None] & t_mask[t_box]
+        sp_box, sp_mask, t_box = self._ball_and_slab(center, radius, t_lo, t_hi)
+        return sp_box + (t_box,), sp_mask[..., None].repeat(t_box.stop - t_box.start, axis=-1)
 
     def cylinder_box(self, q: ParabolicCylinder) -> tuple:
         """region_box of the cylinder q = B_r(x) x [t - r^beta, t]."""
@@ -232,12 +246,15 @@ class GridFunction:
     def values_in(self, q: ParabolicCylinder) -> np.ndarray:
         """The values at the nodes inside q, in the grid's C order.
 
+        They are values[box][mask] of cylinder_box, gathered as whole time
+        rows of the slab, one per node of the ball, with no mask of the box.
         Raises EmptyIntersection when no node lies in the cylinder.
         """
-        box, mask = self.cylinder_box(q)
-        if not mask.any():
+        sp_box, sp_mask, t_box = self._ball_and_slab(q.center_x, q.radius, q.t_bottom, q.top_t)
+        vals = self.values[sp_box + (t_box,)][sp_mask]
+        if not vals.size:
             raise EmptyIntersection(f"no grid node inside cylinder {q}")
-        return self.values[box][mask]
+        return vals.reshape(-1)
 
     def node_mask(self, q: ParabolicCylinder) -> np.ndarray:
         """Boolean mask over values marking nodes inside the cylinder."""

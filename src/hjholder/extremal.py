@@ -5,9 +5,11 @@ minimum negative eigenvalue (zero if none).  Every operator takes one d x d
 matrix or a stack (..., d, d) of them.  1x1 and 2x2 eigenvalues come in
 closed form (the 2x2 one from _mid_rad, which the solver's m+/- fields and
 its definiteness check share); d >= 3 uses LAPACK through
-numpy.linalg.eigvalsh.  m+/- of one 2x2 float64 array go through Python
-floats, with the bits of the same call on a stack of one.  The tests check all
-of them against an independent cyclic-Jacobi / trigonometric-cubic oracle.
+numpy.linalg.eigvalsh.  m+/- of one float64 d x d array with d >= 2 skip
+the stack's array steps: a 2x2 is solved in Python floats, a larger one by
+one eigvalsh call, and either is clamped in Python floats, with the bits of
+the same call on a stack of one.  The tests check all of them against an
+independent cyclic-Jacobi / trigonometric-cubic oracle.
 
 The 2x2 radius is sqrt(x*x + y*y): several times cheaper than np.hypot and
 within an ulp of it on random pairs.  Where a square could overflow or lose
@@ -106,22 +108,31 @@ def _mid_rad(h00, h11, h01, work=None):
 
 
 def _small_eigs(x):
-    """The eigenvalues (lo, hi) of one float64 2x2 array as Python floats;
-    None for any other input.
+    """The smallest and largest eigenvalues (lo, hi) of one float64 (d, d)
+    array with d >= 2, as Python floats; None for any other input.
 
-    The entries are symmetrized as _symmetrized does, 0.5 a_ij + 0.5 a_ji, and
-    go through _mid_rad's scalar branch, so the eigenvalues have the bits
-    sym_eigs gives the same matrix in a stack.
+    The entries are symmetrized as _symmetrized does, 0.5 a_ij + 0.5 a_ji.  A
+    2x2 goes through _mid_rad's scalar branch and a larger one through one
+    eigvalsh call, so the eigenvalues have the bits sym_eigs gives the same
+    matrix in a stack.
     """
-    if not (type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (2, 2)):
+    if not (type(x) is np.ndarray and x.dtype == np.float64):
         return None
-    (h00, h01), (h10, h11) = x.tolist()
-    h00, h11, h01 = 0.5 * h00 + 0.5 * h00, 0.5 * h11 + 0.5 * h11, 0.5 * h01 + 0.5 * h10
-    if not (math.isfinite(h00) and math.isfinite(h11) and math.isfinite(h01)):
-        raise DomainError("matrix entries must be finite")
-    mid, rad = _mid_rad(h00, h11, h01)
-    rad = float(rad)  # Python floats overflow to inf without a warning
-    return mid - rad, mid + rad
+    if x.shape == (2, 2):
+        (h00, h01), (h10, h11) = x.tolist()
+        h00, h11, h01 = 0.5 * h00 + 0.5 * h00, 0.5 * h11 + 0.5 * h11, 0.5 * h01 + 0.5 * h10
+        if not (math.isfinite(h00) and math.isfinite(h11) and math.isfinite(h01)):
+            raise DomainError("matrix entries must be finite")
+        mid, rad = _mid_rad(h00, h11, h01)
+        rad = float(rad)  # Python floats overflow to inf without a warning
+        return mid - rad, mid + rad
+    if x.ndim == 2 and x.shape[0] == x.shape[1] > 2:
+        if not all(map(math.isfinite, x.ravel().tolist())):
+            raise DomainError("matrix entries must be finite")
+        half = 0.5 * x
+        ev = np.linalg.eigvalsh(half + half.T)
+        return ev.item(0), ev.item(-1)
+    return None
 
 
 def sym_eigs(x) -> np.ndarray:
@@ -145,14 +156,15 @@ def _scalar_or_array(v):
 
 
 # np.maximum(v, 0.0) and np.minimum(v, 0.0) give 0.0, not v, for v = -0.0,
-# and so do the conditionals below; Python's max and min would keep -0.0
+# and a nan for v = nan; so do the conditionals below, where Python's max and
+# min would keep -0.0
 
 
 def m_plus(x):
     """Maximum positive eigenvalue, zero if none: a float, or an array of shape (...,)."""
     small = _small_eigs(x)
     if small is not None:
-        return small[-1] if small[-1] > 0.0 else 0.0
+        return 0.0 if small[-1] <= 0.0 else small[-1]
     return _scalar_or_array(np.maximum(sym_eigs(x)[..., -1], 0.0))
 
 
@@ -160,5 +172,5 @@ def m_minus(x):
     """Minimum negative eigenvalue, zero if none: a float, or an array of shape (...,)."""
     small = _small_eigs(x)
     if small is not None:
-        return small[0] if small[0] < 0.0 else 0.0
+        return 0.0 if small[0] >= 0.0 else small[0]
     return _scalar_or_array(np.minimum(sym_eigs(x)[..., 0], 0.0))

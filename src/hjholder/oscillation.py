@@ -25,6 +25,7 @@ from .core import (
     GridFunction,
     HolderEstimate,
     ParabolicCylinder,
+    cylinder_depth,
     require_float64_count,
 )
 from .errors import DegenerateData, DomainError, EmptyIntersection, PreconditionFailed
@@ -283,9 +284,9 @@ def default_centers(u: GridFunction, r0: float, beta: float) -> list:
     hi = [u.axis_coords(i)[-1] - r0 for i in range(d)]
     if any(l > h for l, h in zip(lo, hi)):
         raise DomainError(f"no center admits an outer cylinder of radius {r0}")
-    top = u.t1
-    if top - r0**beta < u.t0 - 1e-12:
-        raise DomainError(f"outer cylinder depth {r0**beta:g} exceeds the time extent")
+    top, depth = u.t1, cylinder_depth(r0, beta)
+    if top - depth < u.t0 - 1e-12:
+        raise DomainError(f"outer cylinder depth {depth:g} exceeds the time extent")
     axes = [np.linspace(lo[i], hi[i], COARSE_CENTERS) if hi[i] > lo[i] else np.array([lo[i]]) for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)

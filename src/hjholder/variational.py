@@ -9,6 +9,7 @@ parabolic boundary of v(y,s) + (t-s) L((x-y)/(t-s)).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DomainError, EmptyBoundary, SearchFailed, WindowTooSmall
+from .oscillation import _is_integer
 
 if TYPE_CHECKING:  # barriers imports this module
     from .barriers import SupersolutionBarrier
@@ -74,6 +76,44 @@ def legendre_closed(p: float, A: float, shift: float = 0.0) -> PowerLagrangian:
     return PowerLagrangian(c_p, p_prime, coeff, -shift)
 
 
+def _line_samples(R: float, n: int):
+    """(at, m) for the n samples np.linspace(-R, R, n), without building them.
+
+    at(i) gives the samples at an ascending integer array i, with linspace's
+    bits, and m = np.searchsorted(samples, 0.0).  linspace takes
+    delta = R - (-R) and step = delta / (n - 1); sample i is i * step - R, or
+    (i / (n - 1)) * delta - R when step is 0 (a subnormal window), and the
+    last is R.  These are float64 operations, done as ufuncs on an array or
+    in Python floats on one index, with the same bits, and no warning where
+    2R overflows.  Then step is inf, sample 0 is nan and the others are inf,
+    bar the last: no sample is below 0, and m = 0.  Otherwise the samples
+    below 0 are a prefix, found by bisection.
+    """
+    start, div = -R, n - 1
+    delta = R - start
+    step = delta / div
+
+    def one(i: int) -> float:
+        if i == div:
+            return R
+        return (i / div * delta if step == 0.0 else i * step) + start
+
+    def at(i: np.ndarray) -> np.ndarray:
+        x = i.astype(float)
+        with np.errstate(invalid="ignore"):  # 0 * inf where 2R overflows
+            if step == 0.0:
+                x /= div
+                x *= delta
+            else:
+                x *= step
+        x += start
+        if i.size and i[-1] == div:
+            x[-1] = R
+        return x
+
+    return at, bisect.bisect_left(range(n), True, key=lambda i: not one(i) < 0.0)
+
+
 def legendre_brute(
     p: float,
     A: float,
@@ -86,8 +126,9 @@ def legendre_brute(
 
     Independent sampling oracle for legendre_closed.  For the radial H the
     maximizer is collinear with q, so the search runs along the line through q
-    (any line when q = 0), sampled at n_samples points of [-R, R] with
-    R = search_radius.  Raises WindowTooSmall when the sampled maximum sits on
+    (any line when q = 0), sampled at the n_samples points
+    np.linspace(-R, R, n_samples) with R = search_radius, n_samples an
+    integer >= 100.  Raises WindowTooSmall when the sampled maximum sits on
     the window edge.
 
     Only the half-line s >= 0 is scored at first: a sample s < 0 scores
@@ -112,14 +153,18 @@ def legendre_brute(
     its bits are those of scoring every sample; nothing is taken from the
     closed form.
 
-    Memory: the samples, plus about 2 sqrt(n) scored values, or one penalty
-    and one score array the length of a half when it is scored whole.  Each
-    score is built in place by the ufuncs of |q| s - (shift + A|s|^p) on the
-    same operands (|s|, ** p, * A, + shift; then s * |q| minus the penalty),
-    so a sample has the same bits in the coarse, bracket and whole passes.
+    Memory: only the samples that are scored are built, each by linspace's
+    rule (_line_samples), and their scores are built over them in place:
+    about 2 sqrt(n) values when the brackets decide, or the samples of a half
+    and one penalty array of its length when it is scored whole.  A score is
+    |q| s - (shift + A|s|^p) by the same ufuncs on the same operands (|s|,
+    ** p, * A, + shift; then s * |q| minus the penalty), so a sample has the
+    same bits in the coarse, bracket and whole passes.
     """
     if not p > 1.0 or not A > 0.0:
         raise DomainError(f"need p > 1 and A > 0, got p={p}, A={A}")
+    if not _is_integer(n_samples):
+        raise DomainError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 100:
         raise DomainError(f"n_samples must be >= 100, got {n_samples}")
     if not search_radius > 0.0:
@@ -128,15 +173,16 @@ def legendre_brute(
         raise WindowTooSmall("the search window |xi| <= inf cannot be sampled")
     qv = np.atleast_1d(np.asarray(q, dtype=float))
     qnorm = float(np.linalg.norm(qv))
-    R = float(search_radius)
-    s = np.linspace(-R, R, int(n_samples))
-    m = int(np.searchsorted(s, 0.0))  # s[0] = -R < 0 <= s[m]: both halves hold samples
+    R, n = float(search_radius), int(n_samples)
+    sample, m = _line_samples(R, n)  # s[m] is the first sample not below 0
     try:  # above twice any score's rounding error, as |s| <= R
         tol = 16.0 * math.ulp(qnorm * R + A * R**p + abs(shift))
     except OverflowError:  # then the score at |s| = R overflows too
         tol = math.inf
 
-    def scores(h: np.ndarray) -> np.ndarray:
+    def scores(i: np.ndarray) -> np.ndarray:
+        """The scores of the samples at the ascending indices i."""
+        h = sample(i)
         # a penalty that overflows is inf, a sample that is never the maximum;
         # a maximum on the window edge is reported below
         with np.errstate(over="ignore"):
@@ -144,33 +190,33 @@ def legendre_brute(
             pen **= p
             pen *= A
             pen += shift
-            vals = np.multiply(h, qnorm)
+            vals = np.multiply(h, qnorm, out=h)
             vals -= pen
         return vals
 
     def score(lo: int, hi: int) -> tuple:
         """(index, value) of the first largest score in s[lo:hi], as argmax finds it."""
         at = np.append(np.arange(lo, hi - 1, math.isqrt(hi - lo)), hi - 1)
-        coarse = scores(s[at])
+        coarse = scores(at)
         if np.isfinite(coarse).all():
             j = int(np.argmax(coarse))
             left, right = max(j - 1, 0), min(j + 1, len(at) - 1)
-            vals = scores(s[at[left]:at[right] + 1])
+            vals = scores(np.arange(at[left], at[right] + 1))
             i = int(np.argmax(vals))
             top = float(vals[i])
             if ((left == j or top - coarse[left] > tol)
                     and (right == j or top - coarse[right] > tol)):
                 return int(at[left]) + i, top
-        vals = scores(s[lo:hi])
+        vals = scores(np.arange(lo, hi))
         i = int(np.argmax(vals))
         return lo + i, float(vals[i])
 
-    k, top = score(m, len(s))
+    k, top = score(m, n)
     if not top > -shift:  # the other half comes first: it wins a tie, and with a NaN
         k_neg, top_neg = score(0, m)
         if top_neg >= top or math.isnan(top_neg):
             k, top = k_neg, top_neg
-    if k in (0, len(s) - 1) and qnorm > 0.0:
+    if k in (0, n - 1) and qnorm > 0.0:
         try:
             xi_star = (qnorm / (p * A)) ** (1.0 / (p - 1.0))
         except OverflowError:  # p close to 1

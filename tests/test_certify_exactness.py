@@ -682,6 +682,43 @@ def test_node_mask_matches_the_full_grid_formula(case):
     assert _same_bits(full, _ref_dist2(u, np.asarray(q.center_x)) < q.radius**2)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_grid_and_cylinder())
+def test_values_in_is_the_cylinder_box_gather(case):
+    """values_in gathers whole time rows; it equals values[box][mask] of
+    cylinder_box and the full-grid formula's values, or raises on no node."""
+    u, q = case
+    box, mask = u.cylinder_box(q)
+    ref = u.values[_ref_node_mask(u, q)]
+    assert _same_bits(u.values[box][mask], ref)
+    if not ref.size:
+        with pytest.raises(EmptyIntersection):
+            u.values_in(q)
+    else:
+        assert _same_bits(u.values_in(q), ref)
+
+
+@pytest.mark.parametrize("n_space", [(7,), (6, 5)])
+@pytest.mark.parametrize("top, radius, beta", [(0.0, 0.45, 1.0), (-0.1, 0.45, 1.0), (1.0, 0.45, 2.0),
+                                               (1.05, 0.45, 2.0), (1.3, 0.45, 1.0), (0.2, 0.2, 1.0),
+                                               (1.0, 1.5, 1.0), (2.0, 1.5, 4.0)])
+def test_values_in_at_the_time_ends(n_space, top, radius, beta):
+    """Slabs that end on the first or last of the grid's times 0, 0.2, ..., 1,
+    run past either end, or miss them all."""
+    nt = 6
+    values = np.arange(math.prod(n_space) * nt, dtype=float).reshape(*n_space, nt)
+    u = GridFunction((0.0,) * len(n_space), (0.2,) * len(n_space), 0.0, 0.2, values)
+    q = ParabolicCylinder((0.5,) * len(n_space), top, radius, beta)
+    ref = u.values[_ref_node_mask(u, q)]
+    box, mask = u.cylinder_box(q)
+    assert _same_bits(u.values[box][mask], ref)
+    if ref.size:
+        assert _same_bits(u.values_in(q), ref)
+    else:
+        with pytest.raises(EmptyIntersection):
+            u.values_in(q)
+
+
 def _ref_comparison_check(lower, upper, on):
     mask = _ref_node_mask(lower, on)
     if not mask.any():

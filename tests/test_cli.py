@@ -533,6 +533,16 @@ class TestBadInputExit2:
                                    "--r0", "1e-308"], capsys)
         assert "r0 = 1e-308 is below the grid's resolution" in err
 
+    def test_oscillate_depth_that_overflows(self, tmp_path, capsys):
+        # beta is about p = 3000, and 1.5**3000 leaves the float range
+        path = str(tmp_path / "u2d.hjg")
+        save_grid(GridFunction((-2.0, -2.0), (0.25, 0.25), 0.0, 0.25, np.zeros((17, 17, 5))), path)
+        assert run(["oscillate", "--in", path, "--lambda", "0.6", "--theta", "0.006",
+                    "--p", "3000", "--A", "2", "--r0", "1.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: outer cylinder depth inf exceeds the time extent\n"
+
     def test_oscillate_r0_below_the_node_spacing(self, tmp_path, capsys, monkeypatch):
         # on the README solve (dx = 1/128) each default centre's outer cylinder of
         # radius 0.006 holds one node: no oscillation to measure, so a bad r0

@@ -1,3 +1,4 @@
+import math
 import struct
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hjholder.core import (
     EquationParams,
     GridFunction,
     ParabolicCylinder,
+    cylinder_depth,
     load_grid,
     osc_over_cylinder,
     save_grid,
@@ -76,6 +78,13 @@ class TestParabolicCylinder:
     def test_time_slab(self):
         q = ParabolicCylinder((0.0,), 0.0, 0.5, 2.0)
         assert q.t_bottom == -0.25
+
+    def test_depth_that_overflows_is_inf(self):
+        # 1.5**3000 leaves the float range, where Python's ** raises
+        q = ParabolicCylinder((0.0, 0.0), 1.0, 1.5, 3000.0)
+        assert q.t_bottom == -math.inf
+        assert cylinder_depth(1.5, 3000.0) == math.inf
+        assert cylinder_depth(0.5, 2.0) == 0.25
 
     def test_scaled_nested(self):
         q = ParabolicCylinder((0.3,), 0.0, 1.0, 2.0)

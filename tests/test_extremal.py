@@ -298,7 +298,7 @@ class TestHugeFiniteMatrices:
 
 
 # ---------------------------------------------------------------------------
-# One 1x1 or 2x2 matrix: Python floats, with the bits of a stack of one
+# One matrix: Python floats (a 1x1 excepted), with the bits of a stack of one
 # ---------------------------------------------------------------------------
 
 _SUBNORMAL = _signed(st.floats(0.0, 2.2250738585072014e-308))
@@ -335,6 +335,21 @@ class TestOneMatrix:
             _same_bits(mm, mm_stack)
             _same_bits(ev, ev_stack)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([3, 4, 5]).flatmap(
+        lambda d: st.lists(_ANY, min_size=d * d, max_size=d * d).map(lambda v: np.array(v).reshape(d, d))))
+    @example(np.full((3, 3), -0.0))
+    @example(np.array([[5e-324, -5e-324, 0.0], [5e-324, -0.0, 5e-324], [0.0, 5e-324, 5e-324]]))
+    @example(np.full((4, 4), 1.7e308))
+    @example(np.diag([_MAX, -_MAX, 0.0, 1e308, -1e308]))
+    def test_bits_of_a_stack_of_one_at_d3_and_above(self, x):
+        """m+/- of one d x d array, d >= 3: one eigvalsh call clamped in Python
+        floats, with the bits of the same call on x[None]."""
+        for op in (m_plus, m_minus):
+            one, first = _one_and_stack(op, x, x[None])
+            assert type(one) is float
+            _same_bits(one, first)
+
     @pytest.mark.parametrize("x", [[[1.0, 2.0], [-3.0, 4.0]], [[-2.5]], [[1, 2], [3, 4]], [[7]], 3, -2.0])
     def test_lists_ints_and_scalars(self, x):
         stack = np.asarray(x, dtype=float).reshape(1, *np.shape(x) or (1, 1))
@@ -343,7 +358,8 @@ class TestOneMatrix:
                 _same_bits(op(one), op(stack)[0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("d, at", [(1, (0, 0)), (2, (0, 0)), (2, (0, 1)), (2, (1, 0)), (2, (1, 1))])
+    @pytest.mark.parametrize("d, at", [(1, (0, 0)), (2, (0, 0)), (2, (0, 1)), (2, (1, 0)), (2, (1, 1)),
+                                       (3, (0, 0)), (3, (2, 1)), (4, (1, 3)), (5, (4, 4))])
     def test_non_finite_entry_rejected(self, bad, d, at):
         x = np.zeros((d, d))
         x[at] = bad

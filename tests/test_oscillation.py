@@ -461,6 +461,12 @@ class TestIterateScales:
             assert abs(cx) <= 1.0 + 1e-12
             assert ct == u.t1
 
+    def test_default_centers_depth_that_overflows(self):
+        # 1.5**3000 leaves the float range: an inf depth, which no grid holds
+        u = grid_of(lambda x, t: x + 0.0 * t, half=2.0, t0=-2.0)
+        with pytest.raises(DomainError, match="outer cylinder depth inf exceeds the time extent"):
+            default_centers(u, 1.5, 3000.0)
+
     def test_report_notes_family_gap(self):
         u = grid_of(lambda x, t: 0.1 * x + 0.0 * t, half=2.0, t0=-2.0)
         rep = iterate_scales(u, self._params(), 0.5, 0.05, 0.05)

@@ -11,6 +11,7 @@ from hjholder.barriers import SupersolutionBarrier
 from hjholder.core import EquationParams
 from hjholder.errors import DomainError, EmptyBoundary, SearchFailed, WindowTooSmall
 from hjholder.variational import (
+    _line_samples,
     hopf_lax_eval,
     legendre_brute,
     legendre_closed,
@@ -119,12 +120,23 @@ class TestLegendreBrute:
         with pytest.raises(DomainError):
             legendre_brute(2.0, 1.0, 0.0, 1.0, 2.0, 10)
 
-    @pytest.mark.parametrize("q, lines", [(3.0, 2.0), (0.0, 2.0), (3.0, 1.0)])
+    @pytest.mark.parametrize("n", [math.nan, math.inf, "200", 100.5, 200.0, True])
+    def test_rejects_a_sample_count_that_is_not_an_integer(self, n):
+        with pytest.raises(DomainError, match="n_samples must be an integer"):
+            legendre_brute(2.0, 1.0, 0.0, 1.0, 2.0, n)
+
+    def test_takes_a_numpy_integer_sample_count(self):
+        assert (repr(legendre_brute(3.0, 2.0, 0.0, 1.5, 2.0, np.int64(1001)))
+                == repr(legendre_brute(3.0, 2.0, 0.0, 1.5, 2.0, 1001)))
+
+    @pytest.mark.parametrize("q, lines", [(3.0, 2.0), (0.0, 2.0), (3.0, 1.0), (3.0, 0.0)])
     def test_peak_is_the_samples_and_two_scored_lines(self, q, lines):
-        # the samples, then about 2 sqrt(n) coarse and bracket scores per
-        # half (measured: 1.012 times the samples at q = 3, about 1.01 at
-        # q = 0); a half scored whole adds one penalty and one score array
-        # of its length, which the two-line rows still bound
+        # only the scored samples are built: about 2 sqrt(n) coarse and
+        # bracket samples per half, with their indices and penalties
+        # (measured: 0.0141 times the n samples' size at q = 3, 0.0094 at
+        # q = 0), which the no-line row bounds by 0.02; a half scored whole
+        # builds its samples, then one penalty and one score array of its
+        # length, which the one- and two-line rows bound
         n = 200_000
         tracemalloc.start()
         try:
@@ -133,7 +145,28 @@ class TestLegendreBrute:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= (lines + 0.05) * 8 * n, peak / (8 * n)
+        assert peak <= (lines + (0.05 if lines else 0.02)) * 8 * n, peak / (8 * n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        R=st.one_of(st.floats(5e-324, 1e-300), _powers_of_ten(-300.0, 300.0),
+                    st.floats(8.98846567431158e307, 1.7976931348623157e308)),
+        n=st.sampled_from([100, 101, 1001, 200_001]),
+    )
+    @example(5e-324, 100)
+    @example(1e-320, 200_001)  # the step underflows to 0
+    @example(8.98846567431158e307, 101)  # the least R whose 2R overflows
+    @example(1.7e308, 200_001)
+    def test_sample_rule_is_linspace(self, R, n):
+        """_line_samples gives np.linspace(-R, R, n)'s bits at any ascending
+        index array, and m = np.searchsorted(samples, 0.0), with no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):  # linspace's own, where 2R overflows
+            ref = np.linspace(-R, R, n)
+        at, m = _line_samples(R, n)
+        assert m == np.searchsorted(ref, 0.0)
+        for idx in (np.arange(n), np.append(np.arange(0, n - 1, math.isqrt(n)), n - 1),
+                    np.arange(m, n - 1), np.arange(0, m)):
+            assert at(idx).tobytes() == ref[idx].tobytes(), idx
 
     @settings(max_examples=200, deadline=None)
     @given(
