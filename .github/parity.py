@@ -54,6 +54,15 @@ CASES = {
     "trace_1d_p4": solve(config(GRID_1D, p=4.0, A=3.0)),
     "m_plus_2d_p2": solve(config(GRID_2D, p=2.0, diffusion={"kind": "extremal", "sign": "plus", "coeff": 0.01},
                                  forcing=FORCING)),
+    # the defaults that follow the grid's axes: the forcing's centre is the
+    # origin, and a sweep's x0 is 1.3 on axis 0 and 0 on the other.  The
+    # sweep writes its CSV to standard output; the solve compares standard
+    # output only, as a parent that exits 2 on it writes no grid to compare
+    "inverse_power_2d_default_center": (solve(config(GRID_2D, forcing={
+        "kind": "inverse_power", "strength": 0.4, "gamma": 0.4}))[0], []),
+    "sweep_2d_default_x0": (["sweep", "--config", {"base": config(
+        {"xmin": [-2.0, -2.0], "xmax": [2.0, 2.0], "nx": [33, 33], "t1": 1.5, "nt": 9}),
+        "instances": [{"gamma": 0.3}, {"p": 2.5, "gamma": 0.4, "x0": [1.3, 0.0]}]}], []),
     "trace_sweep_1d": (["sweep", "--config", {"base": config(GRID_1D), "instances": [
         {"p": 3.0}, {"p": 2.7, "k": 5.0, "omega": 3.0}, {"p": 3.6, "k": 8.0, "omega": 6.0},
         {"p": 2.0}, {"p": 4.0, "A": 3.0}]}, "--out", "sweep.csv"], ["sweep.csv"]),
@@ -77,8 +86,8 @@ CASES = {
     "legendre_inf_window": ("legendre --p 1.0000001 --A 1".split(), []),
     # linspace's sample rule at its extremes: every window |q| >= 0.5 of the
     # first is so narrow that its step underflows to 0, until |q| = 0 gives a
-    # radius of 0 (exit 2); the first window of the second has a 2R that
-    # overflows (exit 1)
+    # radius of 0; the first window of the second has a 2R that overflows.
+    # Neither can be sampled (exit 1)
     "legendre_zero_step": ("legendre --p 1.5 --A 1e161".split(), []),
     "legendre_2r_overflow": ("legendre --p 2 --A 1e-307".split(), []),
     # the benchmark's barrier searches in 2-D, at its p = 3, A = 2

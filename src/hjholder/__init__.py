@@ -9,7 +9,6 @@ from .core import (
     HolderEstimate,
     ParabolicCylinder,
     load_grid,
-    osc_over_cylinder,
     save_grid,
     shift_normalize,
 )
@@ -46,7 +45,6 @@ from .scheme import (
     TraceDiffusion,
     comparison_check,
     discrete_residual,
-    grid_from_callable,
     lm_norm,
     solve_hj,
 )

@@ -394,7 +394,8 @@ def make_subsolution_barrier(
     """Construct a fully verified subsolution barrier, including its eps.
 
     C_b = 2||b'|| + ||b''||/R, and theta is the smaller of 1/4 - _THETA_MARGIN
-    and (R^p / (4 A ||b'||^{p-1}))^{1/(p-1)}.  eps starts at
+    and (R^p / (4 A ||b'||^{p-1}))^{1/(p-1)}, taken in logs only where that
+    quotient underflows to 0 or overflows (p = 300 or 1e12).  eps starts at
     min(theta/2, 1/(2 C_b)) and halves, at most _EPS_MAX_HALVINGS times, until
     the grid residual is <= 1e-10 everywhere (the admissible eps shrinks with
     the gluing-edge curvature of the bump, so a scan is simpler than a closed

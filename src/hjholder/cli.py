@@ -24,7 +24,7 @@ from . import barriers, instances, oscillation, scaling, scheme, variational
 from ._svg import line_plot_svg
 from .core import (EquationParams, ParabolicCylinder, as_number, load_grid, save_grid,
                    shift_normalize)
-from .errors import DomainError, HJHolderError, Infeasible
+from .errors import DomainError, HJHolderError, Infeasible, WindowTooSmall
 
 _F = "%.12g"
 
@@ -201,6 +201,9 @@ def _cmd_legendre(args) -> int:
         if r not in brute_at:
             with np.errstate(over="ignore"):  # an infinite window fails in the oracle
                 radius = 2.0 * (max(r, 1e-3) / (args.p * args.A)) ** (1.0 / (args.p - 1.0))
+            if radius == 0.0:
+                raise WindowTooSmall(f"the Legendre search window for p={args.p}, A={args.A} "
+                                     f"leaves the float range (it underflows to 0)")
             brute_at[r] = variational.legendre_brute(args.p, args.A, 0.0, q, radius, 200_001)
         dev = max(dev, abs(lag(q) - brute_at[r]))
     print(f"c_p = {lag.c_p:.12g}")
@@ -407,16 +410,18 @@ def _cmd_demo(args) -> int:
 
 def _override(eq: dict | None, p: object = None, A: object = None, k: object = None,
               omega: object = None, gamma: object = None, strength: object = None,
-              x0: object = 1.3, m: object = None) -> dict:
+              x0: object = None, m: object = None, *, d: int) -> dict:
     """The base equation block with one sweep instance's overrides, whose
     values are read with the block.  A is 2 when neither sets it; k or omega
     make the coefficient rough, and gamma the forcing inverse_power, centred
-    at x0; a replaced block takes its kind's defaults for the keys not given."""
+    at x0, which is 1.3 on axis 0 and 0 on the other d - 1 axes when not given;
+    a replaced block takes its kind's defaults for the keys not given."""
     new = {"p": p, "A": (eq or {}).get("A", 2.0) if A is None else A, "m": m}
     if k is not None or omega is not None:
         new["coefficient"] = _given(kind="rough", k=k, omega=omega)
     if gamma is not None:
-        new["forcing"] = _given(kind="inverse_power", gamma=gamma, center=x0, strength=strength)
+        center = [1.3] + [0.0] * (d - 1) if x0 is None else x0
+        new["forcing"] = _given(kind="inverse_power", gamma=gamma, center=center, strength=strength)
     return {**(eq or {}), **_given(**new)}
 
 
@@ -472,7 +477,7 @@ def _sweep(base: dict, instances: object, oscillate: dict | None = None, seed: i
     for i, inst in enumerate(instances):
         if not isinstance(inst, dict):
             raise DomainError(f"sweep instances must be JSON objects, got {inst!r}")
-        eq = _build(_override, inst, f"config.instances[{i}]", eq=equation)
+        eq = _build(_override, inst, f"config.instances[{i}]", eq=equation, d=solve_cfg.dim)
         specs.append(_spec(eq, solve_cfg, f"config.instances[{i}].equation"))
     osc = _kwargs(_sweep_row, oscillate or {}, "config.oscillate", ("inst", "spec", "u"))
     n = len(specs)

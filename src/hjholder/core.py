@@ -277,15 +277,6 @@ class HolderEstimate:
     max_fit_residual: float
 
 
-def osc_over_cylinder(u: GridFunction, q: ParabolicCylinder) -> float:
-    """max - min of u over the grid nodes lying in q (>= 0).
-
-    Raises EmptyIntersection when no node lies in the cylinder.
-    """
-    vals = u.values_in(q)
-    return float(vals.max() - vals.min())
-
-
 def shift_normalize(u: GridFunction, q: ParabolicCylinder) -> GridFunction:
     """u minus its minimum over q; the minimum of the result over q is 0."""
     return u.with_values(u.values - u.values_in(q).min())

@@ -50,15 +50,17 @@ def rough_coefficient(k: float = 10.0, omega: float = 7.0, base: float = 1.0,
 
 
 def inverse_power_forcing(strength: float = 0.5, gamma: float = 0.4,
-                          center: tuple[float, ...] = (0.0,), *, cap_radius: float):
+                          center: tuple[float, ...] | None = None, *, cap_radius: float):
     """f(x) = strength * max(|x - x0|, cap_radius)^{-gamma}, time independent;
-    center x0 holds one entry per space axis (a number is one axis), and
-    cap_radius has no default, because it belongs to the grid."""
+    center x0 holds one entry per space axis (a number is one axis), None
+    being the origin of the grid's axes, and cap_radius has no default,
+    because it belongs to the grid."""
     if not gamma > 0 or not cap_radius > 0:
         raise DomainError("need gamma > 0 and cap_radius > 0")
-    c = np.atleast_1d(np.asarray(center, dtype=float))
+    given = None if center is None else np.atleast_1d(np.asarray(center, dtype=float))
 
     def f(*coords):
+        c = np.zeros(len(coords)) if given is None else given
         if len(coords) != c.size:
             raise DomainError(f"forcing center {c.tolist()} needs {len(coords)} entries")
         dist2 = sum((coords[i] - c[i]) ** 2 for i in range(len(coords)))

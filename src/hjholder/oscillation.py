@@ -29,7 +29,7 @@ from .core import (
     require_float64_count,
 )
 from .errors import DegenerateData, DomainError, EmptyIntersection, PreconditionFailed
-from .scaling import time_exponent
+from .scaling import cylinder_exponent, time_exponent
 
 logger = logging.getLogger(__name__)
 
@@ -325,7 +325,7 @@ def iterate_scales(
             f"lambda^alpha = {lam ** alpha:g} < 1 - theta = {1 - theta:g}; "
             f"alpha violates the selection rule"
         )
-    beta = params.p - alpha * (params.p - 1.0)
+    beta = cylinder_exponent(params.p, alpha)
     default = centers is None
     if default:
         centers = default_centers(u, r0, beta)

@@ -130,9 +130,15 @@ def beta_window(params: EquationParams) -> tuple[float, float, bool]:
     return lower, upper, lower < upper
 
 
-def time_exponent(p: float, alpha: float) -> float:
-    """Exponent of |t - s| in the two-point modulus: alpha / (p - alpha(p-1))."""
+def cylinder_exponent(p: float, alpha: float) -> float:
+    """beta = p - alpha(p-1), the time depth r^beta of the cylinders Q_r of the
+    C^alpha scaling; DomainError unless it is positive."""
     beta = p - alpha * (p - 1.0)
     if beta <= 0:
         raise DomainError(f"p - alpha(p-1) must be positive, got {beta}")
-    return alpha / beta
+    return beta
+
+
+def time_exponent(p: float, alpha: float) -> float:
+    """Exponent of |t - s| in the two-point modulus: alpha / (p - alpha(p-1))."""
+    return alpha / cylinder_exponent(p, alpha)

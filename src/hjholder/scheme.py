@@ -175,18 +175,6 @@ class SolveConfig:
         return np.linspace(self.t0, self.t1, self.nt)
 
 
-def grid_from_callable(fn, cfg: SolveConfig) -> GridFunction:
-    """Sample fn(*coords, t) on the config's space-time grid."""
-    coords = cfg.coords()
-    times = cfg.out_times()
-    shape = tuple(cfg.nx) + (cfg.nt,)
-    vals = np.empty(shape)
-    for n, t in enumerate(times):
-        vals[..., n] = np.broadcast_to(fn(*coords, t), tuple(cfg.nx))
-    dt = (cfg.t1 - cfg.t0) / (cfg.nt - 1)
-    return GridFunction(cfg.xmin, tuple(cfg.spacings()), cfg.t0, dt, vals)
-
-
 def _boundary_mask(shape: tuple) -> np.ndarray:
     """The nodes on the box faces: all nodes, minus the interior box."""
     mask = np.ones(shape, dtype=bool)

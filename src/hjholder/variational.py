@@ -129,7 +129,7 @@ def legendre_brute(
     (any line when q = 0), sampled at the n_samples points
     np.linspace(-R, R, n_samples) with R = search_radius, n_samples an
     integer >= 100.  Raises WindowTooSmall when the sampled maximum sits on
-    the window edge.
+    the window edge, or when the width 2R is not a finite float.
 
     Only the half-line s >= 0 is scored at first: a sample s < 0 scores
     |q| s - (shift + A|s|^p) <= -shift, so a half-line maximum above -shift is
@@ -169,8 +169,8 @@ def legendre_brute(
         raise DomainError(f"n_samples must be >= 100, got {n_samples}")
     if not search_radius > 0.0:
         raise DomainError("search_radius must be positive")
-    if math.isinf(search_radius):
-        raise WindowTooSmall("the search window |xi| <= inf cannot be sampled")
+    if not math.isfinite(2.0 * float(search_radius)):  # linspace's width 2R
+        raise WindowTooSmall(f"the search window |xi| <= {search_radius:g} cannot be sampled")
     qv = np.atleast_1d(np.asarray(q, dtype=float))
     qnorm = float(np.linalg.norm(qv))
     R, n = float(search_radius), int(n_samples)

@@ -125,6 +125,11 @@ class TestExitCodes:
          "first-order constants for p=1e+17, A=1.0 leave the float range (p' = 1)"),
         (["constants", "first-order", "--p", "1.5", "--A", "1e-300"],
          "first-order constants for p=1.5, A=1e-300 leave the float range (p' = 3)"),
+        # the first window's width 2R overflows; the window at q = 0 underflows to 0
+        (["legendre", "--p", "2", "--A", "1e-307"],
+         "the search window |xi| <= 1e+308 cannot be sampled"),
+        (["legendre", "--p", "1.5", "--A", "1e161"],
+         "the Legendre search window for p=1.5, A=1e+161 leaves the float range"),
     ])
     def test_float_overflow_is_a_failed_verification(self, argv, message, capsys):
         # p' = 1001: 3^{p'} and the Legendre search window overflow a float;
@@ -821,6 +826,6 @@ class TestSweep:
                     "--out", str(tmp_path / "sweep.csv")]) == 0
         monkeypatch.undo()
         alone = [cli.solve_from_config(dict(cfg["base"], equation=cli._override(
-            cfg["base"]["equation"], **inst)))[0] for inst in cfg["instances"]]
+            cfg["base"]["equation"], **inst, d=1)))[0] for inst in cfg["instances"]]
         assert len(together) == len(alone) == 3
         assert [u.values.tobytes() for u in together] == [u.values.tobytes() for u in alone]

@@ -26,6 +26,7 @@ from hjholder.core import EquationParams, GridFunction, as_number, save_grid
 from hjholder.errors import DomainError
 
 GRID = {"xmin": [-1.0], "xmax": [1.0], "nx": [9], "t0": 0.0, "t1": 0.1, "nt": 3}
+GRID_2D = {"xmin": [-2.0, -2.0], "xmax": [2.0, 2.0], "nx": [17, 17], "t1": 1.5, "nt": 5}
 
 
 def _run(argv):
@@ -104,6 +105,9 @@ def _sweep(**blocks):
      "config.equation.coefficient.k must be a number, got True"),
     ({"grid": {**GRID, "nx": ["9"]}}, "grid nx must be a number, got '9'"),
     ({"grid": {**GRID, "t1": True}}, "grid t1 must be a number, got True"),
+    # a centre given with one entry on a 2-D grid
+    ({"grid": GRID_2D, "equation": {"forcing": {"kind": "inverse_power", "center": 0.0}}},
+     "forcing center [0.0] needs 2 entries"),
 ])
 def test_rejected_solve_config(cfg, message):
     code, _, err = _run_config("solve", cfg)
@@ -133,6 +137,9 @@ def test_rejected_solve_config(cfg, message):
      "config.instances[0].equation.coefficient.k must be a number, got True"),
     (_sweep(instances=[{"p": 3.0, "A": "2"}]),
      "config.instances[0].equation.A must be a number, got '2'"),
+    # an x0 given with one entry on a 2-D grid
+    (_sweep(base={"grid": GRID_2D}, instances=[{"gamma": 0.3, "x0": 1.3}]),
+     "forcing center [1.3] needs 2 entries"),
 ])
 def test_rejected_sweep_config(cfg, message):
     code, _, err = _run_config("sweep", cfg)
@@ -205,14 +212,35 @@ def test_explicit_defaults_give_the_same_objects():
 
 def test_sweep_override_defaults():
     base = {"equation": {"p": 2.5, "coefficient": {"kind": "constant", "value": 1.5}}}
-    eq = cli._override(base["equation"], gamma=0.3)
+    eq = cli._override(base["equation"], gamma=0.3, d=1)
     assert eq == {"p": 2.5, "A": 2.0, "coefficient": {"kind": "constant", "value": 1.5},
-                  "forcing": {"kind": "inverse_power", "gamma": 0.3, "center": 1.3}}
-    eq = cli._override({"A": 3.0}, p=4.0, k=5.0, gamma=0.2, strength=0.7, x0=-1.0, m=3)
+                  "forcing": {"kind": "inverse_power", "gamma": 0.3, "center": [1.3]}}
+    assert cli._override(None, gamma=0.3, d=2)["forcing"]["center"] == [1.3, 0.0]
+    eq = cli._override({"A": 3.0}, p=4.0, k=5.0, gamma=0.2, strength=0.7, x0=-1.0, m=3, d=1)
     assert eq == {"p": 4.0, "A": 3.0, "m": 3, "coefficient": {"kind": "rough", "k": 5.0},
                   "forcing": {"kind": "inverse_power", "gamma": 0.2, "center": -1.0,
                               "strength": 0.7}}
-    assert cli._override(None, A=1.5) == {"A": 1.5}
+    assert cli._override(None, A=1.5, d=1) == {"A": 1.5}
+
+
+@pytest.mark.parametrize("grid, origin, x0", [
+    ({**GRID_2D, "xmin": [-2.0], "xmax": [2.0], "nx": [33]}, [0.0], [1.3]),
+    (GRID_2D, [0.0, 0.0], [1.3, 0.0])])
+def test_centre_defaults_fill_the_grid_axes(tmp_path, grid, origin, x0):
+    """An inverse_power forcing without a centre is centred at the origin, and a
+    sweep instance without x0 at (1.3, 0, ...), on a grid of any axis count:
+    the same bits as those centres given."""
+    forcing = {"kind": "inverse_power", "gamma": 0.4}
+    outs = [cli.solve_from_config({"grid": grid, "equation": {"forcing": f}})[0].values.tobytes()
+            for f in (forcing, {**forcing, "center": origin})]
+    assert outs[0] == outs[1]
+    runs = []
+    for i, inst in enumerate(({"gamma": 0.3}, {"gamma": 0.3, "x0": x0})):
+        path, out = tmp_path / f"sweep{i}.json", tmp_path / f"sweep{i}.csv"
+        path.write_text(json.dumps({"base": {"grid": grid}, "instances": [inst]}))
+        code, stdout, _ = _run(["sweep", "--config", str(path), "--out", str(out)])
+        runs.append((code, stdout, out.read_text()))
+    assert runs[0] == runs[1] and runs[0][0] == 0
 
 
 def test_profiles_are_looked_up_at_call_time(monkeypatch):

@@ -11,11 +11,11 @@ from hjholder.core import (
     ParabolicCylinder,
     cylinder_depth,
     load_grid,
-    osc_over_cylinder,
     save_grid,
     shift_normalize,
 )
 from hjholder.errors import DomainError, EmptyIntersection
+from hjholder.oscillation import measure_oscillations
 
 
 def traced_peak(fn):
@@ -110,17 +110,24 @@ class TestParabolicCylinder:
         assert not inside[3, 3, 5]  # t = 0.5
 
 
+def osc(u, q):
+    """max - min of u over q, as measure_oscillations reads it at level 0."""
+    ((r, value),) = measure_oscillations(u, q.center_x + (q.top_t,), 0.5, q.beta, 0, r0=q.radius)
+    assert r == q.radius
+    return value
+
+
 class TestOscillation:
     def test_constant_function(self):
         u = sampled_1d(lambda x, t: 3.0 + 0.0 * x * t)
         q = ParabolicCylinder((0.0,), 0.0, 0.7, 1.0)
-        assert osc_over_cylinder(u, q) == 0.0
+        assert osc(u, q) == 0.0
 
     def test_linear_range(self):
         u = sampled_1d(lambda x, t: x + 0.0 * t, nx=201)
         q = ParabolicCylinder((0.0,), 0.0, 1.0, 1.0)
         dx = u.spacing_x[0]
-        assert abs(osc_over_cylinder(u, q) - 2.0) <= 2 * dx + 1e-12
+        assert abs(osc(u, q) - 2.0) <= 2 * dx + 1e-12
 
     def test_sqrt_profile(self):
         # sup - inf of |x|^(1/2) over B_r(0) is r^(1/2); grid sees r - O(dx)
@@ -128,7 +135,7 @@ class TestOscillation:
         q = ParabolicCylinder((0.0,), 0.0, 0.25, 2.0)
         dx = u.spacing_x[0]
         exact = 0.5
-        got = osc_over_cylinder(u, q)
+        got = osc(u, q)
         assert exact - np.sqrt(0.25) + np.sqrt(0.25 - dx) <= got <= exact
         assert abs(got - exact) <= np.sqrt(0.25) - np.sqrt(0.25 - dx) + 1e-12
 
@@ -136,30 +143,29 @@ class TestOscillation:
         u = sampled_1d(lambda x, t: x + 0.0 * t)
         q = ParabolicCylinder((10.0,), 0.0, 0.5, 1.0)
         with pytest.raises(EmptyIntersection):
-            osc_over_cylinder(u, q)
+            osc(u, q)
 
     def test_translation_invariance(self):
         u = sampled_1d(lambda x, t: np.sin(3 * x) + t)
         q = ParabolicCylinder((0.1,), -0.2, 0.5, 1.5)
-        a = osc_over_cylinder(u, q)
-        b = osc_over_cylinder(u.with_values(u.values + 17.0), q)
+        a = osc(u, q)
+        b = osc(u.with_values(u.values + 17.0), q)
         assert abs(a - b) < 1e-14
 
     def test_monotone_in_cylinder(self):
+        # nested cylinders Q_{0.9 * 0.6^k}, k = 0..4, as the iteration reads them
         u = sampled_1d(lambda x, t: np.sin(3 * x) * np.cos(2 * t))
-        q = ParabolicCylinder((0.0,), 0.0, 0.9, 1.0)
-        prev = osc_over_cylinder(u, q)
-        for lam in (0.8, 0.5, 0.3):
-            cur = osc_over_cylinder(u, q.scaled(lam))
+        samples = measure_oscillations(u, (0.0, 0.0), 0.6, 1.0, 4, r0=0.9)
+        assert len(samples) == 5
+        for (_, prev), (_, cur) in zip(samples, samples[1:]):
             assert cur <= prev + 1e-14
-            prev = cur
 
     def test_positive_homogeneity(self):
         u = sampled_1d(lambda x, t: x**2 + t)
         q = ParabolicCylinder((0.0,), 0.0, 0.8, 1.0)
-        base = osc_over_cylinder(u, q)
+        base = osc(u, q)
         for c in (2.0, -3.0, 0.5):
-            scaled = osc_over_cylinder(u.with_values(c * u.values), q)
+            scaled = osc(u.with_values(c * u.values), q)
             assert abs(scaled - abs(c) * base) < 1e-12 * (1 + abs(c) * base)
 
 
@@ -189,9 +195,7 @@ class TestShiftNormalize:
     def test_oscillation_unchanged(self):
         u = sampled_1d(lambda x, t: np.cos(2 * x) + 0.3 * t)
         q = ParabolicCylinder((0.0,), 0.0, 0.6, 1.2)
-        assert osc_over_cylinder(shift_normalize(u, q), q) == pytest.approx(
-            osc_over_cylinder(u, q), abs=1e-14
-        )
+        assert osc(shift_normalize(u, q), q) == pytest.approx(osc(u, q), abs=1e-14)
 
 
 class TestSerialization:

@@ -59,6 +59,15 @@ def test_inverse_power_forcing_bits(d):
         assert _bits(f(*coords, t)) == _bits(want)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_inverse_power_forcing_default_centre_is_the_origin(d):
+    coords = np.meshgrid(*[np.linspace(-2.0, 2.0, 41 - 8 * i) for i in range(d)],
+                         indexing="ij")
+    f = instances.inverse_power_forcing(0.4, 0.4, cap_radius=0.1)
+    origin = instances.inverse_power_forcing(0.4, 0.4, (0.0,) * d, cap_radius=0.1)
+    assert _bits(f(*coords, 0.0)) == _bits(origin(*coords, 0.0))
+
+
 class _Counted:
     """An initial profile that counts its evaluations."""
 

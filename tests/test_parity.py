@@ -51,5 +51,5 @@ def test_a_missing_output_file_fails_even_when_declared(tmp_path):
 
 def test_case_names_are_single_words():
     # so that a declaration can name exactly one case
-    assert len(parity.CASES) == 42
+    assert len(parity.CASES) == 44
     assert all(re.fullmatch(r"\w+", name) for name in parity.CASES)

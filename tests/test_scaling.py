@@ -11,6 +11,7 @@ from hjholder.scaling import (
     calpha_scale,
     delta_exponent,
     lm_scaling_exponent,
+    cylinder_exponent,
     time_exponent,
     transform_coeffs,
 )
@@ -254,3 +255,13 @@ def test_exponents_of_the_lm_theory_need_m(call):
 def test_time_exponent_matches_display():
     p, alpha = 3.0, 0.25
     assert time_exponent(p, alpha) == pytest.approx(alpha / (p - alpha * (p - 1)))
+
+
+def test_one_cylinder_exponent():
+    """beta = p - alpha(p-1), as iterate_scales and time_exponent read it."""
+    for p, alpha in ((3.0, 0.01), (2.5, 0.3), (1.5, 1.0), (7.0, 0.4)):
+        beta = cylinder_exponent(p, alpha)
+        assert beta == p - alpha * (p - 1.0)
+        assert time_exponent(p, alpha) == alpha / beta
+    with pytest.raises(DomainError, match="must be positive"):
+        cylinder_exponent(3.0, 1.5)

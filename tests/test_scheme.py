@@ -26,7 +26,6 @@ from hjholder.scheme import (
     _Workspace,
     comparison_check,
     discrete_residual,
-    grid_from_callable,
     lm_norm,
     solve_hj,
 )
@@ -374,10 +373,16 @@ class TestComparison:
         assert rep.worst_interior_index == (16, 5)
 
 
+def sampled_1d(fn, nx, nt, half, t1):
+    """fn(x) at the nodes of [-half, half] x [0, t1], the same at every time."""
+    xs = np.linspace(-half, half, nx)
+    values = np.repeat(np.asarray(fn(xs), dtype=float)[:, None], nt, axis=1)
+    return GridFunction((-half,), (2.0 * half / (nx - 1),), 0.0, t1 / (nt - 1), values)
+
+
 class TestLmNorm:
     def _grid(self, fn, nx=257, nt=17, half=1.0):
-        cfg = SolveConfig(xmin=(-half,), xmax=(half,), nx=(nx,), t0=0.0, t1=1.0, nt=nt)
-        return grid_from_callable(lambda x, t: fn(x) + 0.0 * t, cfg)
+        return sampled_1d(fn, nx, nt, half, 1.0)
 
     def test_constant(self):
         u = self._grid(lambda x: np.full(x.shape, 3.0))
@@ -410,8 +415,7 @@ class TestLmNorm:
         q = ParabolicCylinder((0.0,), 1.0, 0.8, 1.0)
         base = lm_norm(u, m, q)
 
-        cfg2 = SolveConfig(xmin=(-2.0,), xmax=(2.0,), nx=(513,), t0=0.0, t1=8.0, nt=65)
-        v = grid_from_callable(lambda x, t: b * fn(a * x), cfg2)
+        v = sampled_1d(lambda x: b * fn(a * x), 513, 65, 2.0, 8.0)
         # pulled-back cylinder: same points under (x, t) -> (ax, bt)
         q2 = ParabolicCylinder((0.0,), 8.0, 1.6, np.log(0.8 / b) / np.log(1.6))
         scaled = lm_norm(v, m, q2)

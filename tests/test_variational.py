@@ -116,6 +116,13 @@ class TestLegendreBrute:
                             got = str(exc)
                         assert got == ref, (shift, q, p, A, radius, n)
 
+    @pytest.mark.parametrize("R", [8.98846567431158e307, np.float64(1.7976931348623157e308),
+                                   math.inf])
+    def test_window_whose_width_overflows(self, R):
+        # linspace(-R, R, n) has no finite step: not a DomainError, the window fails
+        with pytest.raises(WindowTooSmall, match="cannot be sampled"):
+            legendre_brute(2.0, 1e-307, 0.0, 10.0, R, 1001)
+
     def test_rejects_few_samples(self):
         with pytest.raises(DomainError):
             legendre_brute(2.0, 1.0, 0.0, 1.0, 2.0, 10)
